@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import DomainError, EpsilonRangeError
@@ -38,6 +39,12 @@ __all__ = [
     "epsilon_bounds",
     "special_epsilon",
 ]
+
+
+def is_count(value) -> bool:
+    """Whether ``value`` is an integer (numpy integers included) and not a
+    bool, which Python would otherwise treat as 0 or 1."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class Branch(enum.Enum):
@@ -74,10 +81,10 @@ class DesignSpec:
                 f"band must satisfy 0 < omega_l < omega_h, got "
                 f"[{self.omega_l!r}, {self.omega_h!r}]"
             )
-        if int(self.n) < 1:
-            raise DomainError(f"n must be >= 1, got {self.n!r}")
-        if int(self.k) < 1:
-            raise DomainError(f"k must be >= 1, got {self.k!r}")
+        for name in ("n", "k"):
+            value = getattr(self, name)
+            if not is_count(value) or value < 1:
+                raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "k", int(self.k))
 
@@ -157,7 +164,9 @@ _EPSILON_SLACK = 1e-12
 def _checked_epsilon(spec: DesignSpec) -> float:
     lower, upper = epsilon_bounds(spec)
     eps = spec.epsilon
-    if eps is None or eps <= lower or eps > upper * (1.0 + _EPSILON_SLACK):
+    # Written as "not inside" so that a NaN offset, which fails every
+    # comparison, is rejected too.
+    if eps is None or not lower < eps <= upper * (1.0 + _EPSILON_SLACK):
         raise EpsilonRangeError(eps, lower, upper)
     return eps
 

@@ -5,6 +5,11 @@ s <- (2/h)(q - 1)/(q + 1) to a strictly stable digital section; a net 1/s
 becomes a trapezoid accumulator head and a net s a central-difference head
 (which needs one sample of analytic input lookahead, so it is an offline
 device by construction).
+
+The whole cascade runs as one ``scipy.signal.sosfilt`` pass, with one
+second-order row per first-order section.  scipy is imported inside
+:func:`simulate_filter`, the only code that needs it, so design, analysis
+and realization never pay its import time.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .design import DesignSpec, design_pair, special_epsilon
 from .errors import DomainError, ShapeError
@@ -92,22 +96,25 @@ def simulate_filter(filt: DiscreteFilter, samples, lookahead: tuple[float, float
     """
     u = np.asarray(samples, dtype=float)
     h = filt.sample_period
+    rows = [[s.b0, s.b1, 0.0, 1.0, s.a1, 0.0] for s in filt.sections]
     if filt.head == CENTRAL_DIFFERENCE:
         if lookahead is None:
             raise ValueError("central-difference head needs (pre, post) lookahead samples")
         pre, post = lookahead
         extended = np.concatenate(([pre], u, [post]))
-        y = (extended[2:] - extended[:-2]) / (2.0 * h)
-    else:
-        if lookahead is not None:
-            raise ValueError("lookahead is only meaningful with a central-difference head")
-        if filt.head == TRAPEZOID_INTEGRATOR:
-            y = lfilter([h / 2.0, h / 2.0], [1.0, -1.0], u)
-        else:
-            y = u.copy()
-    for section in filt.sections:
-        y = lfilter([section.b0, section.b1], [1.0, section.a1], y)
-    return y
+        u = (extended[2:] - extended[:-2]) / (2.0 * h)
+    elif lookahead is not None:
+        raise ValueError("lookahead is only meaningful with a central-difference head")
+    elif filt.head == TRAPEZOID_INTEGRATOR:
+        rows.insert(0, [h / 2.0, h / 2.0, 0.0, 1.0, -1.0, 0.0])
+    if not rows:
+        return u.copy()
+    # With a zero second-order tail each row computes exactly the
+    # first-order recurrence; pairing sections into biquads would
+    # reassociate it and change results in the last digits.
+    from scipy.signal import sosfilt
+
+    return sosfilt(np.array(rows), u)
 
 
 @dataclass(frozen=True)

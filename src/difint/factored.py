@@ -122,22 +122,49 @@ def frequency_response(model: FactoredModel, omegas) -> tuple[np.ndarray, np.nda
     fixed factor order, so results are independent of any outer parallelism.
     """
     w = np.asarray(omegas, dtype=float)
-    if np.any(w <= 0.0):
+    if not np.all(w > 0.0):
         raise DomainError("all frequencies must be > 0")
     k = model.multiplicity
     jw = 1j * w
+    # The loops below work in buffers allocated once per call, because a
+    # fresh temporary per ufunc costs more than the arithmetic on large
+    # grids.  Each step is the ufunc the plain expression
+    # ((z + jw) / (p + jw)) ** k etc. would call, on the same operands, so
+    # results are bit-identical to it.  Complex steps never write over an
+    # input: on one-point grids numpy runs an aliased complex multiply or
+    # square through a different loop, which rounds differently.
     values = np.full(w.shape, complex(model.gain))
+    num, den, ratio, spare = (np.empty(w.shape, complex) for _ in range(4))
+    term, other = np.empty(w.shape), np.empty(w.shape)
     mag_db = np.full(w.shape, 20.0 * math.log10(model.gain))
     phase = np.zeros(w.shape)
     if model.s_exponent:
-        values = values * jw**model.s_exponent
+        np.multiply(values, jw**model.s_exponent, out=spare)
+        values, spare = spare, values
         mag_db = mag_db + 20.0 * model.s_exponent * np.log10(w)
         phase = phase + model.s_exponent * (math.pi / 2.0)
     w2 = w * w
     for z, p in model.factors:
-        values = values * ((z + jw) / (p + jw)) ** k
-        mag_db = mag_db + 10.0 * k * np.log10((w2 + z * z) / (w2 + p * p))
-        phase = phase + k * (np.arctan2(w, z) - np.arctan2(w, p))
+        np.add(jw, z, out=num)
+        np.add(jw, p, out=den)
+        np.divide(num, den, out=ratio)
+        if k == 2:  # what ``**`` calls; np.power rounds a square differently
+            np.square(ratio, out=num)
+        else:
+            np.power(ratio, k, out=num)
+        np.multiply(values, num, out=spare)
+        values, spare = spare, values
+        np.add(w2, z * z, out=term)
+        np.add(w2, p * p, out=other)
+        term /= other
+        np.log10(term, out=term)
+        term *= 10.0 * k
+        mag_db += term
+        np.arctan2(w, z, out=term)
+        np.arctan2(w, p, out=other)
+        term -= other
+        term *= k
+        phase += term
     return values, mag_db, np.degrees(phase)
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import DesignSpec, design_pair, special_epsilon
+from .design import DesignSpec, design_pair, is_count, special_epsilon
 from .errors import DomainError
 from .factored import ComplexResponse, FactoredModel, frequency_response
 
@@ -29,8 +29,8 @@ DIFFERENTIATOR = "differentiator"
 
 def make_grid(omega_l: float, omega_h: float, count: int) -> np.ndarray:
     """Log-uniform frequency grid spanning [omega_l, omega_h] inclusive."""
-    if count < 2:
-        raise DomainError(f"grid needs at least 2 points, got {count!r}")
+    if not is_count(count) or count < 2:
+        raise DomainError(f"grid needs an integer count of at least 2 points, got {count!r}")
     if not 0.0 < omega_l < omega_h:
         raise DomainError(f"band must satisfy 0 < omega_l < omega_h, got [{omega_l!r}, {omega_h!r}]")
     ratio = omega_h / omega_l

@@ -1,6 +1,10 @@
 """Command-line interface: dispatch, formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,6 +84,14 @@ class TestDesignCommand:
             capsys, "design", "--method", "3", "--alpha", "0.4", "--eps", "9.9",
         )
         assert code == 3
+        assert "admissible interval" in err
+
+    @pytest.mark.parametrize("eps", ("nan", "inf"))
+    def test_non_finite_offset_exits_3(self, capsys, eps):
+        code, out, err = run_cli(
+            capsys, "design", "--method", "3", "--alpha", "0.4", "--eps", eps,
+        )
+        assert code == 3 and out == ""
         assert "admissible interval" in err
 
     def test_special_offset_accepted(self, capsys):
@@ -291,3 +303,44 @@ class TestCliBehavior:
         ):
             ulp_at_9 = 10.0 ** (math.floor(math.log10(abs(exact))) - 8)
             assert abs(printed - exact) <= ulp_at_9
+
+
+# Runs in a fresh interpreter: design, analysis and realization commands must
+# not load scipy, and simulate must still work there and load it.
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+import difint, difint.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+codes = []
+for argv in [
+    ["design", "-m", "2", "-a", "0.4"],
+    ["bode", "-m", "1", "-a", "0.4", "--points", "50"],
+    ["check", "-m", "7", "-a", "0.3"],
+    ["pfe", "-m", "2", "-a", "0.7", "--k", "1"],
+    ["circuit", "-m", "1", "-a", "0.3", "--k", "1"],
+    ["table", "--which", "1"],
+]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(difint.cli.main(argv))
+before = scipy_modules()
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    codes.append(difint.cli.main(["simulate", "-m", "1", "-a", "0.4", "--T", "0.01"]))
+print(json.dumps({"codes": codes, "before": before, "after": scipy_modules(),
+                  "rows": len(out.getvalue().splitlines())}))
+"""
+
+
+class TestImportCost:
+    def test_only_simulation_loads_scipy(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        report = json.loads(proc.stdout)
+        assert report["codes"] == [0] * 7
+        assert report["before"] == []
+        assert "scipy.signal" in report["after"]
+        assert report["rows"] == 1 + 3 * 11

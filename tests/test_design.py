@@ -46,6 +46,17 @@ class TestDesignSpec:
         with pytest.raises(DomainError):
             DesignSpec(1, 0.5, k=0)
 
+    @pytest.mark.parametrize("field", ("n", "k"))
+    @pytest.mark.parametrize("value", (2.7, 3.0, True, False, "3"))
+    def test_rejects_non_integral_counts(self, field, value):
+        with pytest.raises(DomainError):
+            DesignSpec(1, 0.5, **{field: value})
+
+    def test_accepts_numpy_integer_counts(self):
+        spec = DesignSpec(1, 0.5, n=np.int64(7), k=np.int32(3))
+        assert (spec.n, spec.k) == (7, 3)
+        assert type(spec.n) is int and type(spec.k) is int
+
     def test_derived_quantities(self):
         spec = DesignSpec(1, 0.3, 1e-3, 1e3)
         assert spec.omega_m == pytest.approx(1.0)
@@ -132,6 +143,12 @@ class TestEpsilonBounds:
             design_integrator(spec)
         assert err.value.lower == pytest.approx(1.8113207547169811, rel=1e-12)
         assert err.value.upper == pytest.approx(2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("kappa", (3, 4))
+    @pytest.mark.parametrize("epsilon", (math.nan, math.inf, -math.inf))
+    def test_non_finite_offset_is_out_of_range(self, kappa, epsilon):
+        with pytest.raises(EpsilonRangeError):
+            design_integrator(DesignSpec(kappa, 0.4, epsilon=epsilon))
 
     def test_missing_offset_is_rejected(self):
         with pytest.raises(EpsilonRangeError):

@@ -9,6 +9,7 @@ from conftest import reference_spec
 from difint import (
     DomainError,
     FactoredModel,
+    ShapeError,
     design_pair,
     discretize,
     identity_experiment,
@@ -16,6 +17,39 @@ from difint import (
     simulate_filter,
 )
 from difint.discrete import CENTRAL_DIFFERENCE, PASSTHROUGH, TRAPEZOID_INTEGRATOR
+
+
+def reference_simulate(filt, samples, lookahead=None):
+    """One lfilter pass per first-order section: the reference the single
+    sosfilt pass must reproduce bit for bit."""
+    from scipy.signal import lfilter
+
+    u = np.asarray(samples, dtype=float)
+    h = filt.sample_period
+    if filt.head == CENTRAL_DIFFERENCE:
+        pre, post = lookahead
+        extended = np.concatenate(([pre], u, [post]))
+        y = (extended[2:] - extended[:-2]) / (2.0 * h)
+    elif filt.head == TRAPEZOID_INTEGRATOR:
+        y = lfilter([h / 2.0, h / 2.0], [1.0, -1.0], u)
+    else:
+        y = u.copy()
+    for section in filt.sections:
+        y = lfilter([section.b0, section.b1], [1.0, section.a1], y)
+    return y
+
+
+def assert_bitwise_reference(model, h=0.001, counts=(1, 2, 1000, 10000)):
+    filt = discretize(model, h)
+    for count in counts:
+        t = np.arange(count) * h
+        u = np.sin(t)
+        need = None
+        if filt.head == CENTRAL_DIFFERENCE:
+            need = (math.sin(-h), math.sin(t[-1] + h))
+        got = simulate_filter(filt, u, need)
+        assert np.array_equal(got, reference_simulate(filt, u, need))
+    return filt
 
 
 class TestDiscretize:
@@ -88,6 +122,40 @@ class TestSimulateFilter:
             simulate_filter(discretize(FactoredModel(1.0, 1), 0.1), u)
         with pytest.raises(ValueError):
             simulate_filter(discretize(FactoredModel(1.0, 0), 0.1), u, lookahead=(0.0, 0.0))
+
+
+class TestCascadeKernel:
+    @pytest.mark.parametrize(
+        "model, head, sections",
+        [
+            (FactoredModel(1.0, 0), PASSTHROUGH, 0),
+            (FactoredModel(2.5, 0), None, 1),  # gain-only section
+            (FactoredModel(1.0, -1), TRAPEZOID_INTEGRATOR, 0),
+            (FactoredModel(3.0, -1), TRAPEZOID_INTEGRATOR, 1),
+            (FactoredModel(1.0, 1), CENTRAL_DIFFERENCE, 0),
+            (FactoredModel(0.5, 1), CENTRAL_DIFFERENCE, 1),
+            (FactoredModel(2.0, 0, 3, ((1.0, 2.0), (40.0, 30.0))), None, 6),
+        ],
+    )
+    def test_every_head_is_bitwise_reference(self, model, head, sections):
+        filt = assert_bitwise_reference(model)
+        assert filt.head == head
+        assert len(filt.sections) == sections
+
+    @pytest.mark.parametrize("kappa", range(1, 8))
+    @pytest.mark.parametrize("k", (1, 2, 3, 4))
+    def test_designed_cascades_are_bitwise_reference(self, kappa, k):
+        # Orders 0.3 and 0.7 give every head on methods 1..4; simplified
+        # products add the gain-only and section-free cases.
+        for alpha in (0.3, 0.7):
+            pair = design_pair(reference_spec(kappa, alpha, k=k))
+            models = [pair.integrator, pair.differentiator]
+            try:
+                models.append(multiply_and_simplify(pair.differentiator, pair.integrator))
+            except ShapeError:
+                pass
+            for model in models:
+                assert_bitwise_reference(model)
 
 
 class TestCascadeEquivalence:

@@ -23,6 +23,27 @@ from difint import (
 ALL_METHODS = (1, 2, 3, 4, 5, 6, 7)
 
 
+def reference_frequency_response(model, omegas):
+    """Out-of-place factor loop: the reference the in-place kernel must
+    reproduce bit for bit."""
+    w = np.asarray(omegas, dtype=float)
+    k = model.multiplicity
+    jw = 1j * w
+    values = np.full(w.shape, complex(model.gain))
+    mag_db = np.full(w.shape, 20.0 * math.log10(model.gain))
+    phase = np.zeros(w.shape)
+    if model.s_exponent:
+        values = values * jw**model.s_exponent
+        mag_db = mag_db + 20.0 * model.s_exponent * np.log10(w)
+        phase = phase + model.s_exponent * (math.pi / 2.0)
+    w2 = w * w
+    for z, p in model.factors:
+        values = values * ((z + jw) / (p + jw)) ** k
+        mag_db = mag_db + 10.0 * k * np.log10((w2 + z * z) / (w2 + p * p))
+        phase = phase + k * (np.arctan2(w, z) - np.arctan2(w, p))
+    return values, mag_db, np.degrees(phase)
+
+
 class TestFactoredModel:
     def test_rejects_nonpositive_gain(self):
         with pytest.raises(DomainError):
@@ -90,6 +111,27 @@ class TestEvalResponse:
                 1j * math.radians(r.phase_deg)
             )
             assert abs(rebuilt - r.value) / abs(r.value) < 1e-12
+
+    @pytest.mark.parametrize("kappa", ALL_METHODS)
+    @pytest.mark.parametrize("k", (1, 2, 3, 4))
+    def test_vectorized_kernel_is_bitwise_reference(self, kappa, k):
+        # Orders 0.3 and 0.7 give s powers 0 and -1/+1 on methods 1..4.
+        grids = (np.array([0.37]), make_grid(1e-4, 1e4, 2), make_grid(1e-4, 1e4, 1000),
+                 make_grid(1e-4, 1e4, 10000))
+        for alpha in (0.3, 0.7):
+            pair = design_pair(reference_spec(kappa, alpha, k=k))
+            for model in (pair.integrator, pair.differentiator):
+                for grid in grids:
+                    got = frequency_response(model, grid)
+                    want = reference_frequency_response(model, grid)
+                    for g, r in zip(got, want):
+                        assert np.array_equal(g, r)
+
+    def test_vectorized_rejects_nonpositive_and_nan_frequencies(self):
+        m = FactoredModel(1.0, 0, 1, ((2.0, 1.0),))
+        for bad in ([1.0, 0.0], [1.0, -2.0], [1.0, math.nan], [math.nan]):
+            with pytest.raises(DomainError):
+                frequency_response(m, np.array(bad))
 
     def test_vectorized_matches_scalar(self):
         model = design_integrator(reference_spec(3, 0.6))

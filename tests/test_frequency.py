@@ -39,6 +39,14 @@ class TestMakeGrid:
         with pytest.raises(DomainError):
             make_grid(10.0, 1.0, 5)
 
+    @pytest.mark.parametrize("count", (2.5, 3.0, True, "3"))
+    def test_rejects_non_integral_count(self, count):
+        with pytest.raises(DomainError):
+            make_grid(1.0, 10.0, count)
+
+    def test_accepts_numpy_integer_count(self):
+        np.testing.assert_array_equal(make_grid(1.0, 10.0, np.int64(5)), make_grid(1.0, 10.0, 5))
+
 
 class TestExactResponse:
     def test_half_order_integrator_at_one(self):
