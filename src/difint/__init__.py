@@ -33,8 +33,10 @@ from .errors import (
 from .factored import (
     ComplexResponse,
     FactoredModel,
+    complex_response,
     eval_response,
     frequency_response,
+    log_response,
     multiply_and_simplify,
     reciprocal,
 )

@@ -16,7 +16,7 @@ import numpy as np
 from .design import DesignSpec, design_pair, special_epsilon
 from .discrete import identity_experiment
 from .errors import DomainError, EpsilonRangeError, NotRealizableError, ShapeError
-from .factored import frequency_response
+from .factored import log_response
 from .frequency import DIFFERENTIATOR, INTEGRATOR, make_grid, sweep_table
 from .identities import CONDITIONS, associativity_table, check_identity
 from .realization import export_netlist, synthesize_rc, to_partial_fractions
@@ -201,7 +201,7 @@ def cmd_bode(args) -> str:
     kind = INTEGRATOR if args.kind == "int" else DIFFERENTIATOR
     signed = -spec.alpha if kind == INTEGRATOR else spec.alpha
     grid = make_grid(spec.omega_l, spec.omega_h, args.points)
-    _, mag_model, phase_model = frequency_response(model, grid)
+    mag_model, phase_model = log_response(model, grid)
     mag_exact = 20.0 * signed * np.log10(grid)
     phase_exact = np.full(grid.shape, 90.0 * signed)
     header = ["omega", "mag_db_model", "mag_db_exact", "phase_deg_model",

@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import DomainError, EpsilonRangeError
 from .factored import FactoredModel, reciprocal
@@ -87,6 +87,14 @@ class DesignSpec:
                 raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "k", int(self.k))
+
+    def resolved(self) -> "DesignSpec":
+        """This spec with the special offset filled in for methods 3 and 4
+        when ``epsilon`` is omitted (see :func:`special_epsilon`), or the
+        spec itself otherwise."""
+        if self.kappa in (3, 4) and self.epsilon is None:
+            return replace(self, epsilon=special_epsilon(self))
+        return self
 
     @property
     def omega_m(self) -> float:

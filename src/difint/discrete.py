@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import DesignSpec, design_pair, special_epsilon
+from .design import DesignSpec, design_pair
 from .errors import DomainError, ShapeError
 from .factored import FactoredModel, multiply_and_simplify
 
@@ -199,9 +199,7 @@ def identity_experiment(
     """
     if not (sample_period > 0.0 and duration > 0.0):
         raise DomainError("sample period and duration must be > 0")
-    spec = DesignSpec(kappa, alpha, omega_l, omega_h, n, k, epsilon)
-    if kappa in (3, 4) and epsilon is None:
-        spec = DesignSpec(kappa, alpha, omega_l, omega_h, n, k, special_epsilon(spec))
+    spec = DesignSpec(kappa, alpha, omega_l, omega_h, n, k, epsilon).resolved()
     complement = DesignSpec(
         kappa, 1.0 - alpha, omega_l, omega_h, n, k, spec.epsilon
     )

@@ -23,8 +23,10 @@ __all__ = [
     "DEFAULT_CANCEL_TOL",
     "ComplexResponse",
     "FactoredModel",
+    "complex_response",
     "eval_response",
     "frequency_response",
+    "log_response",
     "multiply_and_simplify",
     "reciprocal",
 ]
@@ -115,35 +117,33 @@ def eval_response(model: FactoredModel, omega: float) -> ComplexResponse:
     return ComplexResponse(value, mag_db, math.degrees(phase))
 
 
-def frequency_response(model: FactoredModel, omegas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized response over an array of frequencies.
-
-    Returns ``(values, magnitude_db, phase_deg)`` arrays.  Reductions run in
-    fixed factor order, so results are independent of any outer parallelism.
-    """
+def _checked_omegas(omegas) -> np.ndarray:
     w = np.asarray(omegas, dtype=float)
     if not np.all(w > 0.0):
         raise DomainError("all frequencies must be > 0")
+    return w
+
+
+# The kernels below work in buffers allocated once per call, because a fresh
+# temporary per ufunc costs more than the arithmetic on large grids.  Each
+# step is the ufunc the plain expression ((z + jw) / (p + jw)) ** k etc.
+# would call, on the same operands, so results are bit-identical to it.
+
+
+def complex_response(model: FactoredModel, omegas) -> np.ndarray:
+    """Complex values of ``model`` at ``s = j*omega`` over an array of
+    frequencies, from the direct factor product in fixed factor order."""
+    w = _checked_omegas(omegas)
     k = model.multiplicity
     jw = 1j * w
-    # The loops below work in buffers allocated once per call, because a
-    # fresh temporary per ufunc costs more than the arithmetic on large
-    # grids.  Each step is the ufunc the plain expression
-    # ((z + jw) / (p + jw)) ** k etc. would call, on the same operands, so
-    # results are bit-identical to it.  Complex steps never write over an
-    # input: on one-point grids numpy runs an aliased complex multiply or
-    # square through a different loop, which rounds differently.
+    # Complex steps never write over an input: on one-point grids numpy runs
+    # an aliased complex multiply or square through a different loop, which
+    # rounds differently.
     values = np.full(w.shape, complex(model.gain))
     num, den, ratio, spare = (np.empty(w.shape, complex) for _ in range(4))
-    term, other = np.empty(w.shape), np.empty(w.shape)
-    mag_db = np.full(w.shape, 20.0 * math.log10(model.gain))
-    phase = np.zeros(w.shape)
     if model.s_exponent:
         np.multiply(values, jw**model.s_exponent, out=spare)
         values, spare = spare, values
-        mag_db = mag_db + 20.0 * model.s_exponent * np.log10(w)
-        phase = phase + model.s_exponent * (math.pi / 2.0)
-    w2 = w * w
     for z, p in model.factors:
         np.add(jw, z, out=num)
         np.add(jw, p, out=den)
@@ -154,6 +154,23 @@ def frequency_response(model: FactoredModel, omegas) -> tuple[np.ndarray, np.nda
             np.power(ratio, k, out=num)
         np.multiply(values, num, out=spare)
         values, spare = spare, values
+    return values
+
+
+def log_response(model: FactoredModel, omegas) -> tuple[np.ndarray, np.ndarray]:
+    """``(magnitude_db, phase_deg)`` of ``model`` over an array of
+    frequencies, summed from per-factor log magnitudes and arguments in
+    fixed factor order, so long chains never wrap the phase."""
+    w = _checked_omegas(omegas)
+    k = model.multiplicity
+    term, other = np.empty(w.shape), np.empty(w.shape)
+    mag_db = np.full(w.shape, 20.0 * math.log10(model.gain))
+    phase = np.zeros(w.shape)
+    if model.s_exponent:
+        mag_db = mag_db + 20.0 * model.s_exponent * np.log10(w)
+        phase = phase + model.s_exponent * (math.pi / 2.0)
+    w2 = w * w
+    for z, p in model.factors:
         np.add(w2, z * z, out=term)
         np.add(w2, p * p, out=other)
         term /= other
@@ -165,7 +182,19 @@ def frequency_response(model: FactoredModel, omegas) -> tuple[np.ndarray, np.nda
         term -= other
         term *= k
         phase += term
-    return values, mag_db, np.degrees(phase)
+    return mag_db, np.degrees(phase)
+
+
+def frequency_response(model: FactoredModel, omegas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorized response over an array of frequencies.
+
+    Returns ``(values, magnitude_db, phase_deg)`` arrays: the first from
+    :func:`complex_response`, the other two from :func:`log_response`.
+    Callers that read only one part should call that kernel directly.
+    Reductions run in fixed factor order, so results are independent of any
+    outer parallelism.
+    """
+    return (complex_response(model, omegas), *log_response(model, omegas))
 
 
 def reciprocal(model: FactoredModel) -> FactoredModel:
@@ -178,30 +207,24 @@ def reciprocal(model: FactoredModel) -> FactoredModel:
     )
 
 
-def _relative_gap(a: float, b: float) -> float:
-    return abs(a - b) / max(a, b)
-
-
 def _greedy_match(zeros, poles, rel_tol):
     """Match zeros against poles by nearest relative gap.
 
-    Candidates within ``rel_tol`` are taken closest first; ties fall to the
-    smaller zero index, then the smaller pole index.  Returns the sets of
-    matched indices on either side.
+    The gap is ``|z - p| / max(z, p)``.  Candidates within ``rel_tol`` are
+    taken closest first; ties fall to the smaller zero index, then the
+    smaller pole index.  Returns the sets of matched indices on either side.
     """
-    candidates = []
-    for iz, z in enumerate(zeros):
-        for ip, p in enumerate(poles):
-            gap = _relative_gap(z, p)
-            if gap <= rel_tol:
-                candidates.append((gap, iz, ip))
-    candidates.sort()
+    z = np.asarray(zeros, dtype=float)[:, None]
+    p = np.asarray(poles, dtype=float)[None, :]
+    gaps = np.abs(z - p) / np.maximum(z, p)
+    iz, ip = np.nonzero(gaps <= rel_tol)
+    order = np.lexsort((ip, iz, gaps[iz, ip]))
     matched_z: set[int] = set()
     matched_p: set[int] = set()
-    for _, iz, ip in candidates:
-        if iz not in matched_z and ip not in matched_p:
-            matched_z.add(iz)
-            matched_p.add(ip)
+    for i, j in zip(iz[order].tolist(), ip[order].tolist()):
+        if i not in matched_z and j not in matched_p:
+            matched_z.add(i)
+            matched_p.add(j)
     return matched_z, matched_p
 
 

@@ -8,9 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import DesignSpec, design_pair, is_count, special_epsilon
+from .design import DesignSpec, design_pair, is_count
 from .errors import DomainError
-from .factored import ComplexResponse, FactoredModel, frequency_response
+from .factored import ComplexResponse, FactoredModel, log_response
 
 __all__ = [
     "DIFFERENTIATOR",
@@ -95,7 +95,7 @@ def error_series(model: FactoredModel, alpha: float, kind: str, grid) -> ErrorRe
     """Exact-minus-model magnitude (dB) and phase (deg) series over ``grid``."""
     w = np.asarray(grid, dtype=float)
     a = _signed_order(alpha, kind)
-    _, mag_db, phase_deg = frequency_response(model, w)
+    mag_db, phase_deg = log_response(model, w)
     exact_mag = 20.0 * a * np.log10(w)
     exact_phase = np.full(w.shape, 90.0 * a)
     return ErrorReport.from_series(exact_mag - mag_db, exact_phase - phase_deg)
@@ -135,9 +135,7 @@ def sweep_table(
     grid = make_grid(omega_l, omega_h, count)
     rows = []
     for alpha in alphas:
-        spec = DesignSpec(kappa, alpha, omega_l, omega_h, n, k, epsilon)
-        if kappa in (3, 4) and epsilon is None:
-            spec = DesignSpec(kappa, alpha, omega_l, omega_h, n, k, special_epsilon(spec))
+        spec = DesignSpec(kappa, alpha, omega_l, omega_h, n, k, epsilon).resolved()
         pair = design_pair(spec)
         model = pair.integrator if kind == INTEGRATOR else pair.differentiator
         rows.append(error_series(model, alpha, kind, grid))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import DesignSpec, design_pair, special_epsilon
+from .design import DesignSpec, design_pair
 from .errors import ShapeError
 from .factored import FactoredModel, frequency_response, multiply_and_simplify
 from .frequency import make_grid
@@ -82,9 +82,7 @@ def check_identity(
     structural failure, not an error.  Methods 3 and 4 fall back to their
     special offset when ``epsilon`` is omitted.
     """
-    spec = DesignSpec(kappa, alpha, omega_l, omega_h, n, k, epsilon)
-    if kappa in (3, 4) and epsilon is None:
-        spec = DesignSpec(kappa, alpha, omega_l, omega_h, n, k, special_epsilon(spec))
+    spec = DesignSpec(kappa, alpha, omega_l, omega_h, n, k, epsilon).resolved()
     first, second = _operands(condition, spec)
 
     grid = make_grid(omega_l, omega_h, grid_count)
@@ -118,11 +116,12 @@ def associativity_table(
     n: int = 10,
     k: int = 2,
     epsilon: float | None = None,
-    grid_count: int = 1000,
 ) -> np.ndarray:
     """7x3 boolean matrix: entry (kappa-1, condition) is True iff the law
     passes structurally for every order in ``alphas``.
 
+    Entries are the ``structural_pass`` verdicts of :func:`check_identity`;
+    the numeric deviation it also reports does not enter the matrix.
     Orders must avoid 0.5 (the structure switch makes it singular for the
     piecewise methods) and the sweep must be non-empty.
     """
@@ -137,7 +136,7 @@ def associativity_table(
         for col, condition in enumerate(CONDITIONS):
             for alpha in alphas:
                 verdict = check_identity(
-                    condition, kappa, alpha, omega_l, omega_h, n, k, epsilon, grid_count
+                    condition, kappa, alpha, omega_l, omega_h, n, k, epsilon
                 )
                 if not verdict.structural_pass:
                     table[row, col] = False

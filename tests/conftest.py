@@ -1,6 +1,6 @@
 """Shared helpers for the test suite."""
 
-from difint import DesignSpec, special_epsilon
+from difint import DesignSpec
 
 # Benchmark defaults shared by most reference checks.
 BAND = (1e-3, 1e3)
@@ -11,7 +11,4 @@ MULTIPLICITY = 2
 def reference_spec(kappa, alpha, k=MULTIPLICITY, n=N_PAIRS, band=BAND, epsilon=None):
     """DesignSpec at the benchmark defaults; methods 3/4 get their special
     offset unless one is passed explicitly."""
-    spec = DesignSpec(kappa, alpha, band[0], band[1], n, k, epsilon)
-    if kappa in (3, 4) and epsilon is None:
-        spec = DesignSpec(kappa, alpha, band[0], band[1], n, k, special_epsilon(spec))
-    return spec
+    return DesignSpec(kappa, alpha, band[0], band[1], n, k, epsilon).resolved()

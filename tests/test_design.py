@@ -66,6 +66,17 @@ class TestDesignSpec:
         assert DesignSpec(1, 0.5).branch is Branch.LOW_ORDER
         assert DesignSpec(1, 0.51).branch is Branch.HIGH_ORDER
 
+    def test_resolved_fills_special_offset_for_methods_3_and_4_only(self):
+        for kappa in (3, 4):
+            spec = DesignSpec(kappa, 0.4, n=12, k=3)
+            assert spec.resolved() == DesignSpec(kappa, 0.4, n=12, k=3,
+                                                 epsilon=special_epsilon(spec))
+            explicit = DesignSpec(kappa, 0.4, epsilon=1.0)
+            assert explicit.resolved() is explicit
+        for kappa in (1, 2, 5, 6, 7):
+            spec = DesignSpec(kappa, 0.4)
+            assert spec.resolved() is spec
+
     def test_forced_multiplicities(self):
         assert DesignSpec(5, 0.4, k=2).effective_k == 1
         assert DesignSpec(6, 0.4, k=1).effective_k == 2

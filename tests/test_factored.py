@@ -11,14 +11,17 @@ from difint import (
     DomainError,
     FactoredModel,
     ShapeError,
+    complex_response,
     design_integrator,
     design_pair,
     eval_response,
     frequency_response,
+    log_response,
     make_grid,
     multiply_and_simplify,
     reciprocal,
 )
+from difint import factored
 
 ALL_METHODS = (1, 2, 3, 4, 5, 6, 7)
 
@@ -42,6 +45,31 @@ def reference_frequency_response(model, omegas):
         mag_db = mag_db + 10.0 * k * np.log10((w2 + z * z) / (w2 + p * p))
         phase = phase + k * (np.arctan2(w, z) - np.arctan2(w, p))
     return values, mag_db, np.degrees(phase)
+
+
+def reference_greedy_match(zeros, poles, rel_tol):
+    """Nested-loop matcher: the reference the vectorised one must reproduce,
+    tie order included."""
+    candidates = []
+    for iz, z in enumerate(zeros):
+        for ip, p in enumerate(poles):
+            gap = abs(z - p) / max(z, p)
+            if gap <= rel_tol:
+                candidates.append((gap, iz, ip))
+    candidates.sort()
+    matched_z, matched_p = set(), set()
+    for _, iz, ip in candidates:
+        if iz not in matched_z and ip not in matched_p:
+            matched_z.add(iz)
+            matched_p.add(ip)
+    return matched_z, matched_p
+
+
+def _critical_frequencies(rng, base, count):
+    """``count`` draws from ``base`` (so values repeat), each nudged by a
+    relative step on either side of the cancellation tolerances."""
+    steps = np.array([0.0, 0.0, 1e-12, -1e-12, 1e-9, -1e-9, 3e-7, -3e-7, 1e-6, 2e-6])
+    return [float(v) for v in rng.choice(base, count) * (1.0 + rng.choice(steps, count))]
 
 
 class TestFactoredModel:
@@ -122,10 +150,11 @@ class TestEvalResponse:
             pair = design_pair(reference_spec(kappa, alpha, k=k))
             for model in (pair.integrator, pair.differentiator):
                 for grid in grids:
-                    got = frequency_response(model, grid)
                     want = reference_frequency_response(model, grid)
-                    for g, r in zip(got, want):
-                        assert np.array_equal(g, r)
+                    split = (complex_response(model, grid), *log_response(model, grid))
+                    for got in (frequency_response(model, grid), split):
+                        for g, r in zip(got, want, strict=True):
+                            assert np.array_equal(g, r)
 
     def test_vectorized_rejects_nonpositive_and_nan_frequencies(self):
         m = FactoredModel(1.0, 0, 1, ((2.0, 1.0),))
@@ -199,6 +228,37 @@ class TestMultiplyAndSimplify:
         b = FactoredModel(1.0, 0, 1, ((1.0 + 1e-12, 2.0 * (1.0 + 1e-12)),))
         product = multiply_and_simplify(a, b, rel_tol=1e-9)
         assert product.factors == ()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_vectorised_matching_is_bitwise_reference(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        base = np.geomspace(1e-3, 1e3, 7)
+        cases = [([], [1.0]), ([1.0], []), ([], []),
+                 # a duplicated zero facing one pole: equal gaps, index order decides
+                 ([2.0, 2.0], [2.0]), ([2.0], [2.0, 2.0]),
+                 # two pairs at exactly the same gap, 2**-20 / (1 + 2**-20)
+                 ([2.0, 1.0], [1.0 + 2.0**-20, 2.0 + 2.0**-19])]
+        for _ in range(20):
+            cases.append((_critical_frequencies(rng, base, rng.integers(0, 12)),
+                          _critical_frequencies(rng, base, rng.integers(0, 12))))
+        for zeros, poles in cases:
+            for rel_tol in (0.0, 1e-9, 1e-6):
+                got = factored._greedy_match(zeros, poles, rel_tol)
+                assert got == reference_greedy_match(zeros, poles, rel_tol)
+
+        models = []
+        for _ in range(8):
+            count, k = rng.integers(0, 8), rng.integers(1, 3)
+            factors = zip(_critical_frequencies(rng, base, count),
+                          _critical_frequencies(rng, base, count))
+            models.append(FactoredModel(rng.uniform(0.5, 2.0), 0, k, tuple(factors)))
+        pairs = [(a, b) for a in models for b in models if a.multiplicity == b.multiplicity]
+        for rel_tol in (0.0, 1e-9, 1e-6):
+            got = [multiply_and_simplify(a, b, rel_tol) for a, b in pairs]
+            with monkeypatch.context() as patch:
+                patch.setattr(factored, "_greedy_match", reference_greedy_match)
+                want = [multiply_and_simplify(a, b, rel_tol) for a, b in pairs]
+            assert got == want
 
     def test_distinct_factors_survive(self):
         a = FactoredModel(1.0, 0, 1, ((2.0, 1.0),))

@@ -98,6 +98,12 @@ class TestAssociativityTable:
         matrix = associativity_table(MATRIX_ALPHAS)
         np.testing.assert_array_equal(matrix, EXPECTED_MATRIX)
 
+    @pytest.mark.parametrize("n", (5, 10, 60))
+    @pytest.mark.parametrize("k", (1, 2, 3))
+    def test_matrix_holds_across_model_sizes(self, n, k):
+        matrix = associativity_table([0.2, 0.7], n=n, k=k)
+        np.testing.assert_array_equal(matrix, EXPECTED_MATRIX)
+
     def test_single_order_matrix_matches_full(self):
         matrix = associativity_table([0.25])
         np.testing.assert_array_equal(matrix, EXPECTED_MATRIX)
