@@ -310,6 +310,12 @@ def cmd_pfe(args) -> str:
 def cmd_circuit(args) -> str:
     spec = _spec_from_args(args)
     model = _model_from_args(args)
+    if model.multiplicity != 1:
+        # Checked before expanding: a repeated-pole expansion can overflow
+        # (exit 2), but no such model is an RC ladder whatever its residues.
+        raise NotRealizableError(
+            "repeated poles have no single-section RC realization (k > 1 not synthesizable)"
+        )
     network = synthesize_rc(to_partial_fractions(model))
     meta = {
         "method": spec.kappa,

@@ -29,7 +29,8 @@ class EpsilonRangeError(ValueError):
 
 class ConditioningError(ValueError):
     """A partial-fraction expansion hit coincident poles from different
-    factor pairs."""
+    factor pairs, or came out with a non-finite coefficient because it
+    overflowed."""
 
 
 class NotRealizableError(ValueError):

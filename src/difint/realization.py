@@ -8,7 +8,11 @@ Simple poles use the closed-form cover-up residues; repeated poles use the
 Heaviside derivative rule evaluated through truncated local series (the
 numerator and denominator are shifted to the pole and long-divided), which
 keeps the arithmetic in the local scale instead of expanding degree-40
-polynomials with a 1e15 coefficient spread.
+polynomials with a 1e15 coefficient spread.  Both are computed for all poles
+at once: the cover-up products as one vector updated factor by factor, the
+local series as (poles x k) arrays, one row per pole, each row going through
+the same floating-point steps in the same order as a per-pole loop would.
+An expansion with a non-finite coefficient raises ``ConditioningError``.
 
 A summation form whose residues are all simple and positive is the
 driving-point impedance of a series chain: a resistor for the direct term, a
@@ -57,28 +61,6 @@ class PartialFractionForm:
     terms: tuple[PartialFractionTerm, ...]
 
 
-def _series_mul(a: list[float], b: list[float], order: int) -> list[float]:
-    out = [0.0] * order
-    for i, ai in enumerate(a[:order]):
-        if ai == 0.0:
-            continue
-        for j, bj in enumerate(b[: order - i]):
-            out[i + j] += ai * bj
-    return out
-
-
-def _series_div(num: list[float], den: list[float], order: int) -> list[float]:
-    if den[0] == 0.0:
-        raise ConditioningError("series division by a vanishing leading coefficient")
-    out = [0.0] * order
-    for i in range(order):
-        acc = num[i] if i < len(num) else 0.0
-        for j in range(1, min(i, len(den) - 1) + 1):
-            acc -= den[j] * out[i - j]
-        out[i] = acc / den[0]
-    return out
-
-
 def _check_poles_distinct(poles) -> None:
     ordered = sorted(poles)
     for a, b in zip(ordered, ordered[1:]):
@@ -88,42 +70,80 @@ def _check_poles_distinct(poles) -> None:
             )
 
 
-def _simple_residues(gain: float, zeros, poles, with_origin_pole: bool) -> list[float]:
-    residues = []
-    for i, p in enumerate(poles):
-        r = gain * (zeros[i] - p)
-        for l, (z, q) in enumerate(zip(zeros, poles)):
-            if l != i:
-                r *= (z - p) / (q - p)
-        if with_origin_pole:
-            r /= -p
-        residues.append(r)
-    return residues
+def _simple_residues(model: FactoredModel) -> np.ndarray:
+    """Cover-up residues of every simple pole, as a (poles x 1) column.
+
+    Entry i is gain * (z_i - p_i) * prod_{l != i} (z_l - p_i) / (p_l - p_i),
+    multiplied in factor order; the step for factor l leaves entry l as it is.
+    """
+    zeros = np.array(model.zeros)
+    poles = np.array(model.poles)
+    residues = model.gain * (zeros - poles)
+    others = np.ones(len(poles), dtype=bool)
+    ratio = np.empty_like(poles)
+    for l, (z, q) in enumerate(model.factors):
+        others[l] = False
+        np.divide(z - poles, q - poles, out=ratio, where=others)
+        np.multiply(residues, ratio, out=residues, where=others)
+        others[l] = True
+    if model.s_exponent == -1:
+        residues /= -poles
+    return residues[:, None]
 
 
-def _repeated_residues(model: FactoredModel, pole_index: int) -> list[float]:
-    """Heaviside residues at poles[pole_index] via local series division.
+def _times_linear(series: np.ndarray, shift: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Row r of ``out`` = row r of ``series`` times (shift[r] + t), truncated."""
+    np.multiply(series, shift[:, None], out=out)
+    out[:, 1:] += series[:, :-1]
+    return out
 
-    With G(s) = (s + p)**k * H(s), the residue of depth l is the coefficient
-    of t**(k-l) in the expansion of G(-p + t); numerator and denominator are
-    built factor by factor around the pole, then long-divided.
+
+def _heaviside_residues(model: FactoredModel) -> np.ndarray:
+    """Residue ladders of every repeated pole, as a (poles x k) array.
+
+    With G(s) = (s + p)**k * H(s), the residue of depth l at p is the
+    coefficient of t**(k-l) in the expansion of G(-p + t).  Row r holds the
+    length-k local series around poles[r]: numerator and denominator are
+    built factor by factor (each factor k times, in factor order, row r
+    skipping its own pole), then long-divided.  Column l-1 holds depth l.
     """
     k = model.multiplicity
-    p = model.poles[pole_index]
-    num = [model.gain]
+    poles = np.array(model.poles)
+    series = np.zeros((len(poles), k))
+    spare = np.empty_like(series)
+    series[:, 0] = model.gain
     for z in model.zeros:
+        shift = z - poles
         for _ in range(k):
-            num = _series_mul(num, [z - p, 1.0], k)
-    den = [1.0]
+            series, spare = _times_linear(series, shift, spare), series
+    # Summed term by term from +0.0, a series coefficient is never -0.0;
+    # the steps above can leave -0.0 where a coefficient is zero, and the
+    # division below would carry that sign into a zero residue.
+    num = series + 0.0
+
+    series[:] = 0.0
+    series[:, 0] = 1.0
     for i, q in enumerate(model.poles):
-        if i == pole_index:
-            continue
+        shift = q - poles
         for _ in range(k):
-            den = _series_mul(den, [q - p, 1.0], k)
+            series, spare = _times_linear(series, shift, spare), series
+            series[i] = spare[i]
     if model.s_exponent == -1:
-        den = _series_mul(den, [-p, 1.0], k)
-    local = _series_div(num, den, k)
-    return [local[k - l] for l in range(1, k + 1)]
+        series, spare = _times_linear(series, -poles, spare), series
+    # Without any factor besides its own pole, a row's denominator is the
+    # constant 1 and the division has no higher terms to subtract.
+    width = k if len(poles) > 1 or model.s_exponent == -1 else 1
+    den = series[:, :width] + 0.0
+
+    if (den[:, 0] == 0.0).any():
+        raise ConditioningError("series division by a vanishing leading coefficient")
+    local = np.empty_like(num)
+    for i in range(k):
+        acc = num[:, i].copy()
+        for j in range(1, min(i, width - 1) + 1):
+            acc -= den[:, j] * local[:, i - j]
+        np.divide(acc, den[:, 0], out=local[:, i])
+    return local[:, ::-1]
 
 
 def to_partial_fractions(model: FactoredModel) -> PartialFractionForm:
@@ -131,7 +151,8 @@ def to_partial_fractions(model: FactoredModel) -> PartialFractionForm:
 
     Requires distinct poles (designed models interlace, so this always
     holds for them) and a net s power of 0 or -1; a differentiator carrying
-    a bare s factor has no proper expansion.
+    a bare s factor has no proper expansion.  Raises ``ConditioningError``
+    when any coefficient comes out non-finite (the expansion overflowed).
     """
     if model.s_exponent not in (-1, 0):
         raise DomainError(
@@ -146,19 +167,19 @@ def to_partial_fractions(model: FactoredModel) -> PartialFractionForm:
         for z, p in model.factors:
             origin *= (z / p) ** model.multiplicity
 
-    k = model.multiplicity
-    if k == 1:
-        residues = _simple_residues(
-            model.gain, model.zeros, model.poles, model.s_exponent == -1
+    kernel = _simple_residues if model.multiplicity == 1 else _heaviside_residues
+    with np.errstate(over="ignore", invalid="ignore"):
+        residues = kernel(model)
+    coefficients = np.array([direct, origin, *residues.flat])
+    bad = np.count_nonzero(~np.isfinite(coefficients))
+    if bad:
+        raise ConditioningError(
+            f"{bad} of {coefficients.size} expansion coefficients are not finite; "
+            "the expansion overflowed"
         )
-        terms = tuple(
-            PartialFractionTerm(p, (r,)) for p, r in zip(model.poles, residues)
-        )
-    else:
-        terms = tuple(
-            PartialFractionTerm(p, tuple(_repeated_residues(model, i)))
-            for i, p in enumerate(model.poles)
-        )
+    terms = tuple(
+        PartialFractionTerm(p, tuple(row)) for p, row in zip(model.poles, residues.tolist())
+    )
     return PartialFractionForm(direct, origin, terms)
 
 

@@ -33,6 +33,7 @@ from difint import (
     to_partial_fractions,
 )
 from difint.cli import main as cli_main
+from difint.identities import NUMERIC_PASS_TOL
 from test_design import random_specs
 from test_realization import impedance_from_groups, parse_spice
 
@@ -92,7 +93,7 @@ def test_criterion_1_composition_matrix(tmp_path):
                 should_pass = (kappa, cond) in expected_pass
                 if verdict.structural_pass != should_pass:
                     failures.append(f"verdict ({kappa}, {cond}, {alpha}) flipped")
-                elif should_pass and verdict.numeric_max_deviation >= 1e-8:
+                elif should_pass and verdict.numeric_max_deviation >= NUMERIC_PASS_TOL:
                     failures.append(
                         f"pass deviation {verdict.numeric_max_deviation:.2e} "
                         f"at ({kappa}, {cond}, {alpha})"

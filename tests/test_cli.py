@@ -223,6 +223,14 @@ class TestPfeCommand:
         )
         assert code == 2
 
+    def test_non_finite_expansion_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "pfe", "-m", "2", "-a", "0.7", "--n", "40", "--k", "4",
+        )
+        assert code == 2
+        assert out == ""
+        assert "not finite" in err
+
 
 class TestCircuitCommand:
     def test_spice_netlist(self, capsys):
@@ -249,6 +257,14 @@ class TestCircuitCommand:
             capsys, "circuit", "--method", "1", "--alpha", "0.3", "--k", "2",
         )
         assert code == 4
+        assert "not synthesizable" in err
+
+    def test_multiplicity_four_exits_4_although_its_expansion_overflows(self, capsys):
+        code, out, err = run_cli(
+            capsys, "circuit", "-m", "2", "-a", "0.7", "--n", "40", "--k", "4",
+        )
+        assert code == 4
+        assert out == ""
         assert "not synthesizable" in err
 
 

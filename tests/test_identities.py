@@ -10,6 +10,7 @@ from difint import (
     design_integrator,
     design_pair,
 )
+from difint.identities import NUMERIC_PASS_TOL
 
 # Expected matrix: methods 1-4 satisfy every law, 5 and 6 none, 7 only the
 # differentiator-times-integrator law.
@@ -74,7 +75,7 @@ class TestCheckIdentity:
         for condition in ("i", "ii", "iii"):
             verdict = check_identity(condition, kappa, alpha)
             if verdict.structural_pass:
-                assert verdict.numeric_max_deviation < 1e-8
+                assert verdict.numeric_max_deviation < NUMERIC_PASS_TOL
             else:
                 assert verdict.numeric_max_deviation > 1e-2
 

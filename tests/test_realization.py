@@ -8,6 +8,7 @@ import pytest
 from conftest import reference_spec
 from difint import (
     ConditioningError,
+    DesignSpec,
     DomainError,
     FactoredModel,
     NotRealizableError,
@@ -18,6 +19,7 @@ from difint import (
     SeriesCapacitor,
     SeriesResistor,
     design_integrator,
+    design_pair,
     evaluate_partial_fractions,
     export_netlist,
     frequency_response,
@@ -26,6 +28,7 @@ from difint import (
     synthesize_rc,
     to_partial_fractions,
 )
+from difint import realization
 
 
 def solve_residues_by_sampling(model):
@@ -127,6 +130,141 @@ class TestRepeatedPoleExpansion:
             frequency_response(model, grid)[0],
             rtol=1e-6,
         )
+
+
+# Test-local copies of the per-pole loops that computed the residues one
+# pole at a time.  The vectorised kernels must reproduce them bit for bit,
+# including where the local series overflows.
+def reference_series_mul(a, b, order):
+    out = [0.0] * order
+    for i, ai in enumerate(a[:order]):
+        if ai == 0.0:
+            continue
+        for j, bj in enumerate(b[: order - i]):
+            out[i + j] += ai * bj
+    return out
+
+
+def reference_series_div(num, den, order):
+    if den[0] == 0.0:
+        raise ConditioningError("series division by a vanishing leading coefficient")
+    out = [0.0] * order
+    for i in range(order):
+        acc = num[i] if i < len(num) else 0.0
+        for j in range(1, min(i, len(den) - 1) + 1):
+            acc -= den[j] * out[i - j]
+        out[i] = acc / den[0]
+    return out
+
+
+def reference_repeated_residues(model, pole_index):
+    k = model.multiplicity
+    p = model.poles[pole_index]
+    num = [model.gain]
+    for z in model.zeros:
+        for _ in range(k):
+            num = reference_series_mul(num, [z - p, 1.0], k)
+    den = [1.0]
+    for i, q in enumerate(model.poles):
+        if i == pole_index:
+            continue
+        for _ in range(k):
+            den = reference_series_mul(den, [q - p, 1.0], k)
+    if model.s_exponent == -1:
+        den = reference_series_mul(den, [-p, 1.0], k)
+    local = reference_series_div(num, den, k)
+    return [local[k - l] for l in range(1, k + 1)]
+
+
+def reference_simple_residues(gain, zeros, poles, with_origin_pole):
+    residues = []
+    for i, p in enumerate(poles):
+        r = gain * (zeros[i] - p)
+        for l, (z, q) in enumerate(zip(zeros, poles)):
+            if l != i:
+                r *= (z - p) / (q - p)
+        if with_origin_pole:
+            r /= -p
+        residues.append(r)
+    return residues
+
+
+def reference_residue_table(model):
+    k = model.multiplicity
+    if k == 1:
+        rows = [[r] for r in reference_simple_residues(
+            model.gain, model.zeros, model.poles, model.s_exponent == -1)]
+    else:
+        rows = [reference_repeated_residues(model, i) for i in range(len(model.poles))]
+    return np.array(rows, dtype=float).reshape(len(model.poles), k)
+
+
+def kernel_residue_table(model):
+    kernel = (realization._simple_residues if model.multiplicity == 1
+              else realization._heaviside_residues)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return kernel(model)
+
+
+def assert_same_residues(model):
+    """Both routes raise the same error, or give the same bits: equal values,
+    NaN in the same places and the same sign on every zero and infinity."""
+    try:
+        expected = reference_residue_table(model)
+    except ConditioningError as exc:
+        with pytest.raises(ConditioningError, match=str(exc)):
+            kernel_residue_table(model)
+        return None
+    actual = kernel_residue_table(model)
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual, expected, equal_nan=True)
+    signed = ~np.isnan(expected)
+    assert np.array_equal(np.signbit(actual[signed]), np.signbit(expected[signed]))
+    return bool(np.isfinite(expected).all())
+
+
+def random_models(seed, count=250):
+    """Seeded models over up to 600 decades, so that the local series
+    overflow and underflow, with some near-coincident pole pairs."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        n = int(rng.integers(0, 12))
+        values = 10.0 ** (rng.uniform(-1.0, 1.0, size=(n, 2)) * rng.choice([2, 6, 40, 150, 300]))
+        if trial % 5 == 0 and n > 1:
+            values[1, 1] = values[0, 1] * (1.0 + 1e-9)
+        yield FactoredModel(
+            float(10.0 ** rng.uniform(-50.0, 50.0)), int(rng.choice([-1, 0])),
+            int(rng.integers(1, 6)), tuple(map(tuple, values)),
+        )
+
+
+class TestVectorisedResidues:
+    def test_designed_models_match_per_pole_loops(self):
+        outcomes = []
+        for kappa in range(1, 8):
+            for k in range(1, 5):
+                for n in (5, 20, 40, 60):
+                    for alpha in (0.3, 0.7):
+                        pair = design_pair(DesignSpec(kappa, alpha, n=n, k=k).resolved())
+                        for model in (pair.integrator, pair.differentiator):
+                            if model.s_exponent in (-1, 0):
+                                outcomes.append((model.s_exponent, assert_same_residues(model)))
+        # the set covers both s powers, and expansions that overflow
+        assert {s for s, _ in outcomes} == {-1, 0}
+        assert any(finite is False for _, finite in outcomes)
+
+    @pytest.mark.parametrize("seed", (1, 2, 3))
+    def test_random_models_match_per_pole_loops(self, seed):
+        outcomes = []
+        for model in random_models(seed):
+            outcomes.append(assert_same_residues(model))
+        assert {True, False, None} <= set(outcomes)
+
+    def test_overflowing_expansion_raises(self):
+        model = design_integrator(DesignSpec(2, 0.7, n=40, k=4))
+        assert not np.isfinite(kernel_residue_table(model)).all()
+        with pytest.raises(ConditioningError, match="not finite"):
+            to_partial_fractions(model)
 
 
 class TestRcSynthesis:
