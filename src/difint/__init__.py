@@ -34,7 +34,6 @@ from .factored import (
     ComplexResponse,
     FactoredModel,
     complex_response,
-    eval_response,
     frequency_response,
     log_response,
     multiply_and_simplify,

@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .design import DesignSpec, design_pair, special_epsilon
+from .design import DesignSpec, design_pair
 from .discrete import identity_experiment
 from .errors import DomainError, EpsilonRangeError, NotRealizableError, ShapeError
 from .factored import log_response
@@ -111,29 +111,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_epsilon(args, require: bool = True) -> float | None:
+def _spec_from_args(args, require_epsilon: bool = True) -> DesignSpec:
     if args.method in (3, 4):
-        if args.eps_special:
-            probe = DesignSpec(args.method, args.alpha, args.wl, args.wh, args.n, args.k)
-            return special_epsilon(probe)
-        if args.eps is None and require:
+        if args.eps is None and not args.eps_special and require_epsilon:
             raise DomainError(
                 f"method {args.method} needs --eps or --eps-special"
             )
-        return args.eps
-    if args.eps is not None or args.eps_special:
+    elif args.eps is not None or args.eps_special:
         raise DomainError(f"method {args.method} does not take a ripple offset")
-    return None
+    spec = DesignSpec(args.method, args.alpha, args.wl, args.wh, args.n, args.k, args.eps)
+    return spec.resolved() if args.eps_special else spec
 
 
-def _spec_from_args(args, require_epsilon: bool = True) -> DesignSpec:
-    return DesignSpec(args.method, args.alpha, args.wl, args.wh, args.n, args.k,
-                      _resolve_epsilon(args, require_epsilon))
-
-
-def _model_from_args(args):
-    pair = design_pair(_spec_from_args(args))
-    return pair.integrator if args.kind == "int" else pair.differentiator
+def _model(spec: DesignSpec, kind: str):
+    pair = design_pair(spec)
+    return pair.integrator if kind == "int" else pair.differentiator
 
 
 def _fmt(value: float, precision: int) -> str:
@@ -165,7 +157,7 @@ def _model_json(model, precision):
 
 def cmd_design(args) -> str:
     spec = _spec_from_args(args)
-    model = _model_from_args(args)
+    model = _model(spec, args.kind)
     kind = "integrator" if args.kind == "int" else "differentiator"
     p = args.precision
     if args.format == "json":
@@ -197,7 +189,7 @@ def cmd_design(args) -> str:
 
 def cmd_bode(args) -> str:
     spec = _spec_from_args(args)
-    model = _model_from_args(args)
+    model = _model(spec, args.kind)
     kind = INTEGRATOR if args.kind == "int" else DIFFERENTIATOR
     signed = -spec.alpha if kind == INTEGRATOR else spec.alpha
     grid = make_grid(spec.omega_l, spec.omega_h, args.points)
@@ -259,8 +251,7 @@ def cmd_check(args) -> str:
     p = args.precision
     verdicts = []
     for condition in conditions:
-        verdict = check_identity(condition, spec.kappa, spec.alpha, spec.omega_l,
-                                 spec.omega_h, spec.n, spec.k, spec.epsilon)
+        verdict = check_identity(condition, spec)
         verdicts.append({
             "condition": condition,
             "structural_pass": verdict.structural_pass,
@@ -292,7 +283,7 @@ def cmd_simulate(args) -> str:
 
 
 def cmd_pfe(args) -> str:
-    model = _model_from_args(args)
+    model = _model(_spec_from_args(args), args.kind)
     pf = to_partial_fractions(model)
     p = args.precision
     payload = {
@@ -309,7 +300,7 @@ def cmd_pfe(args) -> str:
 
 def cmd_circuit(args) -> str:
     spec = _spec_from_args(args)
-    model = _model_from_args(args)
+    model = _model(spec, args.kind)
     if model.multiplicity != 1:
         # Checked before expanding: a repeated-pole expansion can overflow
         # (exit 2), but no such model is an RC ladder whatever its residues.

@@ -1,18 +1,21 @@
 """Designers for rational approximants of the fractional operators s**(-alpha)
 and s**alpha on a frequency band.
 
-Methods 1..4 build piecewise models that switch structure at alpha = 0.5
-(an explicit 1/s factor joins the chain for alpha > 0.5) and whose
-differentiators are exact data-level reciprocals, so the composition laws
+Methods 1..4 build piecewise models that switch structure at alpha = 0.5.
+The high branch (alpha > 0.5) is the low branch of the complement order
+1 - alpha with zeros and poles swapped, times an explicit 1/s, so
+I(alpha) * I(1 - alpha) = 1/s holds by construction.  Differentiators are
+exact data-level reciprocals, so the other two composition laws
 
-    I(alpha) * I(1 - alpha) = 1/s,   D(alpha) * I(alpha) = 1,
-    D(alpha) * D(1 - alpha) = s
+    D(alpha) * I(alpha) = 1,   D(alpha) * D(1 - alpha) = s
 
-hold structurally.  Methods 1 and 2 place the factor corners from two-point
-boundary conditions (method 1 anchors the crossing points to the band edges,
-method 2 anchors the corner frequencies).  Methods 3 and 4 place them from a
-single boundary point plus a vertical dB offset ``epsilon`` that must lie in
-a half-open admissible interval; at a special offset they collapse onto
+hold structurally too.
+
+Methods 1 and 2 place the factor corners from two-point boundary
+conditions (method 1 anchors the crossing points to the band edges, method 2
+anchors the corner frequencies).  Methods 3 and 4 place them from a single
+boundary point plus a vertical dB offset ``epsilon`` that must lie in a
+half-open admissible interval; at a special offset they collapse onto
 methods 1 and 2.
 
 Methods 5..7 are classic single-band recursive designs kept for benchmark
@@ -81,6 +84,12 @@ class DesignSpec:
                 f"band must satisfy 0 < omega_l < omega_h, got "
                 f"[{self.omega_l!r}, {self.omega_h!r}]"
             )
+        # Every corner is placed on a power of this ratio.
+        if not math.isfinite(self.omega_h / self.omega_l):
+            raise DomainError(
+                f"band ratio omega_h / omega_l must be finite, got "
+                f"[{self.omega_l!r}, {self.omega_h!r}]"
+            )
         for name in ("n", "k"):
             value = getattr(self, name)
             if not is_count(value) or value < 1:
@@ -95,6 +104,11 @@ class DesignSpec:
         if self.kappa in (3, 4) and self.epsilon is None:
             return replace(self, epsilon=special_epsilon(self))
         return self
+
+    def complement(self) -> "DesignSpec":
+        """This spec at the complement order ``1 - alpha``; every other
+        field, a resolved offset included, is kept."""
+        return replace(self, alpha=1.0 - self.alpha)
 
     @property
     def omega_m(self) -> float:
@@ -128,7 +142,6 @@ class DesignedPair:
     integrator: FactoredModel
     differentiator: FactoredModel
     spec: DesignSpec
-    branch: Branch
 
 
 def epsilon_bounds(spec: DesignSpec) -> tuple[float, float]:
@@ -187,70 +200,53 @@ def _matched_gain(zeros, poles, k: int, omega_m: float, power: float) -> float:
     return gain
 
 
-def _grid_exponent_pairs(spec: DesignSpec):
-    """Zero/pole corner frequencies for methods 1..4 on the active branch.
+def _grid_exponent_pairs(spec: DesignSpec, eps: float | None):
+    """Zero/pole corner frequencies for methods 1..4, as ``(zeros, poles)``.
 
-    Returns ``(zeros, poles)``.  On the low branch the pole of each pair
-    leads its zero; on the high branch the ordering flips, which is exactly
-    what makes the order-(1-alpha) design the structural complement of the
-    order-alpha one.
+    Only the low branch has formulas; there the pole of each pair leads its
+    zero.  The high branch is the low branch of ``spec.complement()`` with
+    zeros and poles swapped, so I(alpha) * I(1 - alpha) cancels to 1/s by
+    construction.  ``eps`` is the offset of methods 3 and 4, already checked
+    against the requested spec, so its admissible interval never depends on
+    the branch arithmetic.
     """
+    if spec.branch is Branch.HIGH_ORDER:
+        zeros, poles = _grid_exponent_pairs(spec.complement(), eps)
+        return poles, zeros
     alpha, k, n = spec.alpha, spec.effective_k, spec.n
     wl = spec.omega_l
     ratio = spec.omega_h / spec.omega_l
-    high = spec.branch is Branch.HIGH_ORDER
     idx = range(1, n + 1)
 
     if spec.kappa == 1:
-        if not high:
-            poles = [wl * ratio ** ((2 * i - 1 - alpha / k) / (2 * n)) for i in idx]
-            zeros = [wl * ratio ** ((2 * i - 1 + alpha / k) / (2 * n)) for i in idx]
-        else:
-            poles = [wl * ratio ** ((2 * i - 1 + (1 - alpha) / k) / (2 * n)) for i in idx]
-            zeros = [wl * ratio ** ((2 * i - 1 - (1 - alpha) / k) / (2 * n)) for i in idx]
+        poles = [wl * ratio ** ((2 * i - 1 - alpha / k) / (2 * n)) for i in idx]
+        zeros = [wl * ratio ** ((2 * i - 1 + alpha / k) / (2 * n)) for i in idx]
     elif spec.kappa == 2:
-        if not high:
-            den = n - 1 + alpha / k
-            poles = [wl * ratio ** ((i - 1) / den) for i in idx]
-            zeros = [wl * ratio ** ((i - 1 + alpha / k) / den) for i in idx]
-        else:
-            den = n - 1 + (1 - alpha) / k
-            poles = [wl * ratio ** ((i - 1 + (1 - alpha) / k) / den) for i in idx]
-            zeros = [wl * ratio ** ((i - 1) / den) for i in idx]
+        den = n - 1 + alpha / k
+        poles = [wl * ratio ** ((i - 1) / den) for i in idx]
+        zeros = [wl * ratio ** ((i - 1 + alpha / k) / den) for i in idx]
     elif spec.kappa == 3:
-        eps = _checked_epsilon(spec)
-        if not high:
-            den = 20.0 * alpha * (k - alpha)
-            poles = [wl * 10.0 ** (eps * (2 * k * i - k - alpha) / den) for i in idx]
-            zeros = [wl * 10.0 ** (eps * (2 * k * i - k + alpha) / den) for i in idx]
-        else:
-            den = 20.0 * (1 - alpha) * (k - 1 + alpha)
-            poles = [wl * 10.0 ** (eps * (2 * k * i - k + 1 - alpha) / den) for i in idx]
-            zeros = [wl * 10.0 ** (eps * (2 * k * i - k - 1 + alpha) / den) for i in idx]
+        den = 20.0 * alpha * (k - alpha)
+        poles = [wl * 10.0 ** (eps * (2 * k * i - k - alpha) / den) for i in idx]
+        zeros = [wl * 10.0 ** (eps * (2 * k * i - k + alpha) / den) for i in idx]
     elif spec.kappa == 4:
-        eps = _checked_epsilon(spec)
-        if not high:
-            den = 10.0 * alpha * (k - alpha)
-            poles = [wl * 10.0 ** (eps * (k * i - k) / den) for i in idx]
-            zeros = [wl * 10.0 ** (eps * (k * i - k + alpha) / den) for i in idx]
-        else:
-            den = 10.0 * (1 - alpha) * (k - 1 + alpha)
-            poles = [wl * 10.0 ** (eps * (k * i - k + 1 - alpha) / den) for i in idx]
-            zeros = [wl * 10.0 ** (eps * (k * i - k) / den) for i in idx]
+        den = 10.0 * alpha * (k - alpha)
+        poles = [wl * 10.0 ** (eps * (k * i - k) / den) for i in idx]
+        zeros = [wl * 10.0 ** (eps * (k * i - k + alpha) / den) for i in idx]
     else:  # pragma: no cover - guarded by callers
         raise DomainError(f"not a piecewise method: {spec.kappa}")
     return zeros, poles
 
 
 def _piecewise_integrator(spec: DesignSpec) -> FactoredModel:
-    zeros, poles = _grid_exponent_pairs(spec)
+    eps = _checked_epsilon(spec) if spec.kappa in (3, 4) else None
+    zeros, poles = _grid_exponent_pairs(spec, eps)
     k = spec.effective_k
     if spec.branch is Branch.LOW_ORDER:
-        gain = _matched_gain(zeros, poles, k, spec.omega_m, -spec.alpha)
-        s_exponent = 0
+        power, s_exponent = -spec.alpha, 0
     else:
-        gain = _matched_gain(zeros, poles, k, spec.omega_m, 1.0 - spec.alpha)
-        s_exponent = -1
+        power, s_exponent = 1.0 - spec.alpha, -1
+    gain = _matched_gain(zeros, poles, k, spec.omega_m, power)
     return FactoredModel(gain, s_exponent, k, tuple(zip(zeros, poles)))
 
 
@@ -291,32 +287,23 @@ def _baseline6_differentiator(spec: DesignSpec) -> FactoredModel:
     return FactoredModel(spec.omega_h**alpha, 0, 2, tuple(zip(zeros, poles)))
 
 
-def _baseline7_integrator(spec: DesignSpec, literal_gain: bool) -> FactoredModel:
+def _baseline7_integrator(spec: DesignSpec) -> FactoredModel:
     alpha, n, wl = spec.alpha, spec.n, spec.omega_l
     ratio = spec.omega_h / spec.omega_l
     poles = [wl * ratio ** ((2 * i - 1 - alpha) / (2 * n)) for i in range(1, n + 1)]
     zeros = [wl * ratio ** ((2 * i - 1 + alpha) / (2 * n)) for i in range(1, n + 1)]
-    if literal_gain:
-        # The method's original normalization.  It points the wrong way
-        # around (the model magnitude misses the target by the squared factor
-        # product at 1 rad/s); kept only for side-by-side study.
-        gain = 1.0
-        for z, p in zip(zeros, poles):
-            gain *= math.hypot(1.0, z) / math.hypot(1.0, p)
-    else:
-        gain = _matched_gain(zeros, poles, 1, spec.omega_m, -alpha)
+    # Matched at the band center, not the method's original normalization,
+    # which misses the target by the squared factor product at 1 rad/s.
+    gain = _matched_gain(zeros, poles, 1, spec.omega_m, -alpha)
     return FactoredModel(gain, 0, 1, tuple(zip(zeros, poles)))
 
 
-def design_integrator(spec: DesignSpec, *, literal_case7_gain: bool = False) -> FactoredModel:
+def design_integrator(spec: DesignSpec) -> FactoredModel:
     """Build the integrator approximant of s**(-alpha) for ``spec``.
 
     Methods 1..4 land on the low branch (biproper chain) for alpha <= 0.5
     and on the high branch (1/s times a chain) above; both branches pin the
     magnitude at the band center to omega_m**(-alpha).
-
-    ``literal_case7_gain`` switches method 7 to its original gain formula
-    instead of the center-matched correction used by default.
     """
     if spec.kappa in (1, 2, 3, 4):
         return _piecewise_integrator(spec)
@@ -324,10 +311,10 @@ def design_integrator(spec: DesignSpec, *, literal_case7_gain: bool = False) -> 
         return _baseline5_integrator(spec)
     if spec.kappa == 6:
         return _baseline6_integrator(spec)
-    return _baseline7_integrator(spec, literal_case7_gain)
+    return _baseline7_integrator(spec)
 
 
-def design_pair(spec: DesignSpec, *, literal_case7_gain: bool = False) -> DesignedPair:
+def design_pair(spec: DesignSpec) -> DesignedPair:
     """Build the integrator/differentiator pair for ``spec``.
 
     Methods 1..4 and 7 define the differentiator as the exact data-level
@@ -335,11 +322,11 @@ def design_pair(spec: DesignSpec, *, literal_case7_gain: bool = False) -> Design
     parameterized differentiators, which is precisely why they break the
     composition laws.
     """
-    integrator = design_integrator(spec, literal_case7_gain=literal_case7_gain)
+    integrator = design_integrator(spec)
     if spec.kappa == 5:
         differentiator = _baseline5_differentiator(spec)
     elif spec.kappa == 6:
         differentiator = _baseline6_differentiator(spec)
     else:
         differentiator = reciprocal(integrator)
-    return DesignedPair(integrator, differentiator, spec, spec.branch)
+    return DesignedPair(integrator, differentiator, spec)

@@ -200,11 +200,8 @@ def identity_experiment(
     if not (sample_period > 0.0 and duration > 0.0):
         raise DomainError("sample period and duration must be > 0")
     spec = DesignSpec(kappa, alpha, omega_l, omega_h, n, k, epsilon).resolved()
-    complement = DesignSpec(
-        kappa, 1.0 - alpha, omega_l, omega_h, n, k, spec.epsilon
-    )
     pair = design_pair(spec)
-    pair_c = design_pair(complement)
+    pair_c = design_pair(spec.complement())
 
     count = int(round(duration / sample_period)) + 1
     t = np.arange(count) * sample_period

@@ -24,7 +24,6 @@ __all__ = [
     "ComplexResponse",
     "FactoredModel",
     "complex_response",
-    "eval_response",
     "frequency_response",
     "log_response",
     "multiply_and_simplify",
@@ -80,41 +79,12 @@ class FactoredModel:
 
 @dataclass(frozen=True)
 class ComplexResponse:
-    """A single frequency-response sample.
-
-    ``magnitude_db`` and ``phase_deg`` are accumulated per factor (log
-    magnitudes and arguments summed term by term) so long factor chains never
-    wrap the phase or lose precision in the final complex value.
-    """
+    """A single frequency-response sample: complex value, magnitude in dB
+    and phase in degrees."""
 
     value: complex
     magnitude_db: float
     phase_deg: float
-
-
-def eval_response(model: FactoredModel, omega: float) -> ComplexResponse:
-    """Evaluate ``model`` at ``s = j*omega`` for a single ``omega > 0``.
-
-    The complex ``value`` comes from the direct factor product; magnitude and
-    phase come from summed per-factor log magnitudes and arguments.  The two
-    routes agree to better than 1e-12 relative on any valid model.
-    """
-    if not omega > 0.0:
-        raise DomainError(f"omega must be > 0, got {omega!r}")
-    k = model.multiplicity
-    value = complex(model.gain)
-    mag_db = 20.0 * math.log10(model.gain)
-    phase = 0.0
-    if model.s_exponent:
-        value *= (1j * omega) ** model.s_exponent
-        mag_db += 20.0 * model.s_exponent * math.log10(omega)
-        phase += model.s_exponent * (math.pi /  2.0)
-    w2 = omega * omega
-    for z, p in model.factors:
-        value *= ((z + 1j * omega) / (p + 1j * omega)) ** k
-        mag_db += 10.0 * k * math.log10((w2 + z * z) / (w2 + p * p))
-        phase += k * (math.atan2(omega, z) - math.atan2(omega, p))
-    return ComplexResponse(value, mag_db, math.degrees(phase))
 
 
 def _checked_omegas(omegas) -> np.ndarray:

@@ -50,42 +50,29 @@ class IdentityVerdict:
 
 
 def _operands(condition: str, spec: DesignSpec) -> tuple[FactoredModel, FactoredModel]:
-    complement = DesignSpec(
-        spec.kappa, 1.0 - spec.alpha, spec.omega_l, spec.omega_h, spec.n, spec.k, spec.epsilon
-    )
     if condition == "i":
-        return design_pair(spec).integrator, design_pair(complement).integrator
+        return design_pair(spec).integrator, design_pair(spec.complement()).integrator
     if condition == "ii":
         pair = design_pair(spec)
         return pair.differentiator, pair.integrator
     if condition == "iii":
-        return design_pair(spec).differentiator, design_pair(complement).differentiator
+        return design_pair(spec).differentiator, design_pair(spec.complement()).differentiator
     raise ValueError(f"condition must be one of {CONDITIONS}, got {condition!r}")
 
 
-def check_identity(
-    condition: str,
-    kappa: int,
-    alpha: float,
-    omega_l: float = 1e-3,
-    omega_h: float = 1e3,
-    n: int = 10,
-    k: int = 2,
-    epsilon: float | None = None,
-    grid_count: int = 1000,
-) -> IdentityVerdict:
-    """Verdict for one composition law at one order.
+def check_identity(condition: str, spec: DesignSpec, grid_count: int = 1000) -> IdentityVerdict:
+    """Verdict for one composition law at the order of ``spec``.
 
     The deviation is ``max |composite(jw) / target(jw) - 1|`` over a
     log grid on the band, evaluated from the two operand responses directly.
     A composition whose net s power cannot be represented counts as a
     structural failure, not an error.  Methods 3 and 4 fall back to their
-    special offset when ``epsilon`` is omitted.
+    special offset when ``spec.epsilon`` is None.
     """
-    spec = DesignSpec(kappa, alpha, omega_l, omega_h, n, k, epsilon).resolved()
+    spec = spec.resolved()
     first, second = _operands(condition, spec)
 
-    grid = make_grid(omega_l, omega_h, grid_count)
+    grid = make_grid(spec.omega_l, spec.omega_h, grid_count)
     values = frequency_response(first, grid)[0] * frequency_response(second, grid)[0]
     target = (1j * grid) ** _TARGET_S_EXPONENT[condition]
     deviation = float(np.max(np.abs(values / target - 1.0)))
@@ -133,11 +120,10 @@ def associativity_table(
             raise ValueError(f"orders must lie in (0, 0.5) or (0.5, 1), got {a!r}")
     table = np.ones((7, len(CONDITIONS)), dtype=bool)
     for row, kappa in enumerate(range(1, 8)):
+        specs = [DesignSpec(kappa, a, omega_l, omega_h, n, k, epsilon) for a in alphas]
         for col, condition in enumerate(CONDITIONS):
-            for alpha in alphas:
-                verdict = check_identity(
-                    condition, kappa, alpha, omega_l, omega_h, n, k, epsilon
-                )
+            for spec in specs:
+                verdict = check_identity(condition, spec)
                 if not verdict.structural_pass:
                     table[row, col] = False
                     break

@@ -17,15 +17,16 @@ from conftest import BAND, reference_spec
 from difint import (
     DIFFERENTIATOR,
     INTEGRATOR,
+    DesignSpec,
     design_integrator,
     design_pair,
     epsilon_bounds,
     error_series,
-    eval_response,
     evaluate_partial_fractions,
     export_netlist,
     frequency_response,
     identity_experiment,
+    log_response,
     make_grid,
     check_identity,
     sweep_table,
@@ -89,7 +90,7 @@ def test_criterion_1_composition_matrix(tmp_path):
     for kappa in range(1, 8):
         for cond in ("i", "ii", "iii"):
             for alpha in MATRIX_ALPHAS:
-                verdict = check_identity(cond, kappa, alpha)
+                verdict = check_identity(cond, DesignSpec(kappa, alpha))
                 should_pass = (kappa, cond) in expected_pass
                 if verdict.structural_pass != should_pass:
                     failures.append(f"verdict ({kappa}, {cond}, {alpha}) flipped")
@@ -272,7 +273,7 @@ def test_criterion_7c_center_gain_matching():
             spec = reference_spec(kappa, alpha)
             model = design_integrator(spec)
             target_db = -20.0 * alpha * math.log10(spec.omega_m)
-            gap = abs(eval_response(model, spec.omega_m).magnitude_db - target_db)
+            gap = abs(log_response(model, [spec.omega_m])[0][0] - target_db)
             if gap >= 1e-12:
                 failures.append(f"({kappa}, {alpha}) center gap {gap:.2e} dB")
     report("7c", "center gain matching", failures)

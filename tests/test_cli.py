@@ -94,6 +94,16 @@ class TestDesignCommand:
         assert code == 3 and out == ""
         assert "admissible interval" in err
 
+    @pytest.mark.parametrize("method", ("1", "3", "7"))
+    def test_band_with_overflowing_ratio_exits_2(self, capsys, method):
+        code, out, err = run_cli(
+            capsys, "design", "--method", method, "--alpha", "0.3",
+            "--wl", "1e-160", "--wh", "1e160",
+            *(("--eps-special",) if method == "3" else ()),
+        )
+        assert code == 2 and out == ""
+        assert "band ratio" in err
+
     def test_special_offset_accepted(self, capsys):
         code, out, _ = run_cli(
             capsys, "design", "--method", "4", "--alpha", "0.4",

@@ -1,6 +1,7 @@
 """Designer parameter formulas, gain matching, offset bounds, symmetry."""
 
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,13 +12,15 @@ from difint import (
     DesignSpec,
     DomainError,
     EpsilonRangeError,
+    FactoredModel,
     design_integrator,
     design_pair,
     epsilon_bounds,
-    eval_response,
+    log_response,
     reciprocal,
     special_epsilon,
 )
+from difint.design import _checked_epsilon
 
 PIECEWISE = (1, 2, 3, 4)
 
@@ -39,6 +42,17 @@ class TestDesignSpec:
             DesignSpec(1, 0.5, omega_l=1.0, omega_h=1.0)
         with pytest.raises(DomainError):
             DesignSpec(1, 0.5, omega_l=-1.0, omega_h=1.0)
+
+    @pytest.mark.parametrize("band", ((1e-160, 1e160), (5e-324, 1.0), (1e-5, 1e305)))
+    def test_rejects_band_whose_ratio_overflows(self, band):
+        with pytest.raises(DomainError, match="ratio"):
+            DesignSpec(1, 0.3, *band)
+
+    def test_accepts_widest_finite_ratios(self):
+        for band in ((1e-154, 1e154), (1e-300, 1e7), (1.0, 1e308), (1e-308, 1e-1)):
+            for kappa in range(1, 8):
+                model = design_integrator(DesignSpec(kappa, 0.3, *band, n=10, k=2).resolved())
+                assert math.isfinite(model.gain)
 
     def test_rejects_bad_counts(self):
         with pytest.raises(DomainError):
@@ -76,6 +90,17 @@ class TestDesignSpec:
         for kappa in (1, 2, 5, 6, 7):
             spec = DesignSpec(kappa, 0.4)
             assert spec.resolved() is spec
+
+    @pytest.mark.parametrize("alpha", (0.3, 0.5, 0.7, 1e-9, 1.0 - 1e-9))
+    def test_complement_changes_only_the_order(self, alpha):
+        for spec in (DesignSpec(1, alpha, 0.02, 7e3, n=7, k=3),
+                     DesignSpec(3, alpha, n=12, k=1).resolved(),
+                     DesignSpec(4, alpha, epsilon=1.5)):
+            complement = spec.complement()
+            assert complement.alpha == 1.0 - spec.alpha
+            for field in fields(DesignSpec):
+                if field.name != "alpha":
+                    assert getattr(complement, field.name) == getattr(spec, field.name)
 
     def test_forced_multiplicities(self):
         assert DesignSpec(5, 0.4, k=2).effective_k == 1
@@ -214,11 +239,7 @@ class TestOrderComplementSymmetry:
     @pytest.mark.parametrize("spec", random_specs(50))
     def test_parameters_and_gains(self, spec):
         low = design_integrator(spec)
-        complement = DesignSpec(
-            spec.kappa, 1.0 - spec.alpha, spec.omega_l, spec.omega_h,
-            spec.n, spec.k, spec.epsilon,
-        )
-        high = design_integrator(complement)
+        high = design_integrator(spec.complement())
         np.testing.assert_allclose(high.poles, low.zeros, rtol=1e-13)
         np.testing.assert_allclose(high.zeros, low.poles, rtol=1e-13)
         assert low.gain * high.gain == pytest.approx(1.0, rel=1e-12)
@@ -269,9 +290,9 @@ class TestGainMatching:
     def test_center_magnitude(self, kappa, alpha, band):
         spec = reference_spec(kappa, alpha, band=band)
         model = design_integrator(spec)
-        response = eval_response(model, spec.omega_m)
+        magnitude_db = log_response(model, [spec.omega_m])[0][0]
         target_db = -20.0 * alpha * math.log10(spec.omega_m)
-        assert abs(response.magnitude_db - target_db) < 1e-12
+        assert abs(magnitude_db - target_db) < 1e-12
 
 
 class TestBranchContinuity:
@@ -282,6 +303,81 @@ class TestBranchContinuity:
         np.testing.assert_allclose(high.poles, low.zeros, rtol=1e-8)
         np.testing.assert_allclose(high.zeros, low.poles, rtol=1e-8)
         assert low.gain * high.gain == pytest.approx(1.0, rel=1e-8)
+
+
+def reference_high_branch(spec):
+    """The high-branch corner formulas as written out per method before the
+    branch rule derived them from the complement's low branch: the reference
+    the derived branch must reproduce bit for bit."""
+    alpha, k, n = spec.alpha, spec.effective_k, spec.n
+    wl = spec.omega_l
+    ratio = spec.omega_h / spec.omega_l
+    idx = range(1, n + 1)
+    if spec.kappa == 1:
+        poles = [wl * ratio ** ((2 * i - 1 + (1 - alpha) / k) / (2 * n)) for i in idx]
+        zeros = [wl * ratio ** ((2 * i - 1 - (1 - alpha) / k) / (2 * n)) for i in idx]
+    elif spec.kappa == 2:
+        den = n - 1 + (1 - alpha) / k
+        poles = [wl * ratio ** ((i - 1 + (1 - alpha) / k) / den) for i in idx]
+        zeros = [wl * ratio ** ((i - 1) / den) for i in idx]
+    elif spec.kappa == 3:
+        eps = _checked_epsilon(spec)
+        den = 20.0 * (1 - alpha) * (k - 1 + alpha)
+        poles = [wl * 10.0 ** (eps * (2 * k * i - k + 1 - alpha) / den) for i in idx]
+        zeros = [wl * 10.0 ** (eps * (2 * k * i - k - 1 + alpha) / den) for i in idx]
+    else:
+        eps = _checked_epsilon(spec)
+        den = 10.0 * (1 - alpha) * (k - 1 + alpha)
+        poles = [wl * 10.0 ** (eps * (k * i - k + 1 - alpha) / den) for i in idx]
+        zeros = [wl * 10.0 ** (eps * (k * i - k) / den) for i in idx]
+    gain = spec.omega_m ** (1.0 - alpha)
+    for z, p in zip(zeros, poles):
+        gain *= (math.hypot(spec.omega_m, p) / math.hypot(spec.omega_m, z)) ** k
+    return FactoredModel(gain, -1, k, tuple(zip(zeros, poles)))
+
+
+def _outcome(build, spec):
+    try:
+        return build(spec)
+    except Exception as exc:  # the exception type is part of the outcome
+        return type(exc)
+
+
+class TestBranchRule:
+    # Orders every 10th of 300 steps above 0.5 plus both ends, wide and
+    # extreme bands, and for methods 3/4 offsets at the special value, the
+    # upper end, mid-interval, the excluded lower end and the slack edge.
+    ORDERS = [i / 301 for i in range(151, 301, 10)] + [0.5 + 1e-9, 300 / 301]
+    BANDS = ((1e-3, 1e3), (0.02, 7e3), (1e-154, 1e154), (1e-300, 1e7))
+
+    @pytest.mark.parametrize("kappa", PIECEWISE)
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_high_branch_is_bitwise_reference(self, kappa, k):
+        outcomes = set()
+        for n in (1, 2, 5, 10, 60):
+            for band in self.BANDS:
+                for alpha in self.ORDERS:
+                    base = DesignSpec(kappa, alpha, *band, n, k)
+                    offsets = [None]
+                    if kappa in (3, 4):
+                        lower, upper = epsilon_bounds(base)
+                        offsets = [special_epsilon(base), upper, 0.5 * (lower + upper),
+                                   lower, upper * (1.0 + 1e-12)]
+                    for epsilon in offsets:
+                        spec = replace(base, epsilon=epsilon)
+                        got = _outcome(design_integrator, spec)
+                        want = _outcome(reference_high_branch, spec)
+                        if isinstance(want, FactoredModel):
+                            assert isinstance(got, FactoredModel), spec
+                            assert got.factors == want.factors, spec
+                            assert got.gain == want.gain, spec
+                            assert got.s_exponent == -1 and got.multiplicity == k
+                        else:
+                            assert got is want, spec
+                        outcomes.add(want if isinstance(want, type) else FactoredModel)
+        assert FactoredModel in outcomes
+        if kappa in (3, 4):
+            assert EpsilonRangeError in outcomes
 
 
 class TestDesignedPairs:
@@ -316,14 +412,4 @@ class TestDesignedPairs:
 class TestCase7GainConvention:
     def test_default_gain_matches_center(self):
         model = design_integrator(reference_spec(7, 0.4))
-        assert abs(eval_response(model, 1.0).magnitude_db) < 1e-12
-
-    def test_literal_gain_reproduces_printed_formula(self):
-        spec = reference_spec(7, 0.4)
-        literal = design_integrator(spec, literal_case7_gain=True)
-        expected = 1.0
-        for z, p in literal.factors:
-            expected *= math.hypot(1.0, z) / math.hypot(1.0, p)
-        assert literal.gain == pytest.approx(expected, rel=1e-14)
-        matched = design_integrator(spec)
-        assert literal.gain != pytest.approx(matched.gain, rel=1e-3)
+        assert abs(log_response(model, [1.0])[0][0]) < 1e-12

@@ -14,7 +14,6 @@ from difint import (
     complex_response,
     design_integrator,
     design_pair,
-    eval_response,
     frequency_response,
     log_response,
     make_grid,
@@ -104,41 +103,41 @@ class TestFactoredModel:
 class TestEvalResponse:
     def test_pure_integrator_at_two(self):
         m = FactoredModel(1.0, s_exponent=-1)
-        r = eval_response(m, 2.0)
-        assert r.value == pytest.approx(-0.5j)
-        assert r.magnitude_db == pytest.approx(-20.0 * math.log10(2.0), abs=1e-12)
-        assert r.phase_deg == pytest.approx(-90.0)
+        (value,), (magnitude_db,), (phase_deg,) = frequency_response(m, [2.0])
+        assert value == pytest.approx(-0.5j)
+        assert magnitude_db == pytest.approx(-20.0 * math.log10(2.0), abs=1e-12)
+        assert phase_deg == pytest.approx(-90.0)
 
     @pytest.mark.parametrize("kappa", (1, 2, 3, 4))
     @pytest.mark.parametrize("alpha", (0.25, 0.5, 0.75))
     def test_center_magnitude_is_zero_db_on_symmetric_band(self, kappa, alpha):
         model = design_integrator(reference_spec(kappa, alpha))
-        assert abs(eval_response(model, 1.0).magnitude_db) < 1e-12
+        assert abs(log_response(model, [1.0])[0][0]) < 1e-12
 
     def test_frozen_band_edge_magnitude(self):
         # Independent high-precision factor-by-factor product (50-digit
         # arithmetic) gives these values for method 1 at the band edge.
         model = design_integrator(reference_spec(1, 0.4))
-        r = eval_response(model, 1e-3)
-        assert r.magnitude_db == pytest.approx(22.949524161750896516, abs=1e-9)
-        assert r.phase_deg == pytest.approx(-17.946822337997617815, abs=1e-9)
+        (magnitude_db,), (phase_deg,) = log_response(model, [1e-3])
+        assert magnitude_db == pytest.approx(22.949524161750896516, abs=1e-9)
+        assert phase_deg == pytest.approx(-17.946822337997617815, abs=1e-9)
 
     def test_rejects_nonpositive_frequency(self):
         m = FactoredModel(1.0)
         with pytest.raises(DomainError):
-            eval_response(m, 0.0)
+            frequency_response(m, [0.0])
         with pytest.raises(DomainError):
-            eval_response(m, -1.0)
+            frequency_response(m, [-1.0])
 
     @pytest.mark.parametrize("kappa", ALL_METHODS)
     def test_product_route_matches_log_sum_route(self, kappa):
         model = design_integrator(reference_spec(kappa, 0.7))
         for omega in np.geomspace(1e-4, 1e4, 25):
-            r = eval_response(model, omega)
-            rebuilt = 10.0 ** (r.magnitude_db / 20.0) * cmath.exp(
-                1j * math.radians(r.phase_deg)
+            (value,), (magnitude_db,), (phase_deg,) = frequency_response(model, [omega])
+            rebuilt = 10.0 ** (magnitude_db / 20.0) * cmath.exp(
+                1j * math.radians(phase_deg)
             )
-            assert abs(rebuilt - r.value) / abs(r.value) < 1e-12
+            assert abs(rebuilt - value) / abs(value) < 1e-12
 
     @pytest.mark.parametrize("kappa", ALL_METHODS)
     @pytest.mark.parametrize("k", (1, 2, 3, 4))
@@ -167,10 +166,10 @@ class TestEvalResponse:
         grid = make_grid(1e-3, 1e3, 50)
         values, mag, phase = frequency_response(model, grid)
         for j in (0, 17, 49):
-            r = eval_response(model, grid[j])
-            assert values[j] == pytest.approx(r.value, rel=1e-14)
-            assert mag[j] == pytest.approx(r.magnitude_db, rel=1e-14)
-            assert phase[j] == pytest.approx(r.phase_deg, rel=1e-14)
+            (value,), (magnitude_db,), (phase_deg,) = frequency_response(model, grid[j:j + 1])
+            assert values[j] == pytest.approx(value, rel=1e-14)
+            assert mag[j] == pytest.approx(magnitude_db, rel=1e-14)
+            assert phase[j] == pytest.approx(phase_deg, rel=1e-14)
 
 
 class TestMultiplyAndSimplify:

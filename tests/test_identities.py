@@ -5,6 +5,7 @@ import pytest
 
 from conftest import reference_spec
 from difint import (
+    DesignSpec,
     associativity_table,
     check_identity,
     design_integrator,
@@ -31,7 +32,7 @@ MATRIX_ALPHAS = [0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.8, 0.9]
 
 class TestCheckIdentity:
     def test_integrator_splitting_passes_for_method1(self):
-        verdict = check_identity("i", 1, 0.4)
+        verdict = check_identity("i", DesignSpec(1, 0.4))
         assert verdict.structural_pass
         assert verdict.numeric_max_deviation < 1e-12
         assert verdict.simplified is not None
@@ -39,12 +40,12 @@ class TestCheckIdentity:
         assert verdict.simplified.factors == ()
 
     def test_inverse_law_passes_for_method7(self):
-        verdict = check_identity("ii", 7, 0.3)
+        verdict = check_identity("ii", DesignSpec(7, 0.3))
         assert verdict.structural_pass
         assert verdict.numeric_max_deviation < 1e-13
 
     def test_half_order_is_singular_for_method1(self):
-        verdict = check_identity("i", 1, 0.5)
+        verdict = check_identity("i", DesignSpec(1, 0.5))
         assert not verdict.structural_pass
         assert verdict.simplified is not None
         assert verdict.simplified.s_exponent == 0
@@ -52,7 +53,7 @@ class TestCheckIdentity:
         assert verdict.numeric_max_deviation > 1e-2
 
     def test_method5_double_integrator_records_shape_failure(self):
-        verdict = check_identity("i", 5, 0.4)
+        verdict = check_identity("i", DesignSpec(5, 0.4))
         assert not verdict.structural_pass
         assert verdict.simplified is None
         assert "s power" in verdict.failure_note
@@ -60,12 +61,12 @@ class TestCheckIdentity:
 
     def test_rejects_unknown_condition(self):
         with pytest.raises(ValueError):
-            check_identity("iv", 1, 0.4)
+            check_identity("iv", DesignSpec(1, 0.4))
 
     @pytest.mark.parametrize("kappa", (1, 2, 3, 4, 7))
     @pytest.mark.parametrize("alpha", (0.1, 0.5, 0.9))
     def test_inverse_law_deviation_at_float_level(self, kappa, alpha):
-        verdict = check_identity("ii", kappa, alpha)
+        verdict = check_identity("ii", DesignSpec(kappa, alpha))
         assert verdict.structural_pass
         assert verdict.numeric_max_deviation < 1e-13
 
@@ -73,7 +74,7 @@ class TestCheckIdentity:
     @pytest.mark.parametrize("alpha", (0.25, 0.7))
     def test_structural_pass_implies_tiny_deviation(self, kappa, alpha):
         for condition in ("i", "ii", "iii"):
-            verdict = check_identity(condition, kappa, alpha)
+            verdict = check_identity(condition, DesignSpec(kappa, alpha))
             if verdict.structural_pass:
                 assert verdict.numeric_max_deviation < NUMERIC_PASS_TOL
             else:
@@ -82,8 +83,8 @@ class TestCheckIdentity:
     @pytest.mark.parametrize("kappa", (1, 2, 3, 4))
     @pytest.mark.parametrize("alpha", (0.2, 0.45, 0.65))
     def test_chaining_verdict_equals_splitting_verdict(self, kappa, alpha):
-        first = check_identity("i", kappa, alpha)
-        third = check_identity("iii", kappa, alpha)
+        first = check_identity("i", DesignSpec(kappa, alpha))
+        third = check_identity("iii", DesignSpec(kappa, alpha))
         assert first.structural_pass == third.structural_pass
 
     @pytest.mark.parametrize("kappa", (1, 2, 3, 4))
@@ -121,7 +122,7 @@ class TestAssociativityTable:
 class TestMethod5Inverse:
     def test_inverse_law_fails_numerically(self):
         pair = design_pair(reference_spec(5, 0.4))
-        verdict = check_identity("ii", 5, 0.4)
+        verdict = check_identity("ii", DesignSpec(5, 0.4))
         assert not verdict.structural_pass
         assert verdict.numeric_max_deviation > 1e-2
         assert pair.differentiator.poles != pair.integrator.zeros
