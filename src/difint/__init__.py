@@ -31,7 +31,6 @@ from .errors import (
     ShapeError,
 )
 from .factored import (
-    ComplexResponse,
     FactoredModel,
     complex_response,
     frequency_response,

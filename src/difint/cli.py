@@ -11,13 +11,11 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .design import DesignSpec, design_pair
 from .discrete import identity_experiment
 from .errors import DomainError, EpsilonRangeError, NotRealizableError, ShapeError
 from .factored import log_response
-from .frequency import DIFFERENTIATOR, INTEGRATOR, make_grid, sweep_table
+from .frequency import DIFFERENTIATOR, INTEGRATOR, exact_response, make_grid, sweep_table
 from .identities import CONDITIONS, associativity_table, check_identity
 from .realization import export_netlist, synthesize_rc, to_partial_fractions
 
@@ -191,11 +189,9 @@ def cmd_bode(args) -> str:
     spec = _spec_from_args(args)
     model = _model(spec, args.kind)
     kind = INTEGRATOR if args.kind == "int" else DIFFERENTIATOR
-    signed = -spec.alpha if kind == INTEGRATOR else spec.alpha
     grid = make_grid(spec.omega_l, spec.omega_h, args.points)
     mag_model, phase_model = log_response(model, grid)
-    mag_exact = 20.0 * signed * np.log10(grid)
-    phase_exact = np.full(grid.shape, 90.0 * signed)
+    mag_exact, phase_exact = exact_response(spec.alpha, kind, grid)
     header = ["omega", "mag_db_model", "mag_db_exact", "phase_deg_model",
               "phase_deg_exact", "mag_error_db", "phase_error_deg"]
     rows = zip(grid, mag_model, mag_exact, phase_model, phase_exact,

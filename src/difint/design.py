@@ -124,16 +124,6 @@ class DesignSpec:
     def branch(self) -> Branch:
         return Branch.LOW_ORDER if self.alpha <= 0.5 else Branch.HIGH_ORDER
 
-    @property
-    def effective_k(self) -> int:
-        """Multiplicity actually used: methods 5 and 7 hard-code 1, method 6
-        hard-codes 2, everything else honors ``k``."""
-        if self.kappa in (5, 7):
-            return 1
-        if self.kappa == 6:
-            return 2
-        return self.k
-
 
 @dataclass(frozen=True)
 class DesignedPair:
@@ -141,7 +131,6 @@ class DesignedPair:
 
     integrator: FactoredModel
     differentiator: FactoredModel
-    spec: DesignSpec
 
 
 def epsilon_bounds(spec: DesignSpec) -> tuple[float, float]:
@@ -151,7 +140,7 @@ def epsilon_bounds(spec: DesignSpec) -> tuple[float, float]:
     """
     if spec.kappa not in (3, 4):
         raise ValueError(f"epsilon bounds only apply to methods 3 and 4, not {spec.kappa}")
-    nu, k, n = spec.nu, spec.effective_k, spec.n
+    nu, k, n = spec.nu, spec.k, spec.n
     decades = math.log10(spec.omega_h / spec.omega_l)
     if spec.kappa == 3:
         lower = 20.0 * nu * (k - nu) / (2 * k * n + k + nu) * decades
@@ -168,11 +157,10 @@ def special_epsilon(spec: DesignSpec) -> float:
     upper admissibility bound)."""
     if spec.kappa not in (3, 4):
         raise ValueError(f"special epsilon only applies to methods 3 and 4, not {spec.kappa}")
-    nu, k, n = spec.nu, spec.effective_k, spec.n
-    decades = math.log10(spec.omega_h / spec.omega_l)
-    if spec.kappa == 3:
-        return 10.0 * nu * (k - nu) / (k * n) * decades
-    return 10.0 * nu * (k - nu) / (k * n - k + nu) * decades
+    if spec.kappa == 4:
+        return epsilon_bounds(spec)[1]
+    nu, k, n = spec.nu, spec.k, spec.n
+    return 10.0 * nu * (k - nu) / (k * n) * math.log10(spec.omega_h / spec.omega_l)
 
 
 # The inclusive upper end gets an ulp-scale allowance: nu(alpha) and
@@ -196,7 +184,13 @@ def _matched_gain(zeros, poles, k: int, omega_m: float, power: float) -> float:
     """Gain that pins the model magnitude to omega_m**power at the band center."""
     gain = omega_m**power
     for z, p in zip(zeros, poles):
-        gain *= (math.hypot(omega_m, p) / math.hypot(omega_m, z)) ** k
+        try:
+            gain *= (math.hypot(omega_m, p) / math.hypot(omega_m, z)) ** k
+        except OverflowError:
+            raise DomainError(
+                f"matched gain cannot be represented: a band-center factor ratio "
+                f"to the power k={k} overflows"
+            ) from None
     return gain
 
 
@@ -213,7 +207,7 @@ def _grid_exponent_pairs(spec: DesignSpec, eps: float | None):
     if spec.branch is Branch.HIGH_ORDER:
         zeros, poles = _grid_exponent_pairs(spec.complement(), eps)
         return poles, zeros
-    alpha, k, n = spec.alpha, spec.effective_k, spec.n
+    alpha, k, n = spec.alpha, spec.k, spec.n
     wl = spec.omega_l
     ratio = spec.omega_h / spec.omega_l
     idx = range(1, n + 1)
@@ -241,7 +235,7 @@ def _grid_exponent_pairs(spec: DesignSpec, eps: float | None):
 def _piecewise_integrator(spec: DesignSpec) -> FactoredModel:
     eps = _checked_epsilon(spec) if spec.kappa in (3, 4) else None
     zeros, poles = _grid_exponent_pairs(spec, eps)
-    k = spec.effective_k
+    k = spec.k
     if spec.branch is Branch.LOW_ORDER:
         power, s_exponent = -spec.alpha, 0
     else:
@@ -329,4 +323,4 @@ def design_pair(spec: DesignSpec) -> DesignedPair:
         differentiator = _baseline6_differentiator(spec)
     else:
         differentiator = reciprocal(integrator)
-    return DesignedPair(integrator, differentiator, spec)
+    return DesignedPair(integrator, differentiator)

@@ -22,6 +22,7 @@ import numpy as np
 from .design import DesignSpec, design_pair
 from .errors import DomainError, ShapeError
 from .factored import FactoredModel, multiply_and_simplify
+from .identities import CONDITIONS, law_operands
 
 __all__ = [
     "CENTRAL_DIFFERENCE",
@@ -146,24 +147,20 @@ class SimulationResult:
 def _run_composite(first, second, u, h, lookahead, force_cascade):
     """Apply the operator product first*second to ``u``.
 
-    The product is simplified and discretized as one filter whenever its net
-    s power is representable (this is what recovers the exact cancellations);
-    otherwise, or on request, the operands are discretized separately and
-    cascaded, which is the same map because the bilinear substitution is a
-    homomorphism on rational functions.  A cascaded operand carrying a bare
-    s factor runs first so its lookahead refers to the analytic input.
+    The product is simplified and run as a one-stage cascade whenever its
+    net s power is representable (this is what recovers the exact
+    cancellations); otherwise, or on request, the operands are discretized
+    separately and cascaded, which is the same map because the bilinear
+    substitution is a homomorphism on rational functions.  A cascaded operand
+    carrying a bare s factor runs first so its lookahead refers to the
+    analytic input.
     """
+    stages = sorted([second, first], key=lambda m: -m.s_exponent)
     if not force_cascade:
         try:
-            product = multiply_and_simplify(first, second)
+            stages = [multiply_and_simplify(first, second)]
         except ShapeError:
             pass
-        else:
-            filt = discretize(product, h)
-            need = lookahead if filt.head == CENTRAL_DIFFERENCE else None
-            return simulate_filter(filt, u, need)
-    stages = [second, first]
-    stages.sort(key=lambda m: -m.s_exponent)
     y = u
     for stage in stages:
         filt = discretize(stage, h)
@@ -186,7 +183,8 @@ def identity_experiment(
 ) -> dict[str, SimulationResult]:
     """Simulate the three composition laws on u(t) = sin(t).
 
-    Returns results keyed "x", "y", "z" for
+    Returns results keyed "x", "y", "z" for laws "i", "ii" and "iii" of
+    :func:`difint.identities.law_operands`:
 
         x = I(alpha) I(1-alpha)[u] -> 1 - cos(t)
         y = D(alpha) I(alpha)[u]   -> sin(t)
@@ -200,21 +198,17 @@ def identity_experiment(
     if not (sample_period > 0.0 and duration > 0.0):
         raise DomainError("sample period and duration must be > 0")
     spec = DesignSpec(kappa, alpha, omega_l, omega_h, n, k, epsilon).resolved()
-    pair = design_pair(spec)
-    pair_c = design_pair(spec.complement())
+    pair, complement = design_pair(spec), design_pair(spec.complement())
 
     count = int(round(duration / sample_period)) + 1
     t = np.arange(count) * sample_period
     u = np.sin(t)
     lookahead = (math.sin(-sample_period), math.sin(t[-1] + sample_period))
 
-    experiments = {
-        "x": ((pair.integrator, pair_c.integrator), 1.0 - np.cos(t)),
-        "y": ((pair.differentiator, pair.integrator), np.sin(t)),
-        "z": ((pair.differentiator, pair_c.differentiator), np.cos(t)),
-    }
+    exact = {"x": 1.0 - np.cos(t), "y": np.sin(t), "z": np.cos(t)}
     results = {}
-    for name, ((first, second), exact) in experiments.items():
+    for name, condition in zip(exact, CONDITIONS):
+        first, second = law_operands(condition, pair, complement)
         approx = _run_composite(first, second, u, sample_period, lookahead, cascade)
-        results[name] = SimulationResult.from_signals(t, u, exact, approx)
+        results[name] = SimulationResult.from_signals(t, u, exact[name], approx)
     return results

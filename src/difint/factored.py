@@ -21,7 +21,6 @@ from .errors import DomainError, ShapeError
 
 __all__ = [
     "DEFAULT_CANCEL_TOL",
-    "ComplexResponse",
     "FactoredModel",
     "complex_response",
     "frequency_response",
@@ -75,16 +74,6 @@ class FactoredModel:
     @property
     def poles(self) -> tuple[float, ...]:
         return tuple(p for _, p in self.factors)
-
-
-@dataclass(frozen=True)
-class ComplexResponse:
-    """A single frequency-response sample: complex value, magnitude in dB
-    and phase in degrees."""
-
-    value: complex
-    magnitude_db: float
-    phase_deg: float
 
 
 def _checked_omegas(omegas) -> np.ndarray:

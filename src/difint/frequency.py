@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -10,7 +9,7 @@ import numpy as np
 
 from .design import DesignSpec, design_pair, is_count
 from .errors import DomainError
-from .factored import ComplexResponse, FactoredModel, log_response
+from .factored import FactoredModel, log_response
 
 __all__ = [
     "DIFFERENTIATOR",
@@ -50,16 +49,15 @@ def _signed_order(alpha: float, kind: str) -> float:
     raise DomainError(f"kind must be {INTEGRATOR!r} or {DIFFERENTIATOR!r}, got {kind!r}")
 
 
-def exact_response(alpha: float, kind: str, omega: float) -> ComplexResponse:
-    """Ideal operator response: magnitude omega**(+-alpha), phase +-90*alpha."""
-    if not omega > 0.0:
-        raise DomainError(f"omega must be > 0, got {omega!r}")
+def exact_response(alpha: float, kind: str, omegas) -> tuple[np.ndarray, np.ndarray]:
+    """Ideal operator response over an array of frequencies, as
+    ``(magnitude_db, phase_deg)``: magnitude omega**(+-alpha), phase
+    +-90*alpha."""
     a = _signed_order(alpha, kind)
-    return ComplexResponse(
-        value=cmath.exp(a * cmath.log(1j * omega)),
-        magnitude_db=20.0 * a * math.log10(omega),
-        phase_deg=90.0 * a,
-    )
+    w = np.asarray(omegas, dtype=float)
+    if not np.all(w > 0.0):
+        raise DomainError("all frequencies must be > 0")
+    return 20.0 * a * np.log10(w), np.full(w.shape, 90.0 * a)
 
 
 @dataclass(frozen=True)
@@ -93,11 +91,8 @@ class ErrorReport:
 
 def error_series(model: FactoredModel, alpha: float, kind: str, grid) -> ErrorReport:
     """Exact-minus-model magnitude (dB) and phase (deg) series over ``grid``."""
-    w = np.asarray(grid, dtype=float)
-    a = _signed_order(alpha, kind)
-    mag_db, phase_deg = log_response(model, w)
-    exact_mag = 20.0 * a * np.log10(w)
-    exact_phase = np.full(w.shape, 90.0 * a)
+    exact_mag, exact_phase = exact_response(alpha, kind, grid)
+    mag_db, phase_deg = log_response(model, grid)
     return ErrorReport.from_series(exact_mag - mag_db, exact_phase - phase_deg)
 
 

@@ -4,6 +4,10 @@ Condition "i":   I(alpha) * I(1 - alpha) = 1/s
 Condition "ii":  D(alpha) * I(alpha)     = 1
 Condition "iii": D(alpha) * D(1 - alpha) = s
 
+:func:`law_operands` is the one place that says which two designed
+operators each law composes; the verdicts here and the time-domain
+experiments of :mod:`difint.discrete` take their operands from it.
+
 A condition passes structurally when composing the two designed operators
 and cancelling leaves exactly the target s power, no residual factors and a
 unit gain.  The numeric deviation is always measured on the raw (unsimplified)
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import DesignSpec, design_pair
+from .design import DesignedPair, DesignSpec, design_pair
 from .errors import ShapeError
 from .factored import FactoredModel, frequency_response, multiply_and_simplify
 from .frequency import make_grid
@@ -39,6 +43,9 @@ _TARGET_S_EXPONENT = {"i": -1, "ii": 0, "iii": 1}
 GAIN_TOL = 1e-10
 NUMERIC_PASS_TOL = 1e-8
 
+# Points of the log grid on which check_identity measures its deviation.
+GRID_COUNT = 1000
+
 
 @dataclass(frozen=True)
 class IdentityVerdict:
@@ -49,30 +56,31 @@ class IdentityVerdict:
     failure_note: str = ""
 
 
-def _operands(condition: str, spec: DesignSpec) -> tuple[FactoredModel, FactoredModel]:
+def law_operands(
+    condition: str, pair: DesignedPair, complement: DesignedPair | None
+) -> tuple[FactoredModel, FactoredModel]:
+    """The two operators whose product law ``condition`` is about.
+
+    ``pair`` is designed at the order alpha and ``complement`` at 1 - alpha;
+    law "ii" reads only ``pair``, so ``complement`` may be None there.
+    """
     if condition == "i":
-        return design_pair(spec).integrator, design_pair(spec.complement()).integrator
+        return pair.integrator, complement.integrator
     if condition == "ii":
-        pair = design_pair(spec)
         return pair.differentiator, pair.integrator
     if condition == "iii":
-        return design_pair(spec).differentiator, design_pair(spec.complement()).differentiator
+        return pair.differentiator, complement.differentiator
     raise ValueError(f"condition must be one of {CONDITIONS}, got {condition!r}")
 
 
-def check_identity(condition: str, spec: DesignSpec, grid_count: int = 1000) -> IdentityVerdict:
-    """Verdict for one composition law at the order of ``spec``.
+def _verdict(condition: str, first: FactoredModel, second: FactoredModel, grid) -> IdentityVerdict:
+    """Verdict for the product ``first * second`` against law ``condition``.
 
-    The deviation is ``max |composite(jw) / target(jw) - 1|`` over a
-    log grid on the band, evaluated from the two operand responses directly.
-    A composition whose net s power cannot be represented counts as a
-    structural failure, not an error.  Methods 3 and 4 fall back to their
-    special offset when ``spec.epsilon`` is None.
+    The deviation is ``max |composite(jw) / target(jw) - 1|`` over ``grid``,
+    evaluated from the two operand responses directly.  A composition whose
+    net s power cannot be represented counts as a structural failure, not an
+    error.
     """
-    spec = spec.resolved()
-    first, second = _operands(condition, spec)
-
-    grid = make_grid(spec.omega_l, spec.omega_h, grid_count)
     values = frequency_response(first, grid)[0] * frequency_response(second, grid)[0]
     target = (1j * grid) ** _TARGET_S_EXPONENT[condition]
     deviation = float(np.max(np.abs(values / target - 1.0)))
@@ -96,6 +104,21 @@ def check_identity(condition: str, spec: DesignSpec, grid_count: int = 1000) -> 
     return IdentityVerdict(condition, structural, deviation, simplified, note)
 
 
+def check_identity(condition: str, spec: DesignSpec) -> IdentityVerdict:
+    """Verdict for one composition law at the order of ``spec``, with its
+    deviation measured on a ``GRID_COUNT``-point log grid over the band.
+
+    Methods 3 and 4 fall back to their special offset when ``spec.epsilon``
+    is None.
+    """
+    spec = spec.resolved()
+    pair = design_pair(spec)
+    complement = design_pair(spec.complement()) if condition in ("i", "iii") else None
+    first, second = law_operands(condition, pair, complement)
+    grid = make_grid(spec.omega_l, spec.omega_h, GRID_COUNT)
+    return _verdict(condition, first, second, grid)
+
+
 def associativity_table(
     alphas,
     omega_l: float = 1e-3,
@@ -107,9 +130,10 @@ def associativity_table(
     """7x3 boolean matrix: entry (kappa-1, condition) is True iff the law
     passes structurally for every order in ``alphas``.
 
-    Entries are the ``structural_pass`` verdicts of :func:`check_identity`;
-    the numeric deviation it also reports does not enter the matrix.
-    Orders must avoid 0.5 (the structure switch makes it singular for the
+    Each order's pair and complement are designed once and feed every
+    column still open: a column stops at its first failing order, and a row
+    once all its columns have failed.  The numeric deviation of each verdict
+    does not enter the matrix.  Orders must avoid 0.5 (the structure switch makes it singular for the
     piecewise methods) and the sweep must be non-empty.
     """
     alphas = [float(a) for a in alphas]
@@ -120,11 +144,14 @@ def associativity_table(
             raise ValueError(f"orders must lie in (0, 0.5) or (0.5, 1), got {a!r}")
     table = np.ones((7, len(CONDITIONS)), dtype=bool)
     for row, kappa in enumerate(range(1, 8)):
-        specs = [DesignSpec(kappa, a, omega_l, omega_h, n, k, epsilon) for a in alphas]
-        for col, condition in enumerate(CONDITIONS):
-            for spec in specs:
-                verdict = check_identity(condition, spec)
-                if not verdict.structural_pass:
-                    table[row, col] = False
-                    break
+        for alpha in alphas:
+            if not table[row].any():
+                break
+            spec = DesignSpec(kappa, alpha, omega_l, omega_h, n, k, epsilon).resolved()
+            pair, complement = design_pair(spec), design_pair(spec.complement())
+            grid = make_grid(spec.omega_l, spec.omega_h, GRID_COUNT)
+            for col, condition in enumerate(CONDITIONS):
+                if table[row, col]:
+                    first, second = law_operands(condition, pair, complement)
+                    table[row, col] = _verdict(condition, first, second, grid).structural_pass
     return table

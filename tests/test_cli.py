@@ -104,6 +104,15 @@ class TestDesignCommand:
         assert code == 2 and out == ""
         assert "band ratio" in err
 
+    @pytest.mark.parametrize("command", ("design", "bode", "pfe", "circuit", "check"))
+    def test_unrepresentable_matched_gain_exits_2(self, capsys, command):
+        code, out, err = run_cli(
+            capsys, command, "--method", "2", "--alpha", "0.7",
+            "--wl", "1e-154", "--wh", "1e154", "--n", "1", "--k", "8",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: matched gain cannot be represented")
+
     def test_special_offset_accepted(self, capsys):
         code, out, _ = run_cli(
             capsys, "design", "--method", "4", "--alpha", "0.4",

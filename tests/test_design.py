@@ -54,6 +54,16 @@ class TestDesignSpec:
                 model = design_integrator(DesignSpec(kappa, 0.3, *band, n=10, k=2).resolved())
                 assert math.isfinite(model.gain)
 
+    @pytest.mark.parametrize("method", (2, 4))
+    @pytest.mark.parametrize("band", ((1e-154, 1e154), (1e-300, 1e7)))
+    @pytest.mark.parametrize("k", (4, 8))
+    def test_unrepresentable_matched_gain_is_domain_error(self, method, band, k):
+        # One section spans the whole band, so the band-center factor ratio
+        # is ~1e150 and its k-th power leaves the float range.
+        spec = DesignSpec(method, 0.7, *band, n=1, k=k).resolved()
+        with pytest.raises(DomainError, match="matched gain cannot be represented"):
+            design_pair(spec)
+
     def test_rejects_bad_counts(self):
         with pytest.raises(DomainError):
             DesignSpec(1, 0.5, n=0)
@@ -103,10 +113,10 @@ class TestDesignSpec:
                     assert getattr(complement, field.name) == getattr(spec, field.name)
 
     def test_forced_multiplicities(self):
-        assert DesignSpec(5, 0.4, k=2).effective_k == 1
-        assert DesignSpec(6, 0.4, k=1).effective_k == 2
-        assert DesignSpec(7, 0.4, k=3).effective_k == 1
-        assert DesignSpec(1, 0.4, k=3).effective_k == 3
+        for spec, k in ((DesignSpec(5, 0.4, k=2), 1), (DesignSpec(6, 0.4, k=1), 2),
+                        (DesignSpec(7, 0.4, k=3), 1), (DesignSpec(1, 0.4, k=3), 3)):
+            pair = design_pair(spec)
+            assert pair.integrator.multiplicity == pair.differentiator.multiplicity == k
 
 
 class TestMethod1:
@@ -309,7 +319,7 @@ def reference_high_branch(spec):
     """The high-branch corner formulas as written out per method before the
     branch rule derived them from the complement's low branch: the reference
     the derived branch must reproduce bit for bit."""
-    alpha, k, n = spec.alpha, spec.effective_k, spec.n
+    alpha, k, n = spec.alpha, spec.k, spec.n
     wl = spec.omega_l
     ratio = spec.omega_h / spec.omega_l
     idx = range(1, n + 1)
@@ -373,7 +383,10 @@ class TestBranchRule:
                             assert got.gain == want.gain, spec
                             assert got.s_exponent == -1 and got.multiplicity == k
                         else:
-                            assert got is want, spec
+                            # A gain that overflows the float range raises
+                            # DomainError instead of the reference's bare
+                            # OverflowError.
+                            assert got is (DomainError if want is OverflowError else want), spec
                         outcomes.add(want if isinstance(want, type) else FactoredModel)
         assert FactoredModel in outcomes
         if kappa in (3, 4):

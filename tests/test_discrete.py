@@ -215,3 +215,52 @@ class TestIdentityExperiment:
     def test_rejects_bad_horizon(self):
         with pytest.raises(DomainError):
             identity_experiment(1, 0.4, duration=0.0)
+
+
+def reference_run_composite(first, second, u, h, lookahead, force_cascade):
+    """The composite runner as written before it treated the simplified
+    product as a one-stage cascade: the reference it must reproduce bit for
+    bit."""
+    if not force_cascade:
+        try:
+            product = multiply_and_simplify(first, second)
+        except ShapeError:
+            pass
+        else:
+            filt = discretize(product, h)
+            need = lookahead if filt.head == CENTRAL_DIFFERENCE else None
+            return simulate_filter(filt, u, need)
+    stages = [second, first]
+    stages.sort(key=lambda m: -m.s_exponent)
+    y = u
+    for stage in stages:
+        filt = discretize(stage, h)
+        need = lookahead if filt.head == CENTRAL_DIFFERENCE else None
+        y = simulate_filter(filt, y, need)
+    return y
+
+
+class TestIdentityExperimentReference:
+    @pytest.mark.parametrize("kappa", range(1, 8))
+    @pytest.mark.parametrize("cascade", (False, True))
+    @pytest.mark.parametrize("alpha", (0.3, 0.7))
+    @pytest.mark.parametrize("k", (1, 2))
+    def test_laws_and_runner_match_the_written_out_experiments(self, kappa, cascade, alpha, k):
+        h = 0.001
+        spec = reference_spec(kappa, alpha, k=k)
+        pair = design_pair(spec)
+        pair_c = design_pair(spec.complement())
+        t = np.arange(10001) * h
+        u = np.sin(t)
+        lookahead = (math.sin(-h), math.sin(t[-1] + h))
+        experiments = {
+            "x": (pair.integrator, pair_c.integrator),
+            "y": (pair.differentiator, pair.integrator),
+            "z": (pair.differentiator, pair_c.differentiator),
+        }
+        results = identity_experiment(kappa, alpha, k=k, sample_period=h, duration=10.0,
+                                      cascade=cascade)
+        assert list(results) == list(experiments)
+        for name, (first, second) in experiments.items():
+            expected = reference_run_composite(first, second, u, h, lookahead, cascade)
+            assert np.array_equal(results[name].approx, expected)

@@ -50,33 +50,33 @@ class TestMakeGrid:
 
 class TestExactResponse:
     def test_half_order_integrator_at_one(self):
-        r = exact_response(0.5, INTEGRATOR, 1.0)
-        assert r.magnitude_db == pytest.approx(0.0, abs=1e-15)
-        assert r.phase_deg == pytest.approx(-45.0)
+        magnitude_db, phase_deg = exact_response(0.5, INTEGRATOR, [1.0])
+        assert magnitude_db[0] == pytest.approx(0.0, abs=1e-15)
+        assert phase_deg[0] == pytest.approx(-45.0)
 
     def test_differentiator_sample(self):
-        r = exact_response(0.3, DIFFERENTIATOR, 10.0)
-        assert r.magnitude_db == pytest.approx(6.0, abs=1e-12)
-        assert r.phase_deg == pytest.approx(27.0)
+        magnitude_db, phase_deg = exact_response(0.3, DIFFERENTIATOR, np.array([10.0, 1e3]))
+        np.testing.assert_allclose(magnitude_db, [6.0, 18.0], rtol=1e-12)
+        np.testing.assert_array_equal(phase_deg, [27.0, 27.0])
 
     @pytest.mark.parametrize("seed", range(5))
     def test_integrator_times_differentiator_is_unity(self, seed):
+        # In dB and degrees the product I * D = 1 is a sum that vanishes.
         rng = np.random.default_rng(seed)
         alpha = float(rng.uniform(0.05, 0.95))
-        omega = float(10.0 ** rng.uniform(-3, 3))
-        product = (
-            exact_response(alpha, INTEGRATOR, omega).value
-            * exact_response(alpha, DIFFERENTIATOR, omega).value
-        )
-        assert product == pytest.approx(1.0, rel=1e-13)
+        omegas = 10.0 ** rng.uniform(-3, 3, size=50)
+        mag_i, phase_i = exact_response(alpha, INTEGRATOR, omegas)
+        mag_d, phase_d = exact_response(alpha, DIFFERENTIATOR, omegas)
+        np.testing.assert_allclose(mag_i + mag_d, 0.0, atol=1e-13)
+        np.testing.assert_allclose(phase_i + phase_d, 0.0, atol=1e-13)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
-            exact_response(0.5, INTEGRATOR, 0.0)
+            exact_response(0.5, INTEGRATOR, [1.0, 0.0])
         with pytest.raises(DomainError):
-            exact_response(1.2, INTEGRATOR, 1.0)
+            exact_response(1.2, INTEGRATOR, [1.0])
         with pytest.raises(DomainError):
-            exact_response(0.5, "other", 1.0)
+            exact_response(0.5, "other", [1.0])
 
 
 class TestErrorSeries:

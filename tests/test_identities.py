@@ -10,7 +10,9 @@ from difint import (
     check_identity,
     design_integrator,
     design_pair,
+    multiply_and_simplify,
 )
+from difint import identities
 from difint.identities import NUMERIC_PASS_TOL
 
 # Expected matrix: methods 1-4 satisfy every law, 5 and 6 none, 7 only the
@@ -109,6 +111,31 @@ class TestAssociativityTable:
     def test_single_order_matrix_matches_full(self):
         matrix = associativity_table([0.25])
         np.testing.assert_array_equal(matrix, EXPECTED_MATRIX)
+
+    def test_each_order_is_designed_once(self, monkeypatch):
+        designs, products = [], []
+
+        def counting_design(spec):
+            designs.append(spec)
+            return design_pair(spec)
+
+        def counting_product(a, b):
+            products.append((a, b))
+            return multiply_and_simplify(a, b)
+
+        monkeypatch.setattr(identities, "design_pair", counting_design)
+        monkeypatch.setattr(identities, "multiply_and_simplify", counting_product)
+        matrix = associativity_table(MATRIX_ALPHAS)
+        np.testing.assert_array_equal(matrix, EXPECTED_MATRIX)
+        # Methods 1-4 pass everywhere: pair and complement at 8 orders each.
+        # Methods 5 and 6 fail every law at the first order, and method 7
+        # keeps only law ii open after it, which still designs both.
+        assert len(designs) == 4 * 16 + 2 + 2 + 16
+        # One verdict per open column: a column stops at its first failure.
+        assert len(products) == 4 * 24 + 3 + 3 + (3 + 7)
+        designs.clear()
+        check_identity("ii", DesignSpec(1, 0.4))
+        assert len(designs) == 1
 
     def test_rejects_empty_sweep(self):
         with pytest.raises(ValueError):

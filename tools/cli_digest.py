@@ -1,0 +1,127 @@
+"""Digest of the ``difint`` command line over a fixed list of calls.
+
+Run as ``PYTHONPATH=<tree>/src python tools/cli_digest.py``.  Each call runs
+in this process through ``difint.cli.main`` and prints one line,
+
+    <exit code> <sha256 of stdout> <sha256 of stderr> <arguments>
+
+so two trees give the same output exactly when every call gives the same
+exit code and byte-identical text.  An exception that escapes ``main``
+counts as exit 1 with its type and message as stderr, and each warning
+adds a ``Category: message`` line to stderr: tracebacks and the default
+warning format name source paths and line numbers, which differ between
+trees.  The list covers the README examples,
+every command for methods 1..7 at orders 0.3 and 0.7 (methods 3/4 with
+``--eps-special`` and with an in-range ``--eps``), tables 1..5, wide bands
+on which few high-multiplicity sections overflow or underflow the gain, and
+offsets on either side of the admissible interval; every call runs at
+``--precision 9`` and 17.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import shlex
+import traceback
+import warnings
+
+from difint.cli import main
+
+README = [
+    "design --method 2 --alpha 0.4 --wl 1e-3 --wh 1e3 --n 10 --k 2 --kind int",
+    "bode --method 1 --alpha 0.4 --points 10000",
+    "table --which 1",
+    "check --method 7 --alpha 0.3 --condition all",
+    "simulate --method 5 --alpha 0.4 --h 0.001 --T 10 --experiment z",
+    "pfe --method 2 --alpha 0.7 --k 1",
+    "circuit --method 1 --alpha 0.3 --k 1 --format spice",
+]
+
+# In-range offsets (dB) of methods 3 and 4 at orders 0.3 and 0.7 on the
+# default band and n = 10, by multiplicity.
+IN_RANGE_EPS = {(3, 2): "1.5", (4, 2): "1.6", (3, 1): "1.25", (4, 1): "1.3"}
+
+WIDE_BANDS = [("1e-154", "1e154"), ("1e-300", "1e7")]
+
+
+def _offsets(method: int, k: int) -> list[str]:
+    if method not in (3, 4):
+        return [""]
+    return ["--eps-special", f"--eps {IN_RANGE_EPS[method, k]}"]
+
+
+def _calls() -> list[str]:
+    calls = list(README)
+    for method in range(1, 8):
+        for alpha in ("0.3", "0.7"):
+            design = f"-m {method} -a {alpha}"
+            for offset in _offsets(method, 2):
+                args = f"{design} {offset}".strip()
+                for kind in ("int", "diff"):
+                    calls += [f"design {args} --kind {kind} --format text",
+                              f"design {args} --kind {kind} --format json",
+                              f"bode {args} --kind {kind}",
+                              f"pfe {args} --kind {kind}"]
+                calls += [f"check {args} --condition all",
+                          f"simulate {args} --experiment all"]
+            for offset in _offsets(method, 1):
+                args = f"{design} --k 1 {offset}".strip()
+                calls += [f"circuit {args} --format spice", f"circuit {args} --format json"]
+            special = " --eps-special" if method in (3, 4) else ""
+            calls.append(f"check {design} --n 60 --k 3{special} --condition all")
+    calls += [f"table --which {which}" for which in range(1, 6)]
+    calls += [f"table --which {which} --n 60 --k 3" for which in range(1, 4)]
+    for method in (2, 4):
+        special = " --eps-special" if method == 4 else ""
+        for alpha in ("0.3", "0.7"):
+            for k in (1, 4, 8):
+                for wl, wh in WIDE_BANDS:
+                    args = f"-m {method} -a {alpha} --wl {wl} --wh {wh} --n 1 --k {k}{special}"
+                    calls += [f"design {args}", f"bode {args}", f"pfe {args}",
+                              f"circuit {args}", f"check {args}"]
+    calls += [f"table --which 1 --wl {wl} --wh {wh} --n 1 --k 8" for wl, wh in WIDE_BANDS]
+    offset_check = "check -m 3 -a 0.3037617739110518 --n 38 --k 4 --eps 0.4370141475644993"
+    calls += [
+        f"{offset_check} --condition ii",
+        f"{offset_check} --condition i",
+        "design -m 3 -a 0.3037617739110518 --n 38 --k 4 --eps 0.4370141475644993",
+        "design -m 3 -a 0.3 --eps 5",
+        "design -m 4 -a 0.7 --eps 1.5",
+        "design -m 3 -a 0.3",
+        "design -m 1 -a 0.3 --eps 1",
+        "design -m 1 -a 1.2",
+    ]
+    return calls
+
+
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except Exception as exc:  # noqa: BLE001 - an escaped exception is a result here
+            err.write("".join(traceback.format_exception_only(type(exc), exc)))
+            code = 1
+    for warning in caught:
+        err.write(f"{warning.category.__name__}: {warning.message}\n")
+    return code, out.getvalue(), err.getvalue()
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def run() -> None:
+    for call in _calls():
+        for precision in ("9", "17"):
+            argv = ["--precision", precision, *shlex.split(call)]
+            code, out, err = _run(argv)
+            print(code, _sha(out), _sha(err), shlex.join(argv), flush=True)
+
+
+if __name__ == "__main__":
+    run()
