@@ -22,7 +22,7 @@ import numpy as np
 from .design import DesignSpec, design_pair
 from .errors import DomainError, ShapeError
 from .factored import FactoredModel, multiply_and_simplify
-from .identities import CONDITIONS, law_operands
+from .identities import law_operands
 
 __all__ = [
     "CENTRAL_DIFFERENCE",
@@ -205,10 +205,10 @@ def identity_experiment(
     u = np.sin(t)
     lookahead = (math.sin(-sample_period), math.sin(t[-1] + sample_period))
 
-    exact = {"x": 1.0 - np.cos(t), "y": np.sin(t), "z": np.cos(t)}
     results = {}
-    for name, condition in zip(exact, CONDITIONS):
+    laws = (("x", "i", 1.0 - np.cos(t)), ("y", "ii", np.sin(t)), ("z", "iii", np.cos(t)))
+    for name, condition, exact in laws:
         first, second = law_operands(condition, pair, complement)
         approx = _run_composite(first, second, u, sample_period, lookahead, cascade)
-        results[name] = SimulationResult.from_signals(t, u, exact[name], approx)
+        results[name] = SimulationResult.from_signals(t, u, exact, approx)
     return results

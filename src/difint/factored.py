@@ -76,7 +76,8 @@ class FactoredModel:
         return tuple(p for _, p in self.factors)
 
 
-def _checked_omegas(omegas) -> np.ndarray:
+def checked_omegas(omegas) -> np.ndarray:
+    """``omegas`` as a float array, all of whose frequencies must be > 0."""
     w = np.asarray(omegas, dtype=float)
     if not np.all(w > 0.0):
         raise DomainError("all frequencies must be > 0")
@@ -92,7 +93,7 @@ def _checked_omegas(omegas) -> np.ndarray:
 def complex_response(model: FactoredModel, omegas) -> np.ndarray:
     """Complex values of ``model`` at ``s = j*omega`` over an array of
     frequencies, from the direct factor product in fixed factor order."""
-    w = _checked_omegas(omegas)
+    w = checked_omegas(omegas)
     k = model.multiplicity
     jw = 1j * w
     # Complex steps never write over an input: on one-point grids numpy runs
@@ -120,7 +121,7 @@ def log_response(model: FactoredModel, omegas) -> tuple[np.ndarray, np.ndarray]:
     """``(magnitude_db, phase_deg)`` of ``model`` over an array of
     frequencies, summed from per-factor log magnitudes and arguments in
     fixed factor order, so long chains never wrap the phase."""
-    w = _checked_omegas(omegas)
+    w = checked_omegas(omegas)
     k = model.multiplicity
     term, other = np.empty(w.shape), np.empty(w.shape)
     mag_db = np.full(w.shape, 20.0 * math.log10(model.gain))

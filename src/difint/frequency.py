@@ -9,7 +9,7 @@ import numpy as np
 
 from .design import DesignSpec, design_pair, is_count
 from .errors import DomainError
-from .factored import FactoredModel, log_response
+from .factored import FactoredModel, checked_omegas, log_response
 
 __all__ = [
     "DIFFERENTIATOR",
@@ -54,9 +54,7 @@ def exact_response(alpha: float, kind: str, omegas) -> tuple[np.ndarray, np.ndar
     ``(magnitude_db, phase_deg)``: magnitude omega**(+-alpha), phase
     +-90*alpha."""
     a = _signed_order(alpha, kind)
-    w = np.asarray(omegas, dtype=float)
-    if not np.all(w > 0.0):
-        raise DomainError("all frequencies must be > 0")
+    w = checked_omegas(omegas)
     return 20.0 * a * np.log10(w), np.full(w.shape, 90.0 * a)
 
 
@@ -91,6 +89,7 @@ class ErrorReport:
 
 def error_series(model: FactoredModel, alpha: float, kind: str, grid) -> ErrorReport:
     """Exact-minus-model magnitude (dB) and phase (deg) series over ``grid``."""
+    grid = np.asarray(grid, dtype=float)
     exact_mag, exact_phase = exact_response(alpha, kind, grid)
     mag_db, phase_deg = log_response(model, grid)
     return ErrorReport.from_series(exact_mag - mag_db, exact_phase - phase_deg)

@@ -64,6 +64,8 @@ def law_operands(
     ``pair`` is designed at the order alpha and ``complement`` at 1 - alpha;
     law "ii" reads only ``pair``, so ``complement`` may be None there.
     """
+    if condition in ("i", "iii") and complement is None:
+        raise ValueError(f"law {condition!r} needs the pair designed at 1 - alpha")
     if condition == "i":
         return pair.integrator, complement.integrator
     if condition == "ii":
@@ -130,11 +132,12 @@ def associativity_table(
     """7x3 boolean matrix: entry (kappa-1, condition) is True iff the law
     passes structurally for every order in ``alphas``.
 
-    Each order's pair and complement are designed once and feed every
-    column still open: a column stops at its first failing order, and a row
-    once all its columns have failed.  The numeric deviation of each verdict
-    does not enter the matrix.  Orders must avoid 0.5 (the structure switch makes it singular for the
-    piecewise methods) and the sweep must be non-empty.
+    Each order's pair, and its complement while law i or iii is open, are
+    designed once and feed every column still open: a column stops at its
+    first failing order, and a row once all its columns have failed.  The
+    numeric deviation of each verdict does not enter the matrix.  Orders
+    must avoid 0.5 (the structure switch makes it singular for the piecewise
+    methods) and the sweep must be non-empty.
     """
     alphas = [float(a) for a in alphas]
     if not alphas:
@@ -143,13 +146,16 @@ def associativity_table(
         if not (0.0 < a < 1.0) or a == 0.5:
             raise ValueError(f"orders must lie in (0, 0.5) or (0.5, 1), got {a!r}")
     table = np.ones((7, len(CONDITIONS)), dtype=bool)
+    grid = make_grid(omega_l, omega_h, GRID_COUNT)
     for row, kappa in enumerate(range(1, 8)):
         for alpha in alphas:
             if not table[row].any():
                 break
             spec = DesignSpec(kappa, alpha, omega_l, omega_h, n, k, epsilon).resolved()
-            pair, complement = design_pair(spec), design_pair(spec.complement())
-            grid = make_grid(spec.omega_l, spec.omega_h, GRID_COUNT)
+            pair = design_pair(spec)
+            # Laws i and iii read the complement; law ii alone does not.
+            open_complement = table[row, 0] or table[row, 2]
+            complement = design_pair(spec.complement()) if open_complement else None
             for col, condition in enumerate(CONDITIONS):
                 if table[row, col]:
                     first, second = law_operands(condition, pair, complement)

@@ -65,6 +65,12 @@ class TestCheckIdentity:
         with pytest.raises(ValueError):
             check_identity("iv", DesignSpec(1, 0.4))
 
+    @pytest.mark.parametrize("condition", ("i", "iii"))
+    def test_law_operands_needs_complement(self, condition):
+        pair = design_pair(DesignSpec(1, 0.4))
+        with pytest.raises(ValueError, match="1 - alpha"):
+            identities.law_operands(condition, pair, None)
+
     @pytest.mark.parametrize("kappa", (1, 2, 3, 4, 7))
     @pytest.mark.parametrize("alpha", (0.1, 0.5, 0.9))
     def test_inverse_law_deviation_at_float_level(self, kappa, alpha):
@@ -129,8 +135,8 @@ class TestAssociativityTable:
         np.testing.assert_array_equal(matrix, EXPECTED_MATRIX)
         # Methods 1-4 pass everywhere: pair and complement at 8 orders each.
         # Methods 5 and 6 fail every law at the first order, and method 7
-        # keeps only law ii open after it, which still designs both.
-        assert len(designs) == 4 * 16 + 2 + 2 + 16
+        # keeps only law ii open after it, which needs no complement.
+        assert len(designs) == 4 * 16 + 2 + 2 + (2 + 7)
         # One verdict per open column: a column stops at its first failure.
         assert len(products) == 4 * 24 + 3 + 3 + (3 + 7)
         designs.clear()
