@@ -11,6 +11,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .design import DesignSpec, design_pair
 from .discrete import identity_experiment
 from .errors import DomainError, EpsilonRangeError, NotRealizableError, ShapeError
@@ -134,12 +136,23 @@ def _jnum(value: float, precision: int) -> float:
     return float(_fmt(value, precision))
 
 
-def _csv(header: list[str], rows, precision: int) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(
-            cell if isinstance(cell, str) else _fmt(cell, precision) for cell in row
-        ))
+def _csv(header: list[str], columns, precision: int) -> str:
+    """CSV text of equal-length ``columns``, each all str cells or all numbers.
+
+    Each numeric column is converted to Python floats once and each row is
+    rendered by one ``%`` template, which prints numbers exactly as
+    :func:`_fmt` does.
+    """
+    template, cells = [], []
+    for column in columns:
+        if len(column) and isinstance(column[0], str):
+            template.append("%s")
+            cells.append(column)
+        else:
+            template.append(f"%.{precision}g")
+            cells.append((np.asarray(column, dtype=float) + 0.0).tolist())  # folds away -0
+    row = ",".join(template)
+    lines = [",".join(header), *(row % values for values in zip(*cells))]
     return "\n".join(lines) + "\n"
 
 
@@ -194,9 +207,9 @@ def cmd_bode(args) -> str:
     mag_exact, phase_exact = exact_response(spec.alpha, kind, grid)
     header = ["omega", "mag_db_model", "mag_db_exact", "phase_deg_model",
               "phase_deg_exact", "mag_error_db", "phase_error_deg"]
-    rows = zip(grid, mag_model, mag_exact, phase_model, phase_exact,
-               mag_exact - mag_model, phase_exact - phase_model)
-    return _csv(header, rows, args.precision)
+    columns = [grid, mag_model, mag_exact, phase_model, phase_exact,
+               mag_exact - mag_model, phase_exact - phase_model]
+    return _csv(header, columns, args.precision)
 
 
 def _parse_alphas(text: str) -> list[float]:
@@ -226,7 +239,7 @@ def cmd_table(args) -> str:
             rows.append([str(kappa), row.mag_norm_inf, row.mag_norm_two,
                          row.phase_norm_inf, row.phase_norm_two])
         header = ["method", "mag_inf_db", "mag_two_db", "phase_inf_deg", "phase_two_deg"]
-        return _csv(header, rows, p)
+        return _csv(header, list(zip(*rows)), p)
     alpha = args.alpha if args.alpha is not None else (0.4 if args.which == 4 else 0.5)
     rows = []
     for kappa in range(1, 8):
@@ -237,7 +250,7 @@ def cmd_table(args) -> str:
                      res["y"].inf_norm, res["y"].two_norm,
                      res["z"].inf_norm, res["z"].two_norm])
     header = ["method", "x_inf", "x_two", "y_inf", "y_two", "z_inf", "z_two"]
-    return _csv(header, rows, p)
+    return _csv(header, list(zip(*rows)), p)
 
 
 def cmd_check(args) -> str:
@@ -266,16 +279,15 @@ def cmd_simulate(args) -> str:
                                   spec.n, spec.k, spec.epsilon,
                                   sample_period=args.h, duration=args.T)
     p = args.precision
+    header = ["t", "u", "exact", "approx", "error"]
+    names = ("x", "y", "z") if args.experiment == "all" else (args.experiment,)
+    runs = [results[name] for name in names]
+    columns = [np.concatenate(series) for series in zip(
+        *([res.time, res.input_signal, res.exact, res.approx, res.error] for res in runs))]
     if args.experiment != "all":
-        res = results[args.experiment]
-        rows = zip(res.time, res.input_signal, res.exact, res.approx, res.error)
-        return _csv(["t", "u", "exact", "approx", "error"], rows, p)
-    rows = []
-    for name in ("x", "y", "z"):
-        res = results[name]
-        for values in zip(res.time, res.input_signal, res.exact, res.approx, res.error):
-            rows.append([name, *values])
-    return _csv(["experiment", "t", "u", "exact", "approx", "error"], rows, p)
+        return _csv(header, columns, p)
+    labels = [name for name, res in zip(names, runs) for _ in res.time]
+    return _csv(["experiment", *header], [labels, *columns], p)
 
 
 def cmd_pfe(args) -> str:
@@ -338,6 +350,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.precision < 0:
+            parser.error(f"argument --precision: must be >= 0, got {args.precision}")
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -6,16 +6,23 @@ becomes a trapezoid accumulator head and a net s a central-difference head
 (which needs one sample of analytic input lookahead, so it is an offline
 device by construction).
 
-The whole cascade runs as one ``scipy.signal.sosfilt`` pass, with one
-second-order row per first-order section.  scipy is imported inside
-:func:`simulate_filter`, the only code that needs it, so design, analysis
-and realization never pay its import time.
+The whole cascade runs as one pass of scipy's compiled second-order-section
+loop, with one row per first-order section.  Only that loop's extension,
+``scipy.signal._sosfilt``, is loaded, and only when :func:`simulate_filter`
+first runs: design, analysis and realization never load scipy, and
+simulation skips ``scipy.signal``'s package import, which pulls in
+``scipy.stats``, ``interpolate`` and ``optimize`` and costs about a second
+of every ``simulate`` call.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
 
@@ -96,6 +103,8 @@ def simulate_filter(filt: DiscreteFilter, samples, lookahead: tuple[float, float
     central-difference head.
     """
     u = np.asarray(samples, dtype=float)
+    if u.ndim != 1:
+        raise ValueError(f"samples must be a 1-D sequence, got shape {u.shape}")
     h = filt.sample_period
     rows = [[s.b0, s.b1, 0.0, 1.0, s.a1, 0.0] for s in filt.sections]
     if filt.head == CENTRAL_DIFFERENCE:
@@ -112,10 +121,40 @@ def simulate_filter(filt: DiscreteFilter, samples, lookahead: tuple[float, float
         return u.copy()
     # With a zero second-order tail each row computes exactly the
     # first-order recurrence; pairing sections into biquads would
-    # reassociate it and change results in the last digits.
-    from scipy.signal import sosfilt
+    # reassociate it and change results in the last digits.  The kernel is
+    # called as scipy.signal.sosfilt calls it for 1-D float64 input with no
+    # initial state, so results are bit-identical, without importing
+    # scipy.signal.  It filters y in place.
+    y = u[np.newaxis].copy()
+    _sosfilt_kernel()(np.array(rows), y, np.zeros((1, len(rows), 2)))
+    return y[0]
 
-    return sosfilt(np.array(rows), u)
+
+_SOSFILT = "scipy.signal._sosfilt"
+
+
+def _sosfilt_kernel():
+    """Return scipy's compiled ``_sosfilt(sos, x, zi)`` loop.
+
+    The extension is loaded on first use straight from ``scipy/signal``,
+    without running ``scipy/signal/__init__.py``, and registered under its
+    own name, so a later ``import scipy.signal`` reuses it (and a
+    ``scipy.signal`` imported earlier lends its copy here).
+    """
+    module = sys.modules.get(_SOSFILT)
+    if module is None:
+        scipy = importlib.util.find_spec("scipy")  # finds scipy without importing it
+        if scipy is None:
+            raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+        finder = FileFinder(os.path.join(scipy.submodule_search_locations[0], "signal"),
+                            (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        spec = finder.find_spec(_SOSFILT)
+        if spec is None:
+            raise ModuleNotFoundError(f"No module named {_SOSFILT!r}", name=_SOSFILT)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[_SOSFILT] = module
+    return module._sosfilt
 
 
 @dataclass(frozen=True)

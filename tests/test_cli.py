@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from difint.cli import main
+from difint.cli import _csv, _fmt, main
 
 EXPECTED_MATRIX_TEXT = (
     "method  i  ii  iii\n"
@@ -203,6 +203,22 @@ class TestBodeCommand:
         assert abs(float(center[5])) < 1e-9  # matched gain at the band center
 
 
+class TestCsv:
+    @pytest.mark.parametrize("precision", [0, 3, 9, 17])
+    def test_cells_print_as_fmt(self, precision):
+        values = [-0.0, 1.0 / 3.0, -2.5e-300, 1e300, float("inf"), float("nan"), 5e-324]
+        text = _csv(["name", "value", "index"],
+                    [[f"r{i}" for i in range(len(values))], np.array(values), range(len(values))],
+                    precision)
+        expected = ["name,value,index"] + [
+            f"r{i},{_fmt(v, precision)},{_fmt(i, precision)}" for i, v in enumerate(values)
+        ]
+        assert text == "\n".join(expected) + "\n"
+
+    def test_no_rows_prints_the_header(self):
+        assert _csv(["a", "b"], [[], np.array([])], 9) == "a,b\n"
+
+
 class TestSimulateCommand:
     def test_single_experiment_csv(self, capsys):
         code, out, _ = run_cli(
@@ -306,6 +322,11 @@ class TestCliBehavior:
     def test_unknown_command_is_invalid(self, capsys):
         assert main(["frobnicate"]) == 2
 
+    def test_negative_precision_is_invalid(self, capsys):
+        code, out, err = run_cli(capsys, "--precision", "-1", "bode", "-m", "1", "-a", "0.4")
+        assert code == 2 and out == ""
+        assert "--precision: must be >= 0" in err
+
     def test_precision_flag_controls_digits(self, capsys):
         code, out, _ = run_cli(
             capsys, "--precision", "3", "design",
@@ -341,7 +362,8 @@ class TestCliBehavior:
 
 
 # Runs in a fresh interpreter: design, analysis and realization commands must
-# not load scipy, and simulate must still work there and load it.
+# not load scipy, and the simulating command given on the probe's command line
+# must still work there and load only scipy's compiled sosfilt extension.
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
 import difint, difint.cli
@@ -362,7 +384,7 @@ for argv in [
         codes.append(difint.cli.main(argv))
 before = scipy_modules()
 with contextlib.redirect_stdout(io.StringIO()) as out:
-    codes.append(difint.cli.main(["simulate", "-m", "1", "-a", "0.4", "--T", "0.01"]))
+    codes.append(difint.cli.main(sys.argv[1:]))
 print(json.dumps({"codes": codes, "before": before, "after": scipy_modules(),
                   "rows": len(out.getvalue().splitlines())}))
 """
@@ -372,10 +394,15 @@ class TestImportCost:
     def test_only_simulation_loads_scipy(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
-                              capture_output=True, text=True, timeout=120, check=True)
-        report = json.loads(proc.stdout)
-        assert report["codes"] == [0] * 7
-        assert report["before"] == []
-        assert "scipy.signal" in report["after"]
-        assert report["rows"] == 1 + 3 * 11
+        for argv, rows in [
+            (["simulate", "-m", "1", "-a", "0.4", "--T", "0.01"], 1 + 3 * 11),
+            (["table", "--which", "4", "--T", "0.01"], 1 + 7),
+        ]:
+            proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv], env=env,
+                                  capture_output=True, text=True, timeout=120, check=True)
+            report = json.loads(proc.stdout)
+            assert report["codes"] == [0] * 7
+            assert report["before"] == []
+            assert "scipy.signal._sosfilt" in report["after"], argv
+            assert "scipy.signal" not in report["after"], argv
+            assert report["rows"] == rows

@@ -1,6 +1,11 @@
 """Bilinear discretization, cascade simulation and identity experiments."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +21,13 @@ from difint import (
     multiply_and_simplify,
     simulate_filter,
 )
-from difint.discrete import CENTRAL_DIFFERENCE, PASSTHROUGH, TRAPEZOID_INTEGRATOR
+from difint.discrete import (
+    CENTRAL_DIFFERENCE,
+    PASSTHROUGH,
+    TRAPEZOID_INTEGRATOR,
+    DiscreteFilter,
+    FilterSection,
+)
 
 
 def reference_simulate(filt, samples, lookahead=None):
@@ -123,6 +134,25 @@ class TestSimulateFilter:
         with pytest.raises(ValueError):
             simulate_filter(discretize(FactoredModel(1.0, 0), 0.1), u, lookahead=(0.0, 0.0))
 
+    @pytest.mark.parametrize(
+        "model, lookahead",
+        [
+            (FactoredModel(1.0, 0), None),  # no sections
+            (FactoredModel(2.0, 0), None),  # gain-only section
+            (FactoredModel(1.0, -1), None),  # trapezoid head
+            (FactoredModel(1.0, 1), (0.5, -0.5)),  # central-difference head
+            (FactoredModel(2.0, 0, 2, ((1.0, 2.0),)), None),
+        ],
+    )
+    def test_empty_input_gives_empty_output(self, model, lookahead):
+        out = simulate_filter(discretize(model, 0.1), np.array([]), lookahead)
+        assert out.shape == (0,) and out.dtype == np.float64
+
+    @pytest.mark.parametrize("samples", [1.0, np.ones((2, 3))])
+    def test_rejects_input_that_is_not_one_dimensional(self, samples):
+        with pytest.raises(ValueError, match="1-D"):
+            simulate_filter(discretize(FactoredModel(2.0, 0), 0.1), samples)
+
 
 class TestCascadeKernel:
     @pytest.mark.parametrize(
@@ -156,6 +186,128 @@ class TestCascadeKernel:
                 pass
             for model in models:
                 assert_bitwise_reference(model)
+
+
+def public_sosfilt(filt, samples, lookahead=None):
+    """The cascade through public ``scipy.signal.sosfilt``, one row per
+    section: the reference the direct kernel call must reproduce bit for bit."""
+    from scipy.signal import sosfilt
+
+    u = np.asarray(samples, dtype=float)
+    h = filt.sample_period
+    rows = [[s.b0, s.b1, 0.0, 1.0, s.a1, 0.0] for s in filt.sections]
+    if filt.head == CENTRAL_DIFFERENCE:
+        pre, post = lookahead
+        extended = np.concatenate(([pre], u, [post]))
+        u = (extended[2:] - extended[:-2]) / (2.0 * h)
+    elif filt.head == TRAPEZOID_INTEGRATOR:
+        rows.insert(0, [h / 2.0, h / 2.0, 0.0, 1.0, -1.0, 0.0])
+    return sosfilt(np.array(rows), u)
+
+
+def random_cascade(rng, head):
+    """A seeded stable cascade of 1..130 sections and an input of 1..60k
+    samples, some of them signed zeros."""
+    sections = tuple(
+        FilterSection(float(rng.normal()), float(rng.normal()), float(rng.uniform(-0.999, 0.999)))
+        for _ in range(int(rng.integers(1, 131)))
+    )
+    count = int(rng.integers(1, 60_001))
+    u = rng.normal(size=count)
+    u[rng.random(count) < 0.05] = 0.0
+    u[rng.random(count) < 0.05] = -0.0
+    lookahead = tuple(rng.normal(size=2)) if head == CENTRAL_DIFFERENCE else None
+    return DiscreteFilter(sections, head, float(rng.uniform(1e-4, 0.1))), u, lookahead
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+HEADS = (None, TRAPEZOID_INTEGRATOR, CENTRAL_DIFFERENCE)
+
+
+class TestCompiledKernel:
+    @pytest.mark.parametrize("head", HEADS)
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_cascades_are_bitwise_public_sosfilt(self, head, seed):
+        rng = np.random.default_rng([seed, HEADS.index(head)])
+        filt, u, lookahead = random_cascade(rng, head)
+        assert_same_bits(simulate_filter(filt, u, lookahead), public_sosfilt(filt, u, lookahead))
+
+    @pytest.mark.parametrize("head", HEADS)
+    @pytest.mark.parametrize("sections, count", [(1, 1), (130, 1), (1, 60_000), (130, 60_000)])
+    def test_extreme_sizes_are_bitwise_public_sosfilt(self, head, sections, count):
+        rng = np.random.default_rng(sections + count)
+        section = FilterSection(0.3, -0.2, -0.95)
+        filt = DiscreteFilter((section,) * sections, head, 0.001)
+        u = rng.normal(size=count)
+        lookahead = (0.1, -0.1) if head == CENTRAL_DIFFERENCE else None
+        assert_same_bits(simulate_filter(filt, u, lookahead), public_sosfilt(filt, u, lookahead))
+
+    def test_missing_scipy_is_module_not_found(self, monkeypatch):
+        monkeypatch.delitem(sys.modules, "scipy.signal._sosfilt", raising=False)
+        monkeypatch.setitem(sys.modules, "scipy", None)  # find_spec("scipy") -> None
+        filt = discretize(FactoredModel(2.0, 0), 0.1)
+        with pytest.raises(ModuleNotFoundError, match="scipy") as caught:
+            simulate_filter(filt, np.ones(3))
+        assert caught.value.name == "scipy"
+
+    def test_input_is_not_modified(self):
+        u = np.linspace(-1.0, 1.0, 50)
+        kept = u.copy()
+        simulate_filter(discretize(FactoredModel(2.0, -1, 1, ((1.0, 2.0),)), 0.01), u)
+        np.testing.assert_array_equal(u, kept)
+
+
+# Runs in a fresh interpreter: the kernel loaded alone and scipy.signal must
+# share one extension module, and give the same bits, in either import order.
+_IMPORT_ORDER_PROBE = """
+import hashlib, json, sys
+import numpy as np
+from difint.discrete import DiscreteFilter, FilterSection, simulate_filter
+
+filt = DiscreteFilter((FilterSection(0.7, -0.4, -0.9),) * 12, "trapezoid_integrator", 0.01)
+u = np.sin(np.arange(5000) * 0.01)
+rows = np.array([[0.005, 0.005, 0.0, 1.0, -1.0, 0.0]] + [[0.7, -0.4, 0.0, 1.0, -0.9, 0.0]] * 12)
+
+def digest(y):
+    return hashlib.sha256(np.ascontiguousarray(y).tobytes()).hexdigest()
+
+outputs = []
+alone = None
+if sys.argv[1] == "kernel-first":
+    outputs.append(digest(simulate_filter(filt, u)))
+    alone = "scipy.signal._sosfilt" in sys.modules and "scipy.signal" not in sys.modules
+    import scipy.signal
+    outputs.append(digest(scipy.signal.sosfilt(rows, u)))
+else:
+    import scipy.signal
+    outputs.append(digest(scipy.signal.sosfilt(rows, u)))
+    outputs.append(digest(simulate_filter(filt, u)))
+outputs.append(digest(simulate_filter(filt, u)))
+shared = sys.modules["scipy.signal._sosfilt"]._sosfilt is scipy.signal._signaltools._sosfilt
+print(json.dumps({"outputs": outputs, "shared": shared, "alone": alone}))
+"""
+
+
+class TestKernelImportOrder:
+    def test_either_order_shares_one_module_and_gives_the_same_bits(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        outputs = []
+        for order in ("kernel-first", "scipy-signal-first"):
+            proc = subprocess.run([sys.executable, "-c", _IMPORT_ORDER_PROBE, order], env=env,
+                                  capture_output=True, text=True, timeout=120, check=True)
+            report = json.loads(proc.stdout)
+            assert report["shared"] is True, order
+            if order == "kernel-first":
+                assert report["alone"] is True  # loaded without scipy.signal
+            assert proc.stderr == "", order
+            outputs.extend(report["outputs"])
+        assert len(outputs) == 6 and len(set(outputs)) == 1
 
 
 class TestCascadeEquivalence:
