@@ -119,8 +119,7 @@ def _spec_from_args(args, require_epsilon: bool = True) -> DesignSpec:
             )
     elif args.eps is not None or args.eps_special:
         raise DomainError(f"method {args.method} does not take a ripple offset")
-    spec = DesignSpec(args.method, args.alpha, args.wl, args.wh, args.n, args.k, args.eps)
-    return spec.resolved() if args.eps_special else spec
+    return DesignSpec(args.method, args.alpha, args.wl, args.wh, args.n, args.k, args.eps)
 
 
 def _model(spec: DesignSpec, kind: str):
@@ -254,7 +253,6 @@ def cmd_table(args) -> str:
 
 
 def cmd_check(args) -> str:
-    # Methods 3/4 fall back to their special offset inside check_identity.
     spec = _spec_from_args(args, require_epsilon=False)
     conditions = CONDITIONS if args.condition == "all" else (args.condition,)
     p = args.precision

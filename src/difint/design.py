@@ -21,6 +21,8 @@ methods 1 and 2.
 Methods 5..7 are classic single-band recursive designs kept for benchmark
 comparisons.  They hard-code their multiplicity (1, 2 and 1 respectively)
 and, except for method 7's differentiator, are not mutual reciprocals.
+Method 7's integrator and method 5's differentiator (zeros and poles
+swapped) sit on method 1's low-branch grid at k = 1.
 """
 
 from __future__ import annotations
@@ -44,6 +46,20 @@ __all__ = [
 ]
 
 
+def check_band(omega_l: float, omega_h: float) -> None:
+    """Reject a band unless ``0 < omega_l < omega_h``, ``omega_h`` is finite
+    and so is ``omega_h / omega_l``, on whose powers every corner and grid
+    point is placed."""
+    if not (0.0 < omega_l < omega_h and math.isfinite(omega_h)):
+        raise DomainError(
+            f"band must satisfy 0 < omega_l < omega_h, got [{omega_l!r}, {omega_h!r}]"
+        )
+    if not math.isfinite(omega_h / omega_l):
+        raise DomainError(
+            f"band ratio omega_h / omega_l must be finite, got [{omega_l!r}, {omega_h!r}]"
+        )
+
+
 def is_count(value) -> bool:
     """Whether ``value`` is an integer (numpy integers included) and not a
     bool, which Python would otherwise treat as 0 or 1."""
@@ -63,7 +79,9 @@ class DesignSpec:
 
     ``kappa`` selects the method (1..4 piecewise designs, 5..7 benchmark
     baselines).  ``epsilon`` (dB) is consumed by methods 3 and 4 only and
-    must lie in the interval returned by :func:`epsilon_bounds`.
+    must lie in the interval returned by :func:`epsilon_bounds`; designing
+    checks it.  An omitted offset of method 3 or 4 is the special one of
+    :func:`special_epsilon`, filled in at construction.
     """
 
     kappa: int
@@ -79,35 +97,19 @@ class DesignSpec:
             raise DomainError(f"method index must be 1..7, got {self.kappa!r}")
         if not (math.isfinite(self.alpha) and 0.0 < self.alpha < 1.0):
             raise DomainError(f"order must lie strictly in (0, 1), got {self.alpha!r}")
-        if not (0.0 < self.omega_l < self.omega_h and math.isfinite(self.omega_h)):
-            raise DomainError(
-                f"band must satisfy 0 < omega_l < omega_h, got "
-                f"[{self.omega_l!r}, {self.omega_h!r}]"
-            )
-        # Every corner is placed on a power of this ratio.
-        if not math.isfinite(self.omega_h / self.omega_l):
-            raise DomainError(
-                f"band ratio omega_h / omega_l must be finite, got "
-                f"[{self.omega_l!r}, {self.omega_h!r}]"
-            )
+        check_band(self.omega_l, self.omega_h)
         for name in ("n", "k"):
             value = getattr(self, name)
             if not is_count(value) or value < 1:
                 raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "k", int(self.k))
-
-    def resolved(self) -> "DesignSpec":
-        """This spec with the special offset filled in for methods 3 and 4
-        when ``epsilon`` is omitted (see :func:`special_epsilon`), or the
-        spec itself otherwise."""
         if self.kappa in (3, 4) and self.epsilon is None:
-            return replace(self, epsilon=special_epsilon(self))
-        return self
+            object.__setattr__(self, "epsilon", special_epsilon(self))
 
     def complement(self) -> "DesignSpec":
         """This spec at the complement order ``1 - alpha``; every other
-        field, a resolved offset included, is kept."""
+        field, the offset included, is kept."""
         return replace(self, alpha=1.0 - self.alpha)
 
     @property
@@ -175,7 +177,7 @@ def _checked_epsilon(spec: DesignSpec) -> float:
     eps = spec.epsilon
     # Written as "not inside" so that a NaN offset, which fails every
     # comparison, is rejected too.
-    if eps is None or not lower < eps <= upper * (1.0 + _EPSILON_SLACK):
+    if not lower < eps <= upper * (1.0 + _EPSILON_SLACK):
         raise EpsilonRangeError(eps, lower, upper)
     return eps
 
@@ -194,51 +196,51 @@ def _matched_gain(zeros, poles, k: int, omega_m: float, power: float) -> float:
     return gain
 
 
-def _grid_exponent_pairs(spec: DesignSpec, eps: float | None):
-    """Zero/pole corner frequencies for methods 1..4, as ``(zeros, poles)``.
+def _low_branch_corners(spec: DesignSpec, kappa: int, k: int):
+    """Zero/pole corner frequencies of method ``kappa``'s low branch at
+    multiplicity ``k``, as ``(zeros, poles)``; the pole of each pair leads
+    its zero.
 
-    Only the low branch has formulas; there the pole of each pair leads its
-    zero.  The high branch is the low branch of ``spec.complement()`` with
-    zeros and poles swapped, so I(alpha) * I(1 - alpha) cancels to 1/s by
-    construction.  ``eps`` is the offset of methods 3 and 4, already checked
-    against the requested spec, so its admissible interval never depends on
-    the branch arithmetic.
+    Methods 3 and 4 read ``spec.epsilon``, which the caller has checked.
+    Method 1 at k = 1 is the single-band grid of Oustaloup et al. (IEEE
+    TCAS-I 47(1), 2000) that the baselines 5 and 7 use at any order.
     """
-    if spec.branch is Branch.HIGH_ORDER:
-        zeros, poles = _grid_exponent_pairs(spec.complement(), eps)
-        return poles, zeros
-    alpha, k, n = spec.alpha, spec.k, spec.n
+    alpha, n = spec.alpha, spec.n
     wl = spec.omega_l
     ratio = spec.omega_h / spec.omega_l
     idx = range(1, n + 1)
-
-    if spec.kappa == 1:
+    if kappa == 1:
         poles = [wl * ratio ** ((2 * i - 1 - alpha / k) / (2 * n)) for i in idx]
         zeros = [wl * ratio ** ((2 * i - 1 + alpha / k) / (2 * n)) for i in idx]
-    elif spec.kappa == 2:
+    elif kappa == 2:
         den = n - 1 + alpha / k
         poles = [wl * ratio ** ((i - 1) / den) for i in idx]
         zeros = [wl * ratio ** ((i - 1 + alpha / k) / den) for i in idx]
-    elif spec.kappa == 3:
-        den = 20.0 * alpha * (k - alpha)
+    elif kappa == 3:
+        eps, den = spec.epsilon, 20.0 * alpha * (k - alpha)
         poles = [wl * 10.0 ** (eps * (2 * k * i - k - alpha) / den) for i in idx]
         zeros = [wl * 10.0 ** (eps * (2 * k * i - k + alpha) / den) for i in idx]
-    elif spec.kappa == 4:
-        den = 10.0 * alpha * (k - alpha)
+    else:
+        eps, den = spec.epsilon, 10.0 * alpha * (k - alpha)
         poles = [wl * 10.0 ** (eps * (k * i - k) / den) for i in idx]
         zeros = [wl * 10.0 ** (eps * (k * i - k + alpha) / den) for i in idx]
-    else:  # pragma: no cover - guarded by callers
-        raise DomainError(f"not a piecewise method: {spec.kappa}")
     return zeros, poles
 
 
 def _piecewise_integrator(spec: DesignSpec) -> FactoredModel:
-    eps = _checked_epsilon(spec) if spec.kappa in (3, 4) else None
-    zeros, poles = _grid_exponent_pairs(spec, eps)
+    """Methods 1..4.  The high branch is the low branch of
+    ``spec.complement()`` with zeros and poles swapped, so
+    I(alpha) * I(1 - alpha) cancels to 1/s by construction.  The offset of
+    methods 3 and 4 is checked against the requested spec, so its
+    admissible interval never depends on the branch arithmetic."""
+    if spec.kappa in (3, 4):
+        _checked_epsilon(spec)
     k = spec.k
     if spec.branch is Branch.LOW_ORDER:
+        zeros, poles = _low_branch_corners(spec, spec.kappa, k)
         power, s_exponent = -spec.alpha, 0
     else:
+        poles, zeros = _low_branch_corners(spec.complement(), spec.kappa, k)
         power, s_exponent = 1.0 - spec.alpha, -1
     gain = _matched_gain(zeros, poles, k, spec.omega_m, power)
     return FactoredModel(gain, s_exponent, k, tuple(zip(zeros, poles)))
@@ -251,18 +253,14 @@ def _baseline5_integrator(spec: DesignSpec) -> FactoredModel:
     zeros = [wl * ratio ** ((i - 1) / (n - alpha)) for i in range(1, n + 1)]
     # Original gain, with the evaluation point generalized from 1 rad/s to
     # the band center (identical whenever omega_l * omega_h = 1).
-    gain = 1.0
-    for z, p in zip(zeros, poles):
-        gain *= math.hypot(spec.omega_m, p) / math.hypot(spec.omega_m, z)
+    gain = _matched_gain(zeros, poles, 1, spec.omega_m, 0.0)
     return FactoredModel(gain, -1, 1, tuple(zip(zeros, poles)))
 
 
 def _baseline5_differentiator(spec: DesignSpec) -> FactoredModel:
-    alpha, n, wl = spec.alpha, spec.n, spec.omega_l
-    ratio = spec.omega_h / spec.omega_l
-    poles = [wl * ratio ** ((2 * i - 1 + alpha) / (2 * n)) for i in range(1, n + 1)]
-    zeros = [wl * ratio ** ((2 * i - 1 - alpha) / (2 * n)) for i in range(1, n + 1)]
-    return FactoredModel(spec.omega_h**alpha, 0, 1, tuple(zip(zeros, poles)))
+    # Method 1's low-branch grid at k = 1 with zeros and poles swapped.
+    poles, zeros = _low_branch_corners(spec, 1, 1)
+    return FactoredModel(spec.omega_h**spec.alpha, 0, 1, tuple(zip(zeros, poles)))
 
 
 def _baseline6_integrator(spec: DesignSpec) -> FactoredModel:
@@ -282,13 +280,11 @@ def _baseline6_differentiator(spec: DesignSpec) -> FactoredModel:
 
 
 def _baseline7_integrator(spec: DesignSpec) -> FactoredModel:
-    alpha, n, wl = spec.alpha, spec.n, spec.omega_l
-    ratio = spec.omega_h / spec.omega_l
-    poles = [wl * ratio ** ((2 * i - 1 - alpha) / (2 * n)) for i in range(1, n + 1)]
-    zeros = [wl * ratio ** ((2 * i - 1 + alpha) / (2 * n)) for i in range(1, n + 1)]
+    # Method 1's low-branch grid at k = 1, at any order.
+    zeros, poles = _low_branch_corners(spec, 1, 1)
     # Matched at the band center, not the method's original normalization,
     # which misses the target by the squared factor product at 1 rad/s.
-    gain = _matched_gain(zeros, poles, 1, spec.omega_m, -alpha)
+    gain = _matched_gain(zeros, poles, 1, spec.omega_m, -spec.alpha)
     return FactoredModel(gain, 0, 1, tuple(zip(zeros, poles)))
 
 

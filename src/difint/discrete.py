@@ -231,12 +231,16 @@ def identity_experiment(
 
     ``cascade=True`` forces separate discretization of the two operators
     (study mode); the default simplifies the continuous product first.
-    Methods 3 and 4 fall back to their special offset when ``epsilon`` is
-    omitted.
     """
     if not (sample_period > 0.0 and duration > 0.0):
         raise DomainError("sample period and duration must be > 0")
-    spec = DesignSpec(kappa, alpha, omega_l, omega_h, n, k, epsilon).resolved()
+    # An infinite horizon, or one of too many periods, has no sample count.
+    if not (math.isfinite(sample_period) and math.isfinite(duration / sample_period)):
+        raise DomainError(
+            f"sample period and duration must be finite and span a finite number "
+            f"of samples, got {sample_period!r} and {duration!r}"
+        )
+    spec = DesignSpec(kappa, alpha, omega_l, omega_h, n, k, epsilon)
     pair, complement = design_pair(spec), design_pair(spec.complement())
 
     count = int(round(duration / sample_period)) + 1

@@ -11,19 +11,16 @@ class ShapeError(ValueError):
 
 
 class EpsilonRangeError(ValueError):
-    """A ripple offset lies outside (or was required but missing from) the
-    admissible half-open interval of the one-point design methods."""
+    """A ripple offset lies outside the admissible half-open interval of the
+    one-point design methods."""
 
     def __init__(self, epsilon, lower, upper):
         self.epsilon = epsilon
         self.lower = lower
         self.upper = upper
-        if epsilon is None:
-            detail = "epsilon is required"
-        else:
-            detail = f"epsilon={epsilon!r} is out of range"
         super().__init__(
-            f"{detail}; admissible interval is ({lower!r}, {upper!r}] dB"
+            f"epsilon={epsilon!r} is out of range; "
+            f"admissible interval is ({lower!r}, {upper!r}] dB"
         )
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import DesignSpec, design_pair, is_count
+from .design import DesignSpec, check_band, design_pair, is_count
 from .errors import DomainError
 from .factored import FactoredModel, checked_omegas, log_response
 
@@ -30,8 +30,7 @@ def make_grid(omega_l: float, omega_h: float, count: int) -> np.ndarray:
     """Log-uniform frequency grid spanning [omega_l, omega_h] inclusive."""
     if not is_count(count) or count < 2:
         raise DomainError(f"grid needs an integer count of at least 2 points, got {count!r}")
-    if not 0.0 < omega_l < omega_h:
-        raise DomainError(f"band must satisfy 0 < omega_l < omega_h, got [{omega_l!r}, {omega_h!r}]")
+    check_band(omega_l, omega_h)
     ratio = omega_h / omega_l
     points = omega_l * ratio ** (np.arange(count) / (count - 1))
     points[0] = omega_l
@@ -119,9 +118,7 @@ def sweep_table(
     """Per-order error norms, maximized over ``alphas``.
 
     Each order gets its own norm over a ``count``-point grid; the row
-    reports the maximum of each norm across the sweep.  Methods 3 and 4
-    default to their special offset (the value collapsing them onto
-    methods 1 and 2) unless ``epsilon`` is given explicitly.
+    reports the maximum of each norm across the sweep.
     """
     alphas = list(alphas)
     if not alphas:
@@ -129,7 +126,7 @@ def sweep_table(
     grid = make_grid(omega_l, omega_h, count)
     rows = []
     for alpha in alphas:
-        spec = DesignSpec(kappa, alpha, omega_l, omega_h, n, k, epsilon).resolved()
+        spec = DesignSpec(kappa, alpha, omega_l, omega_h, n, k, epsilon)
         pair = design_pair(spec)
         model = pair.integrator if kind == INTEGRATOR else pair.differentiator
         rows.append(error_series(model, alpha, kind, grid))

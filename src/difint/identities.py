@@ -108,12 +108,7 @@ def _verdict(condition: str, first: FactoredModel, second: FactoredModel, grid) 
 
 def check_identity(condition: str, spec: DesignSpec) -> IdentityVerdict:
     """Verdict for one composition law at the order of ``spec``, with its
-    deviation measured on a ``GRID_COUNT``-point log grid over the band.
-
-    Methods 3 and 4 fall back to their special offset when ``spec.epsilon``
-    is None.
-    """
-    spec = spec.resolved()
+    deviation measured on a ``GRID_COUNT``-point log grid over the band."""
     pair = design_pair(spec)
     complement = design_pair(spec.complement()) if condition in ("i", "iii") else None
     first, second = law_operands(condition, pair, complement)
@@ -151,7 +146,7 @@ def associativity_table(
         for alpha in alphas:
             if not table[row].any():
                 break
-            spec = DesignSpec(kappa, alpha, omega_l, omega_h, n, k, epsilon).resolved()
+            spec = DesignSpec(kappa, alpha, omega_l, omega_h, n, k, epsilon)
             pair = design_pair(spec)
             # Laws i and iii read the complement; law ii alone does not.
             open_complement = table[row, 0] or table[row, 2]

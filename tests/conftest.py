@@ -11,4 +11,4 @@ MULTIPLICITY = 2
 def reference_spec(kappa, alpha, k=MULTIPLICITY, n=N_PAIRS, band=BAND, epsilon=None):
     """DesignSpec at the benchmark defaults; methods 3/4 get their special
     offset unless one is passed explicitly."""
-    return DesignSpec(kappa, alpha, band[0], band[1], n, k, epsilon).resolved()
+    return DesignSpec(kappa, alpha, band[0], band[1], n, k, epsilon)

@@ -153,6 +153,14 @@ class TestTableCommand:
         assert code == 0
         assert out == EXPECTED_MATRIX_TEXT
 
+    @pytest.mark.parametrize("which", ("1", "2", "3"))
+    def test_band_with_overflowing_ratio_exits_2(self, capsys, which):
+        code, out, err = run_cli(capsys, "table", "--which", which,
+                                 "--wl", "1e-300", "--wh", "1e300")
+        assert code == 2 and out == ""
+        assert err == ("error: band ratio omega_h / omega_l must be finite, "
+                       "got [1e-300, 1e+300]\n")
+
 
 class TestCheckCommand:
     def test_all_conditions_json(self, capsys):
@@ -220,6 +228,17 @@ class TestCsv:
 
 
 class TestSimulateCommand:
+    @pytest.mark.parametrize("argv", (
+        ("simulate", "--method", "1", "--alpha", "0.3", "--T", "inf"),
+        ("simulate", "--method", "1", "--alpha", "0.3", "--h", "inf"),
+        ("table", "--which", "4", "--T", "inf"),
+        ("table", "--which", "5", "--h", "inf"),
+    ))
+    def test_non_finite_horizon_or_sample_period_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: sample period and duration must be finite")
+
     def test_single_experiment_csv(self, capsys):
         code, out, _ = run_cli(
             capsys, "simulate", "--method", "1", "--alpha", "0.4",

@@ -13,12 +13,16 @@ from difint import (
     DomainError,
     EpsilonRangeError,
     FactoredModel,
+    associativity_table,
+    check_identity,
     design_integrator,
     design_pair,
     epsilon_bounds,
+    identity_experiment,
     log_response,
     reciprocal,
     special_epsilon,
+    sweep_table,
 )
 from difint.design import _checked_epsilon
 
@@ -51,7 +55,7 @@ class TestDesignSpec:
     def test_accepts_widest_finite_ratios(self):
         for band in ((1e-154, 1e154), (1e-300, 1e7), (1.0, 1e308), (1e-308, 1e-1)):
             for kappa in range(1, 8):
-                model = design_integrator(DesignSpec(kappa, 0.3, *band, n=10, k=2).resolved())
+                model = design_integrator(DesignSpec(kappa, 0.3, *band, n=10, k=2))
                 assert math.isfinite(model.gain)
 
     @pytest.mark.parametrize("method", (2, 4))
@@ -60,7 +64,7 @@ class TestDesignSpec:
     def test_unrepresentable_matched_gain_is_domain_error(self, method, band, k):
         # One section spans the whole band, so the band-center factor ratio
         # is ~1e150 and its k-th power leaves the float range.
-        spec = DesignSpec(method, 0.7, *band, n=1, k=k).resolved()
+        spec = DesignSpec(method, 0.7, *band, n=1, k=k)
         with pytest.raises(DomainError, match="matched gain cannot be represented"):
             design_pair(spec)
 
@@ -90,21 +94,21 @@ class TestDesignSpec:
         assert DesignSpec(1, 0.5).branch is Branch.LOW_ORDER
         assert DesignSpec(1, 0.51).branch is Branch.HIGH_ORDER
 
-    def test_resolved_fills_special_offset_for_methods_3_and_4_only(self):
+    def test_construction_fills_special_offset_for_methods_3_and_4_only(self):
         for kappa in (3, 4):
             spec = DesignSpec(kappa, 0.4, n=12, k=3)
-            assert spec.resolved() == DesignSpec(kappa, 0.4, n=12, k=3,
-                                                 epsilon=special_epsilon(spec))
-            explicit = DesignSpec(kappa, 0.4, epsilon=1.0)
-            assert explicit.resolved() is explicit
+            assert spec.epsilon == special_epsilon(spec)
+            assert spec == DesignSpec(kappa, 0.4, n=12, k=3, epsilon=special_epsilon(spec))
+            assert spec.complement().epsilon == spec.epsilon
+            assert DesignSpec(kappa, 0.4, epsilon=1.0).epsilon == 1.0
+            assert math.isnan(DesignSpec(kappa, 0.4, epsilon=math.nan).epsilon)
         for kappa in (1, 2, 5, 6, 7):
-            spec = DesignSpec(kappa, 0.4)
-            assert spec.resolved() is spec
+            assert DesignSpec(kappa, 0.4).epsilon is None
 
     @pytest.mark.parametrize("alpha", (0.3, 0.5, 0.7, 1e-9, 1.0 - 1e-9))
     def test_complement_changes_only_the_order(self, alpha):
         for spec in (DesignSpec(1, alpha, 0.02, 7e3, n=7, k=3),
-                     DesignSpec(3, alpha, n=12, k=1).resolved(),
+                     DesignSpec(3, alpha, n=12, k=1),
                      DesignSpec(4, alpha, epsilon=1.5)):
             complement = spec.complement()
             assert complement.alpha == 1.0 - spec.alpha
@@ -195,10 +199,6 @@ class TestEpsilonBounds:
     def test_non_finite_offset_is_out_of_range(self, kappa, epsilon):
         with pytest.raises(EpsilonRangeError):
             design_integrator(DesignSpec(kappa, 0.4, epsilon=epsilon))
-
-    def test_missing_offset_is_rejected(self):
-        with pytest.raises(EpsilonRangeError):
-            design_integrator(DesignSpec(4, 0.4))
 
     def test_half_open_interval_ends(self):
         spec = DesignSpec(3, 0.4)
@@ -391,6 +391,89 @@ class TestBranchRule:
         assert FactoredModel in outcomes
         if kappa in (3, 4):
             assert EpsilonRangeError in outcomes
+
+
+def reference_baselines(spec):
+    """Methods 5..7 with each corner grid written out, as before methods 5
+    and 7 took method 1's low-branch grid: the reference the shared grid
+    must reproduce bit for bit.  Returns ``(integrator, differentiator)``."""
+    alpha, n, wl = spec.alpha, spec.n, spec.omega_l
+    ratio = spec.omega_h / spec.omega_l
+    omega_m = spec.omega_m
+    idx = range(1, n + 1)
+    if spec.kappa == 5:
+        poles = [wl * ratio ** ((i - alpha) / (n - alpha)) for i in idx]
+        zeros = [wl * ratio ** ((i - 1) / (n - alpha)) for i in idx]
+        gain = 1.0
+        for z, p in zip(zeros, poles):
+            gain *= math.hypot(omega_m, p) / math.hypot(omega_m, z)
+        integrator = FactoredModel(gain, -1, 1, tuple(zip(zeros, poles)))
+        poles = [wl * ratio ** ((2 * i - 1 + alpha) / (2 * n)) for i in idx]
+        zeros = [wl * ratio ** ((2 * i - 1 - alpha) / (2 * n)) for i in idx]
+        return integrator, FactoredModel(spec.omega_h**alpha, 0, 1, tuple(zip(zeros, poles)))
+    if spec.kappa == 6:
+        poles = [wl * ratio ** ((4 * i - 1 - alpha) / (4 * n)) for i in idx]
+        zeros = [wl * ratio ** ((4 * i - 3 + alpha) / (4 * n)) for i in idx]
+        integrator = FactoredModel(spec.omega_h ** (1.0 - alpha), -1, 2, tuple(zip(zeros, poles)))
+        poles = [wl * ratio ** ((4 * i - 2 + alpha) / (4 * n)) for i in idx]
+        zeros = [wl * ratio ** ((4 * i - 2 - alpha) / (4 * n)) for i in idx]
+        return integrator, FactoredModel(spec.omega_h**alpha, 0, 2, tuple(zip(zeros, poles)))
+    poles = [wl * ratio ** ((2 * i - 1 - alpha) / (2 * n)) for i in idx]
+    zeros = [wl * ratio ** ((2 * i - 1 + alpha) / (2 * n)) for i in idx]
+    gain = omega_m ** -alpha
+    for z, p in zip(zeros, poles):
+        gain *= (math.hypot(omega_m, p) / math.hypot(omega_m, z)) ** 1
+    integrator = FactoredModel(gain, 0, 1, tuple(zip(zeros, poles)))
+    return integrator, reciprocal(integrator)
+
+
+class TestBaselineGrids:
+    # The branch rule's orders and their complements, so both sides of 0.5.
+    ORDERS = TestBranchRule.ORDERS + [1.0 - a for a in TestBranchRule.ORDERS]
+
+    @pytest.mark.parametrize("kappa", (5, 6, 7))
+    @pytest.mark.parametrize("k", (1, 2))
+    def test_pairs_are_bitwise_reference(self, kappa, k):
+        for n in (1, 2, 5, 10, 60):
+            for band in TestBranchRule.BANDS:
+                for alpha in self.ORDERS:
+                    spec = DesignSpec(kappa, alpha, *band, n, k)
+                    pair = design_pair(spec)
+                    for got, want in zip((pair.integrator, pair.differentiator),
+                                         reference_baselines(spec)):
+                        assert got.factors == want.factors, spec
+                        assert got.gain == want.gain, spec
+                        assert got.s_exponent == want.s_exponent, spec
+                        assert got.multiplicity == want.multiplicity, spec
+
+
+class TestOmittedOffset:
+    # An omitted offset of method 3 or 4 is the special one, whichever
+    # entry point builds the spec.
+    @pytest.mark.parametrize("kappa", (3, 4))
+    @pytest.mark.parametrize("alpha", (0.3, 0.7))
+    def test_every_entry_point_uses_the_special_offset(self, kappa, alpha):
+        omitted = DesignSpec(kappa, alpha, n=6, k=2)
+        eps = special_epsilon(DesignSpec(kappa, alpha, n=6, k=2, epsilon=0.0))
+        explicit = DesignSpec(kappa, alpha, n=6, k=2, epsilon=eps)
+        assert omitted.epsilon == eps
+        assert design_pair(omitted) == design_pair(explicit)
+        verdicts = [check_identity(condition, explicit) for condition in ("i", "ii", "iii")]
+        for verdict in verdicts:
+            assert check_identity(verdict.condition, omitted) == verdict
+        band = (omitted.omega_l, omitted.omega_h)
+        # An explicit offset would apply to every row, so the omitted one is
+        # compared with the explicit spec's verdicts.
+        row = associativity_table([alpha], *band, 6, 2)[kappa - 1]
+        assert row.tolist() == [verdict.structural_pass for verdict in verdicts]
+        for kind in ("integrator", "differentiator"):
+            assert (sweep_table(kappa, kind, [alpha], *band, 6, 2, 200)
+                    == sweep_table(kappa, kind, [alpha], *band, 6, 2, 200, eps))
+        run = dict(sample_period=0.01, duration=1.0)
+        got = identity_experiment(kappa, alpha, *band, 6, 2, **run)
+        want = identity_experiment(kappa, alpha, *band, 6, 2, eps, **run)
+        for name in ("x", "y", "z"):
+            np.testing.assert_array_equal(got[name].approx, want[name].approx)
 
 
 class TestDesignedPairs:

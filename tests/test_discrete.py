@@ -368,6 +368,14 @@ class TestIdentityExperiment:
         with pytest.raises(DomainError):
             identity_experiment(1, 0.4, duration=0.0)
 
+    @pytest.mark.parametrize("sample_period, duration", (
+        (0.001, math.inf), (math.inf, 10.0), (math.inf, math.inf),
+        (1e-10, 1e300), (math.nan, 10.0), (0.001, math.nan),
+    ))
+    def test_rejects_non_finite_horizon_or_sample_period(self, sample_period, duration):
+        with pytest.raises(DomainError, match="sample period and duration"):
+            identity_experiment(1, 0.4, sample_period=sample_period, duration=duration)
+
 
 def reference_run_composite(first, second, u, h, lookahead, force_cascade):
     """The composite runner as written before it treated the simplified

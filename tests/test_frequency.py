@@ -7,6 +7,7 @@ from conftest import reference_spec
 from difint import (
     DIFFERENTIATOR,
     INTEGRATOR,
+    DesignSpec,
     DomainError,
     design_integrator,
     error_series,
@@ -38,6 +39,20 @@ class TestMakeGrid:
             make_grid(1.0, 10.0, 1)
         with pytest.raises(DomainError):
             make_grid(10.0, 1.0, 5)
+
+    @pytest.mark.parametrize("band, message", (
+        ((1e-300, 1e300), "band ratio omega_h / omega_l must be finite"),
+        ((1e-3, float("inf")), "band must satisfy 0 < omega_l < omega_h"),
+        ((float("nan"), 1.0), "band must satisfy 0 < omega_l < omega_h"),
+        ((0.0, 1.0), "band must satisfy 0 < omega_l < omega_h"),
+    ))
+    def test_rejects_bands_as_design_spec_does(self, band, message):
+        # The same rule and text as DesignSpec: no grid with inf points.
+        with pytest.raises(DomainError, match=message) as grid_err:
+            make_grid(*band, 5)
+        with pytest.raises(DomainError) as spec_err:
+            DesignSpec(1, 0.3, *band)
+        assert str(grid_err.value) == str(spec_err.value)
 
     @pytest.mark.parametrize("count", (2.5, 3.0, True, "3"))
     def test_rejects_non_integral_count(self, count):

@@ -245,7 +245,7 @@ class TestVectorisedResidues:
             for k in range(1, 5):
                 for n in (5, 20, 40, 60):
                     for alpha in (0.3, 0.7):
-                        pair = design_pair(DesignSpec(kappa, alpha, n=n, k=k).resolved())
+                        pair = design_pair(DesignSpec(kappa, alpha, n=n, k=k))
                         for model in (pair.integrator, pair.differentiator):
                             if model.s_exponent in (-1, 0):
                                 outcomes.append((model.s_exponent, assert_same_residues(model)))

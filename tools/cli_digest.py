@@ -13,8 +13,10 @@ warning format name source paths and line numbers, which differ between
 trees.  The list covers the README examples,
 every command for methods 1..7 at orders 0.3 and 0.7 (methods 3/4 with
 ``--eps-special`` and with an in-range ``--eps``), tables 1..5, wide bands
-on which few high-multiplicity sections overflow or underflow the gain, and
-offsets on either side of the admissible interval; every call runs at
+on which few high-multiplicity sections overflow or underflow the gain,
+offsets on either side of the admissible interval, then methods 3/4 with
+the offset omitted where ``check`` and ``simulate`` allow it, infinite
+horizons and a band whose ratio overflows; every call runs at
 ``--precision 9`` and 17.
 """
 
@@ -92,6 +94,15 @@ def _calls() -> list[str]:
         "design -m 3 -a 0.3",
         "design -m 1 -a 0.3 --eps 1",
         "design -m 1 -a 1.2",
+    ]
+    for method in (3, 4):
+        for alpha in ("0.3", "0.7"):
+            calls += [f"check -m {method} -a {alpha} --condition all",
+                      f"simulate -m {method} -a {alpha} --experiment all"]
+    calls += [
+        "simulate -m 1 -a 0.3 --T inf",
+        "table --which 4 --T inf",
+        "table --which 2 --wl 1e-300 --wh 1e300",
     ]
     return calls
 
