@@ -308,8 +308,9 @@ def cmd_circuit(args) -> str:
     spec = _spec_from_args(args)
     model = _model(spec, args.kind)
     if model.multiplicity != 1:
-        # Checked before expanding: a repeated-pole expansion can overflow
-        # (exit 2), but no such model is an RC ladder whatever its residues.
+        # Checked before expanding: no repeated-pole model is an RC ladder
+        # whatever its residues, even where its expansion would overflow
+        # (exit 2, for residues beyond the float range on very wide bands).
         raise NotRealizableError(
             "repeated poles have no single-section RC realization (k > 1 not synthesizable)"
         )

@@ -165,10 +165,10 @@ def special_epsilon(spec: DesignSpec) -> float:
     return 10.0 * nu * (k - nu) / (k * n) * math.log10(spec.omega_h / spec.omega_l)
 
 
-# The inclusive upper end gets an ulp-scale allowance: nu(alpha) and
-# nu(1 - alpha) differ in their last bits, so an offset computed at one order
-# must stay admissible at the complement order.  The lower end is exclusive
-# and stays exact.
+# Both ends get an ulp-scale allowance: nu(alpha) and nu(1 - alpha) differ
+# in their last bits, so an offset admissible at one order must stay
+# admissible at the complement order, which the composition laws design.
+# The exclusive lower end moves down by it, the inclusive upper end up.
 _EPSILON_SLACK = 1e-12
 
 
@@ -177,7 +177,7 @@ def _checked_epsilon(spec: DesignSpec) -> float:
     eps = spec.epsilon
     # Written as "not inside" so that a NaN offset, which fails every
     # comparison, is rejected too.
-    if not lower < eps <= upper * (1.0 + _EPSILON_SLACK):
+    if not lower * (1.0 - _EPSILON_SLACK) < eps <= upper * (1.0 + _EPSILON_SLACK):
         raise EpsilonRangeError(eps, lower, upper)
     return eps
 

@@ -27,7 +27,8 @@ class EpsilonRangeError(ValueError):
 class ConditioningError(ValueError):
     """A partial-fraction expansion hit coincident poles from different
     factor pairs, or came out with a non-finite coefficient because it
-    overflowed."""
+    overflowed: for designed models, only with repeated poles on bands of
+    some 200 decades, where the residues themselves exceed the float range."""
 
 
 class NotRealizableError(ValueError):

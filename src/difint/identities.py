@@ -122,10 +122,11 @@ def associativity_table(
     omega_h: float = 1e3,
     n: int = 10,
     k: int = 2,
-    epsilon: float | None = None,
 ) -> np.ndarray:
     """7x3 boolean matrix: entry (kappa-1, condition) is True iff the law
-    passes structurally for every order in ``alphas``.
+    passes structurally for every order in ``alphas``.  Methods 3 and 4
+    take their special offset at each order: no one offset is admissible
+    for both, as their intervals differ.
 
     Each order's pair, and its complement while law i or iii is open, are
     designed once and feed every column still open: a column stops at its
@@ -146,7 +147,7 @@ def associativity_table(
         for alpha in alphas:
             if not table[row].any():
                 break
-            spec = DesignSpec(kappa, alpha, omega_l, omega_h, n, k, epsilon)
+            spec = DesignSpec(kappa, alpha, omega_l, omega_h, n, k)
             pair = design_pair(spec)
             # Laws i and iii read the complement; law ii alone does not.
             open_complement = table[row, 0] or table[row, 2]

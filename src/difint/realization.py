@@ -4,15 +4,15 @@ A factored integrator model expands into
 
     direct + origin_residue/s + sum_i sum_l residues[i][l-1] / (s + pole_i)**l
 
-Simple poles use the closed-form cover-up residues; repeated poles use the
-Heaviside derivative rule evaluated through truncated local series (the
-numerator and denominator are shifted to the pole and long-divided), which
-keeps the arithmetic in the local scale instead of expanding degree-40
-polynomials with a 1e15 coefficient spread.  Both are computed for all poles
-at once: the cover-up products as one vector updated factor by factor, the
-local series as (poles x k) arrays, one row per pole, each row going through
-the same floating-point steps in the same order as a per-pole loop would.
-An expansion with a non-finite coefficient raises ``ConditioningError``.
+Every residue ladder comes from the truncated local series of the model
+around its pole (the Heaviside rule), for all poles at once as one
+(k x poles) array, a column per pole.  Each factor enters a column as its
+own local series, scaled by the factor's distance to the pole, so the
+arithmetic stays on the scale of the residues instead of expanding
+degree-40 polynomials with a 1e15 coefficient spread; at k = 1 the same
+steps are the cover-up products.
+Coincident poles, or an expansion that still comes out with a non-finite
+coefficient, raise ``ConditioningError``.
 
 A summation form whose residues are all simple and positive is the
 driving-point impedance of a series chain: a resistor for the direct term, a
@@ -22,6 +22,7 @@ capacitor for the 1/s term and one parallel RC section per pole.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,80 +71,52 @@ def _check_poles_distinct(poles) -> None:
             )
 
 
-def _simple_residues(model: FactoredModel) -> np.ndarray:
-    """Cover-up residues of every simple pole, as a (poles x 1) column.
+def _times_linear(series: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Multiply column r of ``series`` by (a[r] + b[r]*t) in place, truncated."""
+    carry = series[:-1] * b
+    series *= a
+    series[1:] += carry
 
-    Entry i is gain * (z_i - p_i) * prod_{l != i} (z_l - p_i) / (p_l - p_i),
-    multiplied in factor order; the step for factor l leaves entry l as it is.
+
+def _over_linear(series: np.ndarray, b: np.ndarray) -> None:
+    """Divide column r of ``series`` by (1 + b[r]*t) in place, truncated."""
+    for j in range(1, len(series)):
+        series[j] -= b * series[j - 1]
+
+
+def _residues(model: FactoredModel) -> np.ndarray:
+    """Residue ladders of every pole, as a (poles x k) array.
+
+    The local series of pole i is column i of a (k x poles) array: the
+    first k coefficients of G(-p_i + t), where G(s) = (s + p_i)**k * H(s).
+    It starts as gain * (z_i - p_i + t)**k; each other factor l, k times in
+    factor order, multiplies it by (z_l - p_i + t)/(q_l - p_i) and divides
+    it by 1 + t/(q_l - p_i), so every step stays on the scale of the
+    residues.  A net 1/s divides it by -p_i, then by 1 - t/p_i.  Factor i
+    leaves column i as it is (ratio 1, inverse 0), so no step needs a mask.
+    The residue of depth l is the coefficient of t**(k-l).  At k = 1 only
+    the constant terms remain: the cover-up products
+    gain * (z_i - p_i) * prod (z_l - p_i)/(q_l - p_i).
     """
-    zeros = np.array(model.zeros)
     poles = np.array(model.poles)
-    residues = model.gain * (zeros - poles)
-    others = np.ones(len(poles), dtype=bool)
-    ratio = np.empty_like(poles)
-    for l, (z, q) in enumerate(model.factors):
-        others[l] = False
-        np.divide(z - poles, q - poles, out=ratio, where=others)
-        np.multiply(residues, ratio, out=residues, where=others)
-        others[l] = True
+    # entry [l, i] belongs to factor l at pole i
+    shifts = np.array(model.zeros)[:, None] - poles
+    gaps = poles[:, None] - poles
+    np.fill_diagonal(gaps, np.inf)
+    ratios, inverses = shifts / gaps, 1.0 / gaps
+    np.fill_diagonal(ratios, 1.0)
+    series = np.zeros((model.multiplicity, len(poles)))
+    series[0] = model.gain
+    for _ in range(model.multiplicity):
+        _times_linear(series, shifts.diagonal(), np.ones_like(poles))
+    for ratio, inverse in zip(ratios, inverses):
+        for _ in range(model.multiplicity):
+            _times_linear(series, ratio, inverse)
+            _over_linear(series, inverse)
     if model.s_exponent == -1:
-        residues /= -poles
-    return residues[:, None]
-
-
-def _times_linear(series: np.ndarray, shift: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Row r of ``out`` = row r of ``series`` times (shift[r] + t), truncated."""
-    np.multiply(series, shift[:, None], out=out)
-    out[:, 1:] += series[:, :-1]
-    return out
-
-
-def _heaviside_residues(model: FactoredModel) -> np.ndarray:
-    """Residue ladders of every repeated pole, as a (poles x k) array.
-
-    With G(s) = (s + p)**k * H(s), the residue of depth l at p is the
-    coefficient of t**(k-l) in the expansion of G(-p + t).  Row r holds the
-    length-k local series around poles[r]: numerator and denominator are
-    built factor by factor (each factor k times, in factor order, row r
-    skipping its own pole), then long-divided.  Column l-1 holds depth l.
-    """
-    k = model.multiplicity
-    poles = np.array(model.poles)
-    series = np.zeros((len(poles), k))
-    spare = np.empty_like(series)
-    series[:, 0] = model.gain
-    for z in model.zeros:
-        shift = z - poles
-        for _ in range(k):
-            series, spare = _times_linear(series, shift, spare), series
-    # Summed term by term from +0.0, a series coefficient is never -0.0;
-    # the steps above can leave -0.0 where a coefficient is zero, and the
-    # division below would carry that sign into a zero residue.
-    num = series + 0.0
-
-    series[:] = 0.0
-    series[:, 0] = 1.0
-    for i, q in enumerate(model.poles):
-        shift = q - poles
-        for _ in range(k):
-            series, spare = _times_linear(series, shift, spare), series
-            series[i] = spare[i]
-    if model.s_exponent == -1:
-        series, spare = _times_linear(series, -poles, spare), series
-    # Without any factor besides its own pole, a row's denominator is the
-    # constant 1 and the division has no higher terms to subtract.
-    width = k if len(poles) > 1 or model.s_exponent == -1 else 1
-    den = series[:, :width] + 0.0
-
-    if (den[:, 0] == 0.0).any():
-        raise ConditioningError("series division by a vanishing leading coefficient")
-    local = np.empty_like(num)
-    for i in range(k):
-        acc = num[:, i].copy()
-        for j in range(1, min(i, width - 1) + 1):
-            acc -= den[:, j] * local[:, i - j]
-        np.divide(acc, den[:, 0], out=local[:, i])
-    return local[:, ::-1]
+        series /= -poles
+        _over_linear(series, -1.0 / poles)
+    return series[::-1].T
 
 
 def to_partial_fractions(model: FactoredModel) -> PartialFractionForm:
@@ -164,12 +137,14 @@ def to_partial_fractions(model: FactoredModel) -> PartialFractionForm:
     origin = 0.0
     if model.s_exponent == -1:
         origin = model.gain
-        for z, p in model.factors:
-            origin *= (z / p) ** model.multiplicity
+        try:
+            for z, p in model.factors:
+                origin *= (z / p) ** model.multiplicity
+        except OverflowError:  # float ** raises where float * gives inf
+            origin = math.inf
 
-    kernel = _simple_residues if model.multiplicity == 1 else _heaviside_residues
     with np.errstate(over="ignore", invalid="ignore"):
-        residues = kernel(model)
+        residues = _residues(model)
     coefficients = np.array([direct, origin, *residues.flat])
     bad = np.count_nonzero(~np.isfinite(coefficients))
     if bad:

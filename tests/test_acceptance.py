@@ -361,10 +361,13 @@ def test_criterion_7g_offset_interval_endpoints(tmp_path):
     lower, upper = epsilon_bounds(spec)
     delta = (upper - lower) * 1e-6
     out = str(tmp_path / "design.json")
+    # The exclusive lower end carries the same 1e-12 relative slack as the
+    # inclusive upper one, so that an offset admissible at one order stays
+    # admissible at the complement order.
     cases = (
         (lower + delta, 0),
         (upper, 0),
-        (lower, 3),
+        (lower * (1.0 - 1e-12), 3),
         (upper + delta, 3),
     )
     for offset, expected in cases:

@@ -277,9 +277,21 @@ class TestPfeCommand:
         )
         assert code == 2
 
-    def test_non_finite_expansion_exits_2(self, capsys):
+    def test_repeated_pole_expansion_is_finite(self, capsys):
+        # the unscaled local series of this spec overflowed
         code, out, err = run_cli(
             capsys, "pfe", "-m", "2", "-a", "0.7", "--n", "40", "--k", "4",
+        )
+        assert code == 0 and err == ""
+        doc = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in output"))
+        assert len(doc["terms"]) == 40
+        assert all(len(term["residues"]) == 4 for term in doc["terms"])
+
+    def test_non_finite_expansion_exits_2(self, capsys):
+        # poles over 180 decades: the true residues reach ~2e350
+        code, out, err = run_cli(
+            capsys, "pfe", "-m", "1", "-a", "0.1", "--wl", "1e-100", "--wh", "1e100",
+            "--n", "10", "--k", "4",
         )
         assert code == 2
         assert out == ""
@@ -313,9 +325,11 @@ class TestCircuitCommand:
         assert code == 4
         assert "not synthesizable" in err
 
-    def test_multiplicity_four_exits_4_although_its_expansion_overflows(self, capsys):
+    def test_multiplicity_four_exits_4_before_expanding(self, capsys):
+        # the expansion of this spec overflows (exit 2 from pfe)
         code, out, err = run_cli(
-            capsys, "circuit", "-m", "2", "-a", "0.7", "--n", "40", "--k", "4",
+            capsys, "circuit", "-m", "1", "-a", "0.1", "--wl", "1e-100", "--wh", "1e100",
+            "--n", "10", "--k", "4",
         )
         assert code == 4
         assert out == ""

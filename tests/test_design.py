@@ -201,11 +201,26 @@ class TestEpsilonBounds:
             design_integrator(DesignSpec(kappa, 0.4, epsilon=epsilon))
 
     def test_half_open_interval_ends(self):
-        spec = DesignSpec(3, 0.4)
-        lower, upper = epsilon_bounds(spec)
-        design_integrator(DesignSpec(3, 0.4, epsilon=upper))  # inclusive end
-        with pytest.raises(EpsilonRangeError):
-            design_integrator(DesignSpec(3, 0.4, epsilon=lower))  # exclusive end
+        # Both ends carry the 1e-12 relative slack: the exclusive lower end
+        # sits at lower * (1 - 1e-12), the inclusive upper end at
+        # upper * (1 + 1e-12).
+        lower, upper = epsilon_bounds(DesignSpec(3, 0.4))
+        for epsilon in (lower, upper, upper * (1.0 + 1e-12)):
+            design_integrator(DesignSpec(3, 0.4, epsilon=epsilon))
+        for epsilon in (lower * (1.0 - 1e-12), upper * (1.0 + 2e-12)):
+            with pytest.raises(EpsilonRangeError):
+                design_integrator(DesignSpec(3, 0.4, epsilon=epsilon))
+
+    def test_offset_on_complement_lower_end_is_admissible(self):
+        # Admissible at this order; at the complement order it equals the
+        # lower end up to the last bits of nu, which laws i and iii design.
+        alpha, epsilon = 0.3037617739110518, 0.4370141475644993
+        spec = DesignSpec(3, alpha, n=38, k=4, epsilon=epsilon)
+        lower, _ = epsilon_bounds(spec.complement())
+        assert lower == epsilon
+        assert check_identity("i", spec).structural_pass
+        results = identity_experiment(3, alpha, n=38, k=4, epsilon=epsilon, duration=1.0)
+        assert set(results) == {"x", "y", "z"}
 
 
 class TestSpecialOffsetDegeneration:
@@ -356,7 +371,8 @@ def _outcome(build, spec):
 class TestBranchRule:
     # Orders every 10th of 300 steps above 0.5 plus both ends, wide and
     # extreme bands, and for methods 3/4 offsets at the special value, the
-    # upper end, mid-interval, the excluded lower end and the slack edge.
+    # upper end, mid-interval, the lower end, the excluded slack edge below
+    # it and the admitted slack edge above the upper end.
     ORDERS = [i / 301 for i in range(151, 301, 10)] + [0.5 + 1e-9, 300 / 301]
     BANDS = ((1e-3, 1e3), (0.02, 7e3), (1e-154, 1e154), (1e-300, 1e7))
 
@@ -372,7 +388,7 @@ class TestBranchRule:
                     if kappa in (3, 4):
                         lower, upper = epsilon_bounds(base)
                         offsets = [special_epsilon(base), upper, 0.5 * (lower + upper),
-                                   lower, upper * (1.0 + 1e-12)]
+                                   lower, lower * (1.0 - 1e-12), upper * (1.0 + 1e-12)]
                     for epsilon in offsets:
                         spec = replace(base, epsilon=epsilon)
                         got = _outcome(design_integrator, spec)

@@ -1,9 +1,13 @@
 """Partial-fraction expansion, RC synthesis and netlist export."""
 
 import json
+from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import reference_spec
 from difint import (
@@ -133,8 +137,9 @@ class TestRepeatedPoleExpansion:
 
 
 # Test-local copies of the per-pole loops that computed the residues one
-# pole at a time.  The vectorised kernels must reproduce them bit for bit,
-# including where the local series overflows.
+# pole at a time before one kernel served every multiplicity: the cover-up
+# products, which the kernel must reproduce bit for bit at k = 1, and the
+# unscaled Heaviside series, the accuracy the kernel must at least match.
 def reference_series_mul(a, b, order):
     out = [0.0] * order
     for i, ai in enumerate(a[:order]):
@@ -146,8 +151,6 @@ def reference_series_mul(a, b, order):
 
 
 def reference_series_div(num, den, order):
-    if den[0] == 0.0:
-        raise ConditioningError("series division by a vanishing leading coefficient")
     out = [0.0] * order
     for i in range(order):
         acc = num[i] if i < len(num) else 0.0
@@ -157,23 +160,25 @@ def reference_series_div(num, den, order):
     return out
 
 
-def reference_repeated_residues(model, pole_index):
+def reference_repeated_residues(model):
     k = model.multiplicity
-    p = model.poles[pole_index]
-    num = [model.gain]
-    for z in model.zeros:
-        for _ in range(k):
-            num = reference_series_mul(num, [z - p, 1.0], k)
-    den = [1.0]
-    for i, q in enumerate(model.poles):
-        if i == pole_index:
-            continue
-        for _ in range(k):
-            den = reference_series_mul(den, [q - p, 1.0], k)
-    if model.s_exponent == -1:
-        den = reference_series_mul(den, [-p, 1.0], k)
-    local = reference_series_div(num, den, k)
-    return [local[k - l] for l in range(1, k + 1)]
+    rows = []
+    for pole_index, p in enumerate(model.poles):
+        num = [model.gain]
+        for z in model.zeros:
+            for _ in range(k):
+                num = reference_series_mul(num, [z - p, 1.0], k)
+        den = [1.0]
+        for i, q in enumerate(model.poles):
+            if i == pole_index:
+                continue
+            for _ in range(k):
+                den = reference_series_mul(den, [q - p, 1.0], k)
+        if model.s_exponent == -1:
+            den = reference_series_mul(den, [-p, 1.0], k)
+        local = reference_series_div(num, den, k)
+        rows.append([local[k - l] for l in range(1, k + 1)])
+    return np.array(rows, dtype=float).reshape(len(model.poles), k)
 
 
 def reference_simple_residues(gain, zeros, poles, with_origin_pole):
@@ -189,32 +194,56 @@ def reference_simple_residues(gain, zeros, poles, with_origin_pole):
     return residues
 
 
-def reference_residue_table(model):
+def mpmath_residues(model, dps=50):
+    """Independent oracle: the residue ladders from a ``dps``-digit Taylor
+    expansion of G(-p + t) = (s + p)**k * H(s) at each pole p, taken as
+    the constant term times exp of the summed local log series
+    log(a + t) = log(a) + sum_j (-1)**(j+1) (t/a)**j / j of every factor."""
     k = model.multiplicity
-    if k == 1:
-        rows = [[r] for r in reference_simple_residues(
-            model.gain, model.zeros, model.poles, model.s_exponent == -1)]
-    else:
-        rows = [reference_repeated_residues(model, i) for i in range(len(model.poles))]
-    return np.array(rows, dtype=float).reshape(len(model.poles), k)
+    rows = []
+    with mpmath.workdps(dps):
+        for i, p in enumerate(model.poles):
+            p = mpmath.mpf(p)
+            # (base, weight): G's local series holds (base + t)**weight
+            bases = [(mpmath.mpf(z) - p, k) for z in model.zeros]
+            bases += [(mpmath.mpf(q) - p, -k) for l, q in enumerate(model.poles) if l != i]
+            if model.s_exponent == -1:
+                bases.append((-p, -1))
+            constant = mpmath.mpf(model.gain)
+            logs = [mpmath.mpf(0)] * k
+            for base, weight in bases:
+                constant *= base ** weight
+                power = mpmath.mpf(1)
+                for j in range(1, k):
+                    power /= -base
+                    logs[j] -= weight * power / j
+            local = [mpmath.mpf(1)] + [mpmath.mpf(0)] * (k - 1)
+            for m in range(1, k):
+                local[m] = mpmath.fsum(j * logs[j] * local[m - j] for j in range(1, m + 1)) / m
+            rows.append([constant * local[k - l] for l in range(1, k + 1)])
+    return rows
 
 
 def kernel_residue_table(model):
-    kernel = (realization._simple_residues if model.multiplicity == 1
-              else realization._heaviside_residues)
     with np.errstate(over="ignore", invalid="ignore"):
-        return kernel(model)
+        return realization._residues(model)
 
 
-def assert_same_residues(model):
-    """Both routes raise the same error, or give the same bits: equal values,
-    NaN in the same places and the same sign on every zero and infinity."""
-    try:
-        expected = reference_residue_table(model)
-    except ConditioningError as exc:
-        with pytest.raises(ConditioningError, match=str(exc)):
-            kernel_residue_table(model)
-        return None
+def relative_errors(table, oracle):
+    """Per pole: the largest error against the oracle, relative to the
+    largest oracle residue at that pole."""
+    return [
+        float(max(abs(mpmath.mpf(float(x)) - r) for x, r in zip(row, exact))
+              / max(abs(r) for r in exact))
+        for row, exact in zip(table, oracle)
+    ]
+
+
+def assert_bitwise_cover_up(model):
+    """The kernel gives the cover-up loop's bits at k = 1: equal values, NaN
+    in the same places and the same sign on every zero and infinity."""
+    expected = np.array(reference_simple_residues(
+        model.gain, model.zeros, model.poles, model.s_exponent == -1), dtype=float)[:, None]
     actual = kernel_residue_table(model)
     assert actual.shape == expected.shape
     assert np.array_equal(actual, expected, equal_nan=True)
@@ -238,33 +267,92 @@ def random_models(seed, count=250):
         )
 
 
-class TestVectorisedResidues:
-    def test_designed_models_match_per_pole_loops(self):
-        outcomes = []
-        for kappa in range(1, 8):
-            for k in range(1, 5):
-                for n in (5, 20, 40, 60):
-                    for alpha in (0.3, 0.7):
-                        pair = design_pair(DesignSpec(kappa, alpha, n=n, k=k))
-                        for model in (pair.integrator, pair.differentiator):
-                            if model.s_exponent in (-1, 0):
-                                outcomes.append((model.s_exponent, assert_same_residues(model)))
-        # the set covers both s powers, and expansions that overflow
-        assert {s for s, _ in outcomes} == {-1, 0}
-        assert any(finite is False for _, finite in outcomes)
+def designed_models(multiplicities, orders=(5, 20, 40, 60)):
+    for kappa in range(1, 8):
+        for k in multiplicities:
+            for n in orders:
+                for alpha in (0.3, 0.7):
+                    pair = design_pair(DesignSpec(kappa, alpha, n=n, k=k))
+                    for model in (pair.integrator, pair.differentiator):
+                        # method 6 keeps multiplicity 2 whatever k is
+                        if model.s_exponent in (-1, 0) and model.multiplicity == k:
+                            yield model
+
+
+# Specs on which the unscaled series overflowed although every residue is
+# at most ~3.3e4 in magnitude.
+UNSCALED_OVERFLOW = [(2, 0.3, 40, 4), (2, 0.7, 40, 4), (1, 0.7, 60, 4), (2, 0.7, 60, 3)]
+
+
+class TestResidueKernel:
+    def test_simple_poles_match_cover_up_loops(self):
+        models = list(designed_models([1]))
+        # the set covers both s powers
+        assert {model.s_exponent for model in models} == {-1, 0}
+        for model in models:
+            assert assert_bitwise_cover_up(model)
 
     @pytest.mark.parametrize("seed", (1, 2, 3))
-    def test_random_models_match_per_pole_loops(self, seed):
-        outcomes = []
-        for model in random_models(seed):
-            outcomes.append(assert_same_residues(model))
-        assert {True, False, None} <= set(outcomes)
+    def test_random_simple_poles_match_cover_up_loops(self, seed):
+        outcomes = {assert_bitwise_cover_up(replace(model, multiplicity=1))
+                    for model in random_models(seed)}
+        # the random set includes products that overflow
+        assert outcomes == {True, False}
+
+    def test_repeated_poles_match_mpmath_no_worse_than_per_pole_loops(self):
+        worst = worst_reference = 0.0
+        for model in designed_models([2, 3, 4], orders=(5, 20, 40)):
+            reference = reference_repeated_residues(model)
+            if not np.isfinite(reference).all():
+                continue
+            oracle = mpmath_residues(model)
+            worst = max(worst, *relative_errors(kernel_residue_table(model), oracle))
+            worst_reference = max(worst_reference, *relative_errors(reference, oracle))
+        assert worst <= 1e-13
+        assert worst <= worst_reference
+
+    @pytest.mark.parametrize("kappa, alpha, n, k", UNSCALED_OVERFLOW)
+    def test_specs_that_overflowed_unscaled_series(self, kappa, alpha, n, k):
+        model = design_integrator(DesignSpec(kappa, alpha, n=n, k=k))
+        assert not np.isfinite(reference_repeated_residues(model)).all()
+        pf = to_partial_fractions(model)
+        table = np.array([term.residues for term in pf.terms])
+        assert max(relative_errors(table, mpmath_residues(model))) <= 1e-13
 
     def test_overflowing_expansion_raises(self):
-        model = design_integrator(DesignSpec(2, 0.7, n=40, k=4))
-        assert not np.isfinite(kernel_residue_table(model)).all()
+        # seed 1's first random model whose poles are distinct but whose
+        # expansion still overflows; the power in its 1/s term overflows
+        # as well, which float ** raises where float * gives inf
+        for model in random_models(1):
+            poles = sorted(model.poles)
+            if any((b - a) / b <= 1e-12 for a, b in zip(poles, poles[1:])):
+                continue
+            if not np.isfinite(kernel_residue_table(model)).all():
+                break
+        else:
+            pytest.fail("no overflowing random model")
         with pytest.raises(ConditioningError, match="not finite"):
             to_partial_fractions(model)
+
+
+# A fixed draw of examples keeps the suite deterministic.
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(
+    kappa=st.integers(1, 7),
+    alpha=st.floats(0.05, 0.95),
+    n=st.integers(1, 60),
+    k=st.integers(1, 4),
+    integrator=st.booleans(),
+)
+def test_residues_match_mpmath_taylor_expansion(kappa, alpha, n, k, integrator):
+    """Every residue of a designed model lies within 1e-12 of the 50-digit
+    expansion, relative to the largest residue at its pole."""
+    pair = design_pair(DesignSpec(kappa, alpha, n=n, k=k))
+    model = pair.integrator if integrator else pair.differentiator
+    assume(model.s_exponent in (-1, 0))
+    pf = to_partial_fractions(model)
+    table = np.array([term.residues for term in pf.terms])
+    assert max(relative_errors(table, mpmath_residues(model))) <= 1e-12
 
 
 class TestRcSynthesis:

@@ -16,8 +16,9 @@ every command for methods 1..7 at orders 0.3 and 0.7 (methods 3/4 with
 on which few high-multiplicity sections overflow or underflow the gain,
 offsets on either side of the admissible interval, then methods 3/4 with
 the offset omitted where ``check`` and ``simulate`` allow it, infinite
-horizons and a band whose ratio overflows; every call runs at
-``--precision 9`` and 17.
+horizons, a band whose ratio overflows, and ``pfe`` for methods 1..4 at
+n = 40 and 60 and k = 3 and 4, where repeated-pole expansions used to
+overflow; every call runs at ``--precision 9`` and 17.
 """
 
 from __future__ import annotations
@@ -104,6 +105,11 @@ def _calls() -> list[str]:
         "table --which 4 --T inf",
         "table --which 2 --wl 1e-300 --wh 1e300",
     ]
+    for method in range(1, 5):
+        special = " --eps-special" if method in (3, 4) else ""
+        for alpha in ("0.3", "0.7"):
+            for n in (40, 60):
+                calls += [f"pfe -m {method} -a {alpha} --n {n} --k {k}{special}" for k in (3, 4)]
     return calls
 
 
