@@ -136,8 +136,11 @@ class DesignedPair:
 
 
 def epsilon_bounds(spec: DesignSpec) -> tuple[float, float]:
-    """Admissible ``(lower, upper]`` interval for the ripple offset (dB).
+    """Nominal ``(lower, upper]`` interval for the ripple offset (dB).
 
+    The check widens both ends by the relative ``_EPSILON_SLACK``, so
+    ``lower`` itself is admitted and only offsets at or below
+    ``lower * (1 - 1e-12)`` or above ``upper * (1 + 1e-12)`` are rejected.
     Only methods 3 and 4 take an offset; anything else is a usage error.
     """
     if spec.kappa not in (3, 4):

@@ -12,7 +12,8 @@ class ShapeError(ValueError):
 
 class EpsilonRangeError(ValueError):
     """A ripple offset lies outside the admissible half-open interval of the
-    one-point design methods."""
+    one-point design methods, widened at both ends by a relative 1e-12;
+    the message prints the nominal interval."""
 
     def __init__(self, epsilon, lower, upper):
         self.epsilon = epsilon

@@ -22,7 +22,6 @@ capacitor for the 1/s term and one parallel RC section per pole.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,15 +134,11 @@ def to_partial_fractions(model: FactoredModel) -> PartialFractionForm:
 
     direct = model.gain if model.s_exponent == 0 else 0.0
     origin = 0.0
-    if model.s_exponent == -1:
-        origin = model.gain
-        try:
-            for z, p in model.factors:
-                origin *= (z / p) ** model.multiplicity
-        except OverflowError:  # float ** raises where float * gives inf
-            origin = math.inf
-
     with np.errstate(over="ignore", invalid="ignore"):
+        if model.s_exponent == -1:
+            origin = model.gain
+            for z, p in model.factors:
+                origin *= np.float64(z / p) ** model.multiplicity
         residues = _residues(model)
     coefficients = np.array([direct, origin, *residues.flat])
     bad = np.count_nonzero(~np.isfinite(coefficients))
@@ -155,7 +150,7 @@ def to_partial_fractions(model: FactoredModel) -> PartialFractionForm:
     terms = tuple(
         PartialFractionTerm(p, tuple(row)) for p, row in zip(model.poles, residues.tolist())
     )
-    return PartialFractionForm(direct, origin, terms)
+    return PartialFractionForm(direct, float(origin), terms)
 
 
 def evaluate_partial_fractions(pf: PartialFractionForm, s_values) -> np.ndarray:

@@ -1,7 +1,6 @@
 """Partial-fraction expansion, RC synthesis and netlist export."""
 
 import json
-from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -293,15 +292,43 @@ class TestResidueKernel:
             assert assert_bitwise_cover_up(model)
 
     @pytest.mark.parametrize("seed", (1, 2, 3))
-    def test_random_simple_poles_match_cover_up_loops(self, seed):
-        outcomes = {assert_bitwise_cover_up(replace(model, multiplicity=1))
-                    for model in random_models(seed)}
-        # the random set includes products that overflow
-        assert outcomes == {True, False}
+    def test_random_models_match_per_pole_loops(self, seed):
+        """At k = 1 the kernel gives the cover-up loop's bits.  At k > 1 it
+        is finite wherever the per-pole Heaviside loops are, and model by
+        model its error against mpmath exceeds theirs by at most 1e-12 of
+        the pole's largest residue (rounding differs between the two)."""
+        outcomes = set()
+        worst = worst_reference = 0.0
+        for model in random_models(seed):
+            if model.multiplicity == 1:
+                outcomes.add(("simple", assert_bitwise_cover_up(model)))
+                continue
+            try:
+                reference = reference_repeated_residues(model)
+            except ZeroDivisionError:  # the loops' denominator underflowed to 0
+                outcomes.add(("repeated", None))
+                continue
+            finite = bool(np.isfinite(reference).all())
+            outcomes.add(("repeated", finite))
+            if not finite or not model.poles:
+                continue
+            table = kernel_residue_table(model)
+            assert np.isfinite(table).all()
+            # 100 digits: the models span up to 600 decades
+            oracle = mpmath_residues(model, dps=100)
+            error = max(relative_errors(table, oracle))
+            reference_error = max(relative_errors(reference, oracle))
+            assert error <= reference_error + 1e-12
+            worst, worst_reference = max(worst, error), max(worst_reference, reference_error)
+        assert worst <= worst_reference
+        # the set holds products that overflow at k = 1, and per-pole loops
+        # that overflow or divide by zero at k > 1
+        assert outcomes == {("simple", True), ("simple", False),
+                            ("repeated", True), ("repeated", False), ("repeated", None)}
 
     def test_repeated_poles_match_mpmath_no_worse_than_per_pole_loops(self):
         worst = worst_reference = 0.0
-        for model in designed_models([2, 3, 4], orders=(5, 20, 40)):
+        for model in designed_models([2, 3, 4]):
             reference = reference_repeated_residues(model)
             if not np.isfinite(reference).all():
                 continue
@@ -321,11 +348,11 @@ class TestResidueKernel:
 
     def test_overflowing_expansion_raises(self):
         # seed 1's first random model whose poles are distinct but whose
-        # expansion still overflows; the power in its 1/s term overflows
-        # as well, which float ** raises where float * gives inf
+        # expansion still overflows; the power in its 1/s term overflows too
         for model in random_models(1):
-            poles = sorted(model.poles)
-            if any((b - a) / b <= 1e-12 for a, b in zip(poles, poles[1:])):
+            try:
+                realization._check_poles_distinct(model.poles)
+            except ConditioningError:
                 continue
             if not np.isfinite(kernel_residue_table(model)).all():
                 break
