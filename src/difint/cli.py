@@ -3,13 +3,23 @@
 All output is deterministic: identical argument vectors produce byte-identical
 text, CSV uses a header row with ``,`` separators and ``.`` decimal points,
 and structured results are JSON.
+
+Each command computes its whole result first and returns its text as an
+iterable of chunks, which :func:`main` writes in order to standard output or
+the ``--output`` file.  CSV is formatted in blocks of at most ``_BLOCK_ROWS``
+rows as it is written, so beyond the result arrays memory does not grow with
+the number of output rows.  A command that fails raises before any text is
+written: it prints nothing and creates no ``--output`` file.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import sys
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -23,6 +33,7 @@ from .realization import export_netlist, synthesize_rc, to_partial_fractions
 
 _TABLE_SWEEP_ALPHAS = [a / 10.0 for a in range(1, 10)]
 _MATRIX_ALPHAS = [0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.8, 0.9]
+_BLOCK_ROWS = 4096  # CSV rows formatted and written per chunk
 
 
 def _add_design_arguments(parser: argparse.ArgumentParser) -> None:
@@ -135,24 +146,34 @@ def _jnum(value: float, precision: int) -> float:
     return float(_fmt(value, precision))
 
 
-def _csv(header: list[str], columns, precision: int) -> str:
+def _csv(header: list[str], columns, precision: int) -> Iterator[str]:
     """CSV text of equal-length ``columns``, each all str cells or all numbers.
 
-    Each numeric column is converted to Python floats once and each row is
-    rendered by one ``%`` template, which prints numbers exactly as
-    :func:`_fmt` does.
+    Yields the header line, then the rows of :func:`_csv_rows`.
     """
-    template, cells = [], []
-    for column in columns:
-        if len(column) and isinstance(column[0], str):
-            template.append("%s")
-            cells.append(column)
-        else:
-            template.append(f"%.{precision}g")
-            cells.append((np.asarray(column, dtype=float) + 0.0).tolist())  # folds away -0
-    row = ",".join(template)
-    lines = [",".join(header), *(row % values for values in zip(*cells))]
-    return "\n".join(lines) + "\n"
+    yield ",".join(header) + "\n"
+    yield from _csv_rows(columns, precision)
+
+
+def _csv_rows(columns, precision: int, prefix: str = "") -> Iterator[str]:
+    """CSV rows of ``columns`` in chunks of at most ``_BLOCK_ROWS`` lines.
+
+    Each row starts with the literal ``prefix``.  Each block of a numeric
+    column is converted to Python floats once and each row is rendered by
+    one ``%`` template, which prints numbers exactly as :func:`_fmt` does.
+    """
+    numeric = [not (len(column) and isinstance(column[0], str)) for column in columns]
+    row = prefix.replace("%", "%%") + ",".join(
+        f"%.{precision}g" if is_number else "%s" for is_number in numeric)
+    count = min((len(column) for column in columns), default=0)
+    for start in range(0, count, _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        cells = [
+            (np.asarray(column[block], dtype=float) + 0.0).tolist()  # +0.0 folds away -0
+            if is_number else column[block]
+            for column, is_number in zip(columns, numeric)
+        ]
+        yield "\n".join(row % values for values in zip(*cells)) + "\n"
 
 
 def _model_json(model, precision):
@@ -165,7 +186,7 @@ def _model_json(model, precision):
     }
 
 
-def cmd_design(args) -> str:
+def cmd_design(args) -> Iterable[str]:
     spec = _spec_from_args(args)
     model = _model(spec, args.kind)
     kind = "integrator" if args.kind == "int" else "differentiator"
@@ -183,7 +204,7 @@ def cmd_design(args) -> str:
             "epsilon": None if spec.epsilon is None else _jnum(spec.epsilon, p),
         }
         payload.update(_model_json(model, p))
-        return json.dumps(payload, indent=2) + "\n"
+        return [json.dumps(payload, indent=2) + "\n"]
     lines = [
         f"method={spec.kappa} kind={kind} branch={spec.branch.value}",
         f"alpha={_fmt(spec.alpha, p)} omega_l={_fmt(spec.omega_l, p)} "
@@ -194,10 +215,10 @@ def cmd_design(args) -> str:
     ]
     for index, (z, q) in enumerate(model.factors, start=1):
         lines.append(f"{index},{_fmt(z, p)},{_fmt(q, p)}")
-    return "\n".join(lines) + "\n"
+    return ["\n".join(lines) + "\n"]
 
 
-def cmd_bode(args) -> str:
+def cmd_bode(args) -> Iterable[str]:
     spec = _spec_from_args(args)
     model = _model(spec, args.kind)
     kind = INTEGRATOR if args.kind == "int" else DIFFERENTIATOR
@@ -218,7 +239,7 @@ def _parse_alphas(text: str) -> list[float]:
         raise DomainError(f"bad order sweep {text!r}") from exc
 
 
-def cmd_table(args) -> str:
+def cmd_table(args) -> Iterable[str]:
     p = args.precision
     if args.which == 1:
         alphas = _parse_alphas(args.alphas) if args.alphas else _MATRIX_ALPHAS
@@ -227,7 +248,7 @@ def cmd_table(args) -> str:
         for row, kappa in enumerate(range(1, 8)):
             marks = ["✓" if matrix[row, col] else "×" for col in range(3)]
             lines.append(f"{kappa}       {marks[0]}  {marks[1]}   {marks[2]}")
-        return "\n".join(lines) + "\n"
+        return ["\n".join(lines) + "\n"]
     if args.which in (2, 3):
         alphas = _parse_alphas(args.alphas) if args.alphas else _TABLE_SWEEP_ALPHAS
         kind = INTEGRATOR if args.which == 2 else DIFFERENTIATOR
@@ -252,7 +273,7 @@ def cmd_table(args) -> str:
     return _csv(header, list(zip(*rows)), p)
 
 
-def cmd_check(args) -> str:
+def cmd_check(args) -> Iterable[str]:
     spec = _spec_from_args(args, require_epsilon=False)
     conditions = CONDITIONS if args.condition == "all" else (args.condition,)
     p = args.precision
@@ -268,27 +289,29 @@ def cmd_check(args) -> str:
             "failure_note": verdict.failure_note,
         })
     payload = verdicts[0] if len(verdicts) == 1 else verdicts
-    return json.dumps(payload, indent=2) + "\n"
+    return [json.dumps(payload, indent=2) + "\n"]
 
 
-def cmd_simulate(args) -> str:
+def cmd_simulate(args) -> Iterable[str]:
     spec = _spec_from_args(args, require_epsilon=False)
     results = identity_experiment(spec.kappa, spec.alpha, spec.omega_l, spec.omega_h,
                                   spec.n, spec.k, spec.epsilon,
                                   sample_period=args.h, duration=args.T)
     p = args.precision
     header = ["t", "u", "exact", "approx", "error"]
-    names = ("x", "y", "z") if args.experiment == "all" else (args.experiment,)
-    runs = [results[name] for name in names]
-    columns = [np.concatenate(series) for series in zip(
-        *([res.time, res.input_signal, res.exact, res.approx, res.error] for res in runs))]
+
+    def columns(name):
+        res = results[name]
+        return [res.time, res.input_signal, res.exact, res.approx, res.error]
+
     if args.experiment != "all":
-        return _csv(header, columns, p)
-    labels = [name for name, res in zip(names, runs) for _ in res.time]
-    return _csv(["experiment", *header], [labels, *columns], p)
+        return _csv(header, columns(args.experiment), p)
+    return itertools.chain(
+        [",".join(["experiment", *header]) + "\n"],
+        *(_csv_rows(columns(name), p, prefix=f"{name},") for name in ("x", "y", "z")))
 
 
-def cmd_pfe(args) -> str:
+def cmd_pfe(args) -> Iterable[str]:
     model = _model(_spec_from_args(args), args.kind)
     pf = to_partial_fractions(model)
     p = args.precision
@@ -301,10 +324,10 @@ def cmd_pfe(args) -> str:
             for term in pf.terms
         ],
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return [json.dumps(payload, indent=2) + "\n"]
 
 
-def cmd_circuit(args) -> str:
+def cmd_circuit(args) -> Iterable[str]:
     spec = _spec_from_args(args)
     model = _model(spec, args.kind)
     if model.multiplicity != 1:
@@ -322,8 +345,8 @@ def cmd_circuit(args) -> str:
         "omega_h": _fmt(spec.omega_h, args.precision),
         "n": spec.n,
     }
-    return export_netlist(network, format=args.format, meta=meta,
-                          precision=args.precision)
+    return [export_netlist(network, format=args.format, meta=meta,
+                           precision=args.precision)]
 
 
 _COMMANDS = {
@@ -337,12 +360,11 @@ _COMMANDS = {
 }
 
 
-def _write_output(text: str, destination: str) -> None:
-    if destination == "-":
-        sys.stdout.write(text)
-    else:
-        with open(destination, "w", encoding="utf-8") as handle:
-            handle.write(text)
+def _write_output(chunks: Iterable[str], destination: str) -> None:
+    with (contextlib.nullcontext(sys.stdout) if destination == "-"
+          else open(destination, "w", encoding="utf-8")) as handle:
+        for chunk in chunks:
+            handle.write(chunk)
 
 
 def main(argv=None) -> int:
@@ -354,7 +376,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        text = _COMMANDS[args.command](args)
+        chunks = _COMMANDS[args.command](args)
     except EpsilonRangeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -364,7 +386,7 @@ def main(argv=None) -> int:
     except (DomainError, ShapeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _write_output(text, args.output)
+    _write_output(chunks, args.output)
     return 0
 
 

@@ -113,12 +113,13 @@ def sweep_table(
     n: int = 10,
     k: int = 2,
     count: int = 10000,
-    epsilon: float | None = None,
 ) -> SweepRow:
     """Per-order error norms, maximized over ``alphas``.
 
     Each order gets its own norm over a ``count``-point grid; the row
-    reports the maximum of each norm across the sweep.
+    reports the maximum of each norm across the sweep.  Methods 3 and 4
+    take their special offset at every order, as an omitted offset of a
+    :class:`DesignSpec` does.
     """
     alphas = list(alphas)
     if not alphas:
@@ -126,7 +127,7 @@ def sweep_table(
     grid = make_grid(omega_l, omega_h, count)
     rows = []
     for alpha in alphas:
-        spec = DesignSpec(kappa, alpha, omega_l, omega_h, n, k, epsilon)
+        spec = DesignSpec(kappa, alpha, omega_l, omega_h, n, k)
         pair = design_pair(spec)
         model = pair.integrator if kind == INTEGRATOR else pair.differentiator
         rows.append(error_series(model, alpha, kind, grid))

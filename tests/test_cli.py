@@ -4,12 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from difint.cli import _csv, _fmt, main
+from difint import identity_experiment
+from difint.cli import _BLOCK_ROWS, _csv, _fmt, main
 
 EXPECTED_MATRIX_TEXT = (
     "method  i  ii  iii\n"
@@ -211,20 +213,54 @@ class TestBodeCommand:
         assert abs(float(center[5])) < 1e-9  # matched gain at the band center
 
 
+def one_shot_csv(header, columns, precision):
+    """CSV text built as one string, as ``_csv`` did before it wrote blocks:
+    the reference its chunks must join to."""
+    template, cells = [], []
+    for column in columns:
+        if len(column) and isinstance(column[0], str):
+            template.append("%s")
+            cells.append(column)
+        else:
+            template.append(f"%.{precision}g")
+            cells.append((np.asarray(column, dtype=float) + 0.0).tolist())
+    row = ",".join(template)
+    lines = [",".join(header), *(row % values for values in zip(*cells))]
+    return "\n".join(lines) + "\n"
+
+
 class TestCsv:
     @pytest.mark.parametrize("precision", [0, 3, 9, 17])
     def test_cells_print_as_fmt(self, precision):
         values = [-0.0, 1.0 / 3.0, -2.5e-300, 1e300, float("inf"), float("nan"), 5e-324]
-        text = _csv(["name", "value", "index"],
-                    [[f"r{i}" for i in range(len(values))], np.array(values), range(len(values))],
-                    precision)
+        text = "".join(_csv(["name", "value", "index"],
+                            [[f"r{i}" for i in range(len(values))], np.array(values),
+                             range(len(values))],
+                            precision))
         expected = ["name,value,index"] + [
             f"r{i},{_fmt(v, precision)},{_fmt(i, precision)}" for i, v in enumerate(values)
         ]
         assert text == "\n".join(expected) + "\n"
 
     def test_no_rows_prints_the_header(self):
-        assert _csv(["a", "b"], [[], np.array([])], 9) == "a,b\n"
+        assert "".join(_csv(["a", "b"], [[], np.array([])], 9)) == "a,b\n"
+
+    @pytest.mark.parametrize("rows", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                      2 * _BLOCK_ROWS + 1])
+    def test_blocks_join_to_the_one_shot_text(self, rows):
+        rng = np.random.default_rng(rows)
+        values = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+        values[::7] = -0.0
+        header = ["name", "value", "index"]
+        columns = [[f"r{i}" for i in range(rows)], values, range(rows)]
+        for precision in (9, 17):
+            chunks = list(_csv(header, columns, precision))
+            assert "".join(chunks) == one_shot_csv(header, columns, precision)
+            assert chunks[0] == "name,value,index\n"
+            sizes = [chunk.count("\n") for chunk in chunks[1:]]
+            assert max(sizes) <= _BLOCK_ROWS
+            assert sizes == [_BLOCK_ROWS] * (rows // _BLOCK_ROWS) + (
+                [rows % _BLOCK_ROWS] if rows % _BLOCK_ROWS else [])
 
 
 class TestSimulateCommand:
@@ -257,6 +293,19 @@ class TestSimulateCommand:
         lines = out.splitlines()
         assert lines[0] == "experiment,t,u,exact,approx,error"
         assert len(lines) == 1 + 3 * 51
+
+    def test_all_experiments_csv_is_the_one_shot_text(self, capsys):
+        code, out, _ = run_cli(capsys, "--precision", "17", "simulate", "-m", "2", "-a", "0.4")
+        assert code == 0
+        results = identity_experiment(2, 0.4, 1e-3, 1e3, 10, 2,
+                                      sample_period=0.001, duration=10.0)
+        runs = [results[name] for name in ("x", "y", "z")]
+        labels = [name for name, res in zip("xyz", runs) for _ in res.time]
+        columns = [np.concatenate(series) for series in zip(
+            *([res.time, res.input_signal, res.exact, res.approx, res.error] for res in runs))]
+        assert len(labels) > 2 * _BLOCK_ROWS + 1
+        assert out == one_shot_csv(["experiment", "t", "u", "exact", "approx", "error"],
+                                   [labels, *columns], 17)
 
 
 class TestPfeCommand:
@@ -352,6 +401,28 @@ class TestCliBehavior:
         assert code == 0 and out == ""
         assert len(target.read_text().splitlines()) == 12
 
+    @pytest.mark.parametrize("argv, expected", [
+        (("bode", "-m", "9", "-a", "0.4"), 2),
+        (("design", "-m", "1", "-a", "1.2"), 2),
+        (("simulate", "-m", "1", "-a", "0.3", "--T", "inf"), 2),
+        (("design", "-m", "3", "-a", "0.3", "--eps", "5"), 3),
+        (("circuit", "-m", "1", "-a", "0.3", "--k", "2"), 4),
+    ])
+    def test_failing_call_creates_no_output_file(self, capsys, tmp_path, argv, expected):
+        target = tmp_path / "out.txt"
+        code, out, err = run_cli(capsys, "--output", str(target), *argv)
+        assert code == expected and out == "" and err
+        assert not target.exists()
+
+    def test_output_file_holds_the_printed_bytes(self, capsys, tmp_path):
+        argv = ("simulate", "-m", "2", "-a", "0.4", "--experiment", "all")
+        _, printed, _ = run_cli(capsys, *argv)
+        target = tmp_path / "simulate.csv"
+        code, out, _ = run_cli(capsys, "--output", str(target), *argv)
+        assert code == 0 and out == ""
+        assert printed.count("\n") > 2 * _BLOCK_ROWS + 1
+        assert target.read_bytes() == printed.encode("utf-8")
+
     def test_unknown_command_is_invalid(self, capsys):
         assert main(["frobnicate"]) == 2
 
@@ -392,6 +463,42 @@ class TestCliBehavior:
         ):
             ulp_at_9 = 10.0 ** (math.floor(math.log10(abs(exact))) - 8)
             assert abs(printed - exact) <= ulp_at_9
+
+
+class _DiscardingSink:
+    """Standard-output stand-in that counts the characters it is given and
+    keeps none of them."""
+
+    def __init__(self):
+        self.written = 0
+
+    def write(self, text):
+        self.written += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+class TestOutputMemory:
+    def test_simulate_peak_stays_below_its_output_size(self, monkeypatch):
+        # Text formatted as one string costs several times its own size in
+        # Python objects; written in blocks, the traced peak is the result
+        # arrays plus one block.
+        argv = ["simulate", "-m", "2", "-a", "0.4", "--experiment", "all"]
+        sink = _DiscardingSink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        assert main([*argv, "--T", "0.01"]) == 0  # imports the filter kernel untraced
+        sink.written = 0
+        tracemalloc.start()
+        try:
+            code = main([*argv, "--T", "40"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert sink.written > 7_000_000
+        assert peak < sink.written
 
 
 # Runs in a fresh interpreter: design, analysis and realization commands must

@@ -13,13 +13,16 @@ from difint import (
     DomainError,
     EpsilonRangeError,
     FactoredModel,
+    SweepRow,
     associativity_table,
     check_identity,
     design_integrator,
     design_pair,
     epsilon_bounds,
+    error_series,
     identity_experiment,
     log_response,
+    make_grid,
     reciprocal,
     special_epsilon,
     sweep_table,
@@ -482,9 +485,13 @@ class TestOmittedOffset:
         # compared with the explicit spec's verdicts.
         row = associativity_table([alpha], *band, 6, 2)[kappa - 1]
         assert row.tolist() == [verdict.structural_pass for verdict in verdicts]
-        for kind in ("integrator", "differentiator"):
-            assert (sweep_table(kappa, kind, [alpha], *band, 6, 2, 200)
-                    == sweep_table(kappa, kind, [alpha], *band, 6, 2, 200, eps))
+        pair = design_pair(explicit)
+        for kind, model in (("integrator", pair.integrator),
+                            ("differentiator", pair.differentiator)):
+            report = error_series(model, alpha, kind, make_grid(*band, 200))
+            assert sweep_table(kappa, kind, [alpha], *band, 6, 2, 200) == SweepRow(
+                report.mag_norm_inf, report.mag_norm_two,
+                report.phase_norm_inf, report.phase_norm_two)
         run = dict(sample_period=0.01, duration=1.0)
         got = identity_experiment(kappa, alpha, *band, 6, 2, **run)
         want = identity_experiment(kappa, alpha, *band, 6, 2, eps, **run)

@@ -6,7 +6,13 @@ in this process through ``difint.cli.main`` and prints one line,
     <exit code> <sha256 of stdout> <sha256 of stderr> <arguments>
 
 so two trees give the same output exactly when every call gives the same
-exit code and byte-identical text.  An exception that escapes ``main``
+exit code and byte-identical text.  A few calls are also run with
+``--output FILE``; their lines read
+
+    <exit code> <sha256 of stdout> <sha256 of stderr> <sha256 of FILE> <arguments>
+
+with ``absent`` for a file the call did not create and ``FILE`` standing for
+its temporary path in the arguments.  An exception that escapes ``main``
 counts as exit 1 with its type and message as stderr, and each warning
 adds a ``Category: message`` line to stderr: tracebacks and the default
 warning format name source paths and line numbers, which differ between
@@ -18,7 +24,9 @@ offsets on either side of the admissible interval, then methods 3/4 with
 the offset omitted where ``check`` and ``simulate`` allow it, infinite
 horizons, a band whose ratio overflows, and ``pfe`` for methods 1..4 at
 n = 40 and 60 and k = 3 and 4, where repeated-pole expansions used to
-overflow; every call runs at ``--precision 9`` and 17.
+overflow; every call runs at ``--precision 9`` and 17.  The ``--output``
+calls are a 10k-point ``bode``, a many-block ``simulate --experiment all``
+and one call per error exit code (2, 3, 4).
 """
 
 from __future__ import annotations
@@ -26,7 +34,9 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import os
 import shlex
+import tempfile
 import traceback
 import warnings
 
@@ -45,6 +55,14 @@ README = [
 # In-range offsets (dB) of methods 3 and 4 at orders 0.3 and 0.7 on the
 # default band and n = 10, by multiplicity.
 IN_RANGE_EPS = {(3, 2): "1.5", (4, 2): "1.6", (3, 1): "1.25", (4, 1): "1.3"}
+
+OUTPUT_CALLS = [
+    "bode -m 1 -a 0.4 --points 10000",
+    "simulate -m 2 -a 0.4 --experiment all",
+    "design -m 1 -a 1.2",
+    "design -m 3 -a 0.3 --eps 5",
+    "circuit -m 1 -a 0.3 --k 2",
+]
 
 WIDE_BANDS = [("1e-154", "1e154"), ("1e-300", "1e7")]
 
@@ -132,12 +150,30 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _run_to_file(argv: list[str], directory: str) -> tuple[int, str, str, str]:
+    path = os.path.join(directory, "output")
+    code, out, err = _run(["--output", path, *argv])
+    if not os.path.exists(path):
+        return code, out, err, "absent"
+    with open(path, "rb") as handle:
+        written = hashlib.sha256(handle.read()).hexdigest()
+    os.remove(path)
+    return code, out, err, written
+
+
 def run() -> None:
     for call in _calls():
         for precision in ("9", "17"):
             argv = ["--precision", precision, *shlex.split(call)]
             code, out, err = _run(argv)
             print(code, _sha(out), _sha(err), shlex.join(argv), flush=True)
+    with tempfile.TemporaryDirectory() as directory:
+        for call in OUTPUT_CALLS:
+            for precision in ("9", "17"):
+                argv = ["--precision", precision, *shlex.split(call)]
+                code, out, err, written = _run_to_file(argv, directory)
+                print(code, _sha(out), _sha(err), written,
+                      shlex.join(["--output", "FILE", *argv]), flush=True)
 
 
 if __name__ == "__main__":
