@@ -18,6 +18,7 @@ import argparse
 import contextlib
 import itertools
 import json
+import os
 import sys
 from collections.abc import Iterable, Iterator
 
@@ -365,6 +366,7 @@ def _write_output(chunks: Iterable[str], destination: str) -> None:
           else open(destination, "w", encoding="utf-8")) as handle:
         for chunk in chunks:
             handle.write(chunk)
+        handle.flush()
 
 
 def main(argv=None) -> int:
@@ -386,7 +388,13 @@ def main(argv=None) -> int:
     except (DomainError, ShapeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _write_output(chunks, args.output)
+    try:
+        _write_output(chunks, args.output)
+    except BrokenPipeError:
+        # The reader closed the pipe early, as ``difint simulate | head`` does,
+        # and has all the text it wanted.  Standard output goes to the null
+        # device so that the interpreter's final flush does not fail too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

@@ -423,6 +423,19 @@ class TestCliBehavior:
         assert printed.count("\n") > 2 * _BLOCK_ROWS + 1
         assert target.read_bytes() == printed.encode("utf-8")
 
+    def test_reader_closing_the_pipe_early_is_not_an_error(self):
+        # Many blocks, far more than a pipe holds: the writer meets the
+        # closed pipe while blocks remain.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "difint.cli", "simulate", "-m", "2", "-a", "0.4"],
+            env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE)
+        assert proc.stdout.readline() == b"experiment,t,u,exact,approx,error\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0 and err == b""
+
     def test_unknown_command_is_invalid(self, capsys):
         assert main(["frobnicate"]) == 2
 
