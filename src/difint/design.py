@@ -30,6 +30,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+import sys
 from dataclasses import dataclass, replace
 
 from .errors import DomainError, EpsilonRangeError
@@ -114,8 +115,16 @@ class DesignSpec:
 
     @property
     def omega_m(self) -> float:
-        """Geometric band center, the gain-matching frequency."""
-        return math.sqrt(self.omega_l * self.omega_h)
+        """Geometric band center, the gain-matching frequency.
+
+        The product of the band edges underflows below a center of about
+        1e-154 and overflows above about 1e154; there the center is taken
+        as the product of the edges' square roots instead.
+        """
+        product = self.omega_l * self.omega_h
+        if sys.float_info.min <= product <= sys.float_info.max:
+            return math.sqrt(product)
+        return math.sqrt(self.omega_l) * math.sqrt(self.omega_h)
 
     @property
     def nu(self) -> float:

@@ -183,23 +183,26 @@ class SimulationResult:
         )
 
 
-def _run_composite(first, second, u, h, lookahead, force_cascade):
-    """Apply the operator product first*second to ``u``.
+def _cascade(first, second, force_cascade) -> tuple[FactoredModel, ...]:
+    """The stages, in run order, that apply the operator product first*second.
 
-    The product is simplified and run as a one-stage cascade whenever its
-    net s power is representable (this is what recovers the exact
-    cancellations); otherwise, or on request, the operands are discretized
-    separately and cascaded, which is the same map because the bilinear
-    substitution is a homomorphism on rational functions.  A cascaded operand
-    carrying a bare s factor runs first so its lookahead refers to the
-    analytic input.
+    The product is simplified into one stage whenever its net s power is
+    representable (this is what recovers the exact cancellations);
+    otherwise, or on request, the operands are discretized separately and
+    cascaded, which is the same map because the bilinear substitution is a
+    homomorphism on rational functions.  A cascaded operand carrying a bare
+    s factor runs first so its lookahead refers to the analytic input.
     """
-    stages = sorted([second, first], key=lambda m: -m.s_exponent)
     if not force_cascade:
         try:
-            stages = [multiply_and_simplify(first, second)]
+            return (multiply_and_simplify(first, second),)
         except ShapeError:
             pass
+    return tuple(sorted([second, first], key=lambda m: -m.s_exponent))
+
+
+def _run_composite(stages, u, h, lookahead):
+    """Run ``stages`` over ``u`` in order; no stage returns ``u`` itself."""
     y = u
     for stage in stages:
         filt = discretize(stage, h)
@@ -246,12 +249,25 @@ def identity_experiment(
     count = int(round(duration / sample_period)) + 1
     t = np.arange(count) * sample_period
     u = np.sin(t)
+    c = np.cos(t)
     lookahead = (math.sin(-sample_period), math.sin(t[-1] + sample_period))
 
+    laws = (("x", "i", 1.0 - c), ("y", "ii", u), ("z", "iii", c))
+    cascades = [_cascade(*law_operands(condition, pair, complement), cascade)
+                for _, condition, _ in laws]
+    # In cascade mode one first stage opens two laws' cascades: I(alpha)
+    # those of laws i and ii below alpha = 0.5, D(alpha) those of ii and iii
+    # above.  Its output over u is computed once, handed on, and dropped
+    # after the last law that reads it.
+    kept = {}
     results = {}
-    laws = (("x", "i", 1.0 - np.cos(t)), ("y", "ii", np.sin(t)), ("z", "iii", np.cos(t)))
-    for name, condition, exact in laws:
-        first, second = law_operands(condition, pair, complement)
-        approx = _run_composite(first, second, u, sample_period, lookahead, cascade)
+    for index, ((name, _, exact), stages) in enumerate(zip(laws, cascades)):
+        head, rest = stages[0], stages[1:]
+        y = kept.pop(head, None)
+        if y is None:
+            y = _run_composite((head,), u, sample_period, lookahead)
+        if rest and any(later[0] == head and later[1:] for later in cascades[index + 1:]):
+            kept[head] = y
+        approx = _run_composite(rest, y, sample_period, lookahead)
         results[name] = SimulationResult.from_signals(t, u, exact, approx)
     return results

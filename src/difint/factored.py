@@ -117,10 +117,26 @@ def complex_response(model: FactoredModel, omegas) -> np.ndarray:
     return values
 
 
+# Frequencies and corners whose squares, and sums of two squares, stay
+# normal floats: log_response squares them inside this range and takes
+# hypot outside it.
+_SQUARED_RANGE = (1e-150, 1e150)
+
+
+def _squares_in_range(w: np.ndarray, factors) -> bool:
+    lo, hi = _SQUARED_RANGE
+    if w.size and not lo <= w.min() <= w.max() <= hi:
+        return False
+    return all(lo <= z <= hi and lo <= p <= hi for z, p in factors)
+
+
 def log_response(model: FactoredModel, omegas) -> tuple[np.ndarray, np.ndarray]:
     """``(magnitude_db, phase_deg)`` of ``model`` over an array of
     frequencies, summed from per-factor log magnitudes and arguments in
-    fixed factor order, so long chains never wrap the phase."""
+    fixed factor order, so long chains never wrap the phase.  Where a
+    frequency or corner lies outside ``_SQUARED_RANGE``, each factor's log
+    magnitude is the difference of two ``log10(hypot(...))`` terms, which
+    neither overflows nor underflows for any band a spec admits."""
     w = checked_omegas(omegas)
     k = model.multiplicity
     term, other = np.empty(w.shape), np.empty(w.shape)
@@ -129,13 +145,19 @@ def log_response(model: FactoredModel, omegas) -> tuple[np.ndarray, np.ndarray]:
     if model.s_exponent:
         mag_db = mag_db + 20.0 * model.s_exponent * np.log10(w)
         phase = phase + model.s_exponent * (math.pi / 2.0)
-    w2 = w * w
+    w2 = w * w if _squares_in_range(w, model.factors) else None
     for z, p in model.factors:
-        np.add(w2, z * z, out=term)
-        np.add(w2, p * p, out=other)
-        term /= other
-        np.log10(term, out=term)
-        term *= 10.0 * k
+        if w2 is not None:
+            np.add(w2, z * z, out=term)
+            np.add(w2, p * p, out=other)
+            term /= other
+            np.log10(term, out=term)
+            term *= 10.0 * k
+        else:
+            np.log10(np.hypot(w, z, out=term), out=term)
+            np.log10(np.hypot(w, p, out=other), out=other)
+            term -= other
+            term *= 20.0 * k
         mag_db += term
         np.arctan2(w, z, out=term)
         np.arctan2(w, p, out=other)

@@ -1,6 +1,7 @@
 """Command-line interface: dispatch, formats, exit codes, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -211,6 +212,37 @@ class TestBodeCommand:
         center = lines[51].split(",")
         assert float(center[0]) == pytest.approx(1.0, rel=1e-9)
         assert abs(float(center[5])) < 1e-9  # matched gain at the band center
+
+
+class TestShiftedBands:
+    """Ordinary bands placed where the product of the edges, or squared
+    frequencies and corners, leave the float range: each call runs in a
+    fresh process and must exit 0 with nothing on stderr."""
+
+    @staticmethod
+    def run(*argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        return subprocess.run([sys.executable, "-m", "difint.cli", *argv],
+                              env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                              text=True, timeout=120)
+
+    def test_design_below_the_underflowing_center(self):
+        proc = self.run("design", "-m", "1", "-a", "0.3", "--wl", "1e-200", "--wh", "1e-190",
+                        "--n", "4", "--k", "1")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        gain = next(line for line in proc.stdout.splitlines() if line.startswith("gain="))
+        assert 0.0 < float(gain.split()[0].split("=")[1]) < math.inf
+
+    @pytest.mark.parametrize("band", (
+        ("--wl", "1e-154", "--wh", "1e154", "-m", "2", "--n", "1", "--k", "1"),
+        ("--wl", "1e-170", "--wh", "1e-160", "-m", "1"),
+    ))
+    def test_bode_cells_are_finite(self, band):
+        proc = self.run("bode", "-a", "0.3", *band)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        rows = proc.stdout.splitlines()[1:]
+        assert len(rows) == 1000
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row.split(","))
 
 
 def one_shot_csv(header, columns, precision):

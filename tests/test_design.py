@@ -97,6 +97,18 @@ class TestDesignSpec:
         assert DesignSpec(1, 0.5).branch is Branch.LOW_ORDER
         assert DesignSpec(1, 0.51).branch is Branch.HIGH_ORDER
 
+    @pytest.mark.parametrize("band", ((1e-3, 1e3), (0.02, 7e3), (1e-154, 1e154), (1e-300, 1e7)))
+    def test_band_center_is_the_root_of_a_representable_product(self, band):
+        assert DesignSpec(1, 0.3, *band).omega_m == math.sqrt(band[0] * band[1])
+
+    @pytest.mark.parametrize("band, center", (
+        ((1e-200, 1e-190), 1e-195), ((1e-170, 1e-160), 1e-165), ((1e160, 1e170), 1e165),
+    ))
+    def test_band_center_survives_an_unrepresentable_product(self, band, center):
+        # The product of the edges underflows to 0 or overflows to inf.
+        assert not 0.0 < band[0] * band[1] < math.inf
+        assert math.isclose(DesignSpec(1, 0.3, *band).omega_m, center, rel_tol=1e-15)
+
     def test_construction_fills_special_offset_for_methods_3_and_4_only(self):
         for kappa in (3, 4):
             spec = DesignSpec(kappa, 0.4, n=12, k=3)
@@ -321,6 +333,18 @@ class TestGainMatching:
         magnitude_db = log_response(model, [spec.omega_m])[0][0]
         target_db = -20.0 * alpha * math.log10(spec.omega_m)
         assert abs(magnitude_db - target_db) < 1e-12
+
+
+    @pytest.mark.parametrize("kappa", PIECEWISE)
+    @pytest.mark.parametrize("alpha", (0.15, 0.5, 0.85))
+    @pytest.mark.parametrize("band", ((1e-200, 1e-190), (1e-170, 1e-160), (1e160, 1e170)))
+    @pytest.mark.parametrize("k", (1, 3))
+    def test_center_magnitude_on_shifted_bands(self, kappa, alpha, band, k):
+        # Targets reach 3300 dB here; the worst miss measured over k = 1..3
+        # is 4.5e-12 dB.
+        spec = DesignSpec(kappa, alpha, *band, n=10, k=k)
+        magnitude_db = log_response(design_integrator(spec), [spec.omega_m])[0][0]
+        assert abs(magnitude_db + 20.0 * alpha * math.log10(spec.omega_m)) < 2e-11
 
 
 class TestBranchContinuity:

@@ -21,6 +21,7 @@ from difint import (
     multiply_and_simplify,
     simulate_filter,
 )
+from difint import discrete
 from difint.discrete import (
     CENTRAL_DIFFERENCE,
     PASSTHROUGH,
@@ -418,9 +419,44 @@ class TestIdentityExperimentReference:
             "y": (pair.differentiator, pair.integrator),
             "z": (pair.differentiator, pair_c.differentiator),
         }
+        exact = {"x": 1.0 - np.cos(t), "y": np.sin(t), "z": np.cos(t)}
         results = identity_experiment(kappa, alpha, k=k, sample_period=h, duration=10.0,
                                       cascade=cascade)
         assert list(results) == list(experiments)
         for name, (first, second) in experiments.items():
             expected = reference_run_composite(first, second, u, h, lookahead, cascade)
-            assert np.array_equal(results[name].approx, expected)
+            result = results[name]
+            assert np.array_equal(result.time, t) and np.array_equal(result.input_signal, u)
+            assert np.array_equal(result.approx, expected)
+            assert np.array_equal(result.exact, exact[name])
+            assert np.array_equal(result.error, exact[name] - expected)
+
+    # Filter passes of the three laws in simplified mode.  Law i of methods
+    # 5 and 6 composes two 1/s heads, which no simplified product holds, so
+    # it still runs as a two-stage cascade.
+    SIMPLIFIED_PASSES = {1: 3, 2: 3, 3: 3, 4: 3, 5: 4, 6: 4, 7: 3}
+
+    @pytest.mark.parametrize("kappa", range(1, 8))
+    @pytest.mark.parametrize("cascade", (False, True))
+    @pytest.mark.parametrize("alpha", (0.3, 0.7))
+    def test_a_shared_first_stage_is_filtered_once(self, monkeypatch, kappa, cascade, alpha):
+        # In cascade mode methods 1..4 open two laws with one stage: I(alpha)
+        # laws i and ii below 0.5, D(alpha) laws ii and iii above, so their
+        # six stages take five passes.  No two methods 5..7 laws share one.
+        outputs = []
+
+        def counting(filt, samples, lookahead=None):
+            outputs.append(simulate_filter(filt, samples, lookahead))
+            return outputs[-1]
+
+        monkeypatch.setattr(discrete, "simulate_filter", counting)
+        results = identity_experiment(kappa, alpha, duration=1.0, cascade=cascade)
+        if cascade:
+            assert len(outputs) == (5 if kappa <= 4 else 6)
+        else:
+            assert len(outputs) == self.SIMPLIFIED_PASSES[kappa]
+        approx = [result.approx for result in results.values()]
+        stages = [y for y in outputs if not any(y is a for a in approx)]
+        for i, a in enumerate(approx):
+            for other in approx[i + 1:] + stages:
+                assert not np.shares_memory(a, other)

@@ -20,6 +20,8 @@ trees.  The list covers the README examples,
 every command for methods 1..7 at orders 0.3 and 0.7 (methods 3/4 with
 ``--eps-special`` and with an in-range ``--eps``), tables 1..5, wide bands
 on which few high-multiplicity sections overflow or underflow the gain,
+``design``, ``bode`` and ``check`` for methods 1..7 on 10-decade bands
+placed at 1e-200, 1e-170 and 1e160,
 offsets on either side of the admissible interval, then methods 3/4 with
 the offset omitted where ``check`` and ``simulate`` allow it, infinite
 horizons, a band whose ratio overflows, and ``pfe`` for methods 1..4 at
@@ -66,6 +68,10 @@ OUTPUT_CALLS = [
 
 WIDE_BANDS = [("1e-154", "1e154"), ("1e-300", "1e7")]
 
+# Ordinary 10-decade bands placed where the product of the band edges, or
+# the squares of frequencies and corners, leave the float range.
+SHIFTED_BANDS = [("1e-200", "1e-190"), ("1e-170", "1e-160"), ("1e160", "1e170")]
+
 
 def _offsets(method: int, k: int) -> list[str]:
     if method not in (3, 4):
@@ -103,6 +109,12 @@ def _calls() -> list[str]:
                     calls += [f"design {args}", f"bode {args}", f"pfe {args}",
                               f"circuit {args}", f"check {args}"]
     calls += [f"table --which 1 --wl {wl} --wh {wh} --n 1 --k 8" for wl, wh in WIDE_BANDS]
+    for wl, wh in SHIFTED_BANDS:
+        for method in range(1, 8):
+            special = " --eps-special" if method in (3, 4) else ""
+            for alpha in ("0.3", "0.7"):
+                args = f"-m {method} -a {alpha} --wl {wl} --wh {wh}{special}"
+                calls += [f"design {args}", f"bode {args}", f"check {args}"]
     offset_check = "check -m 3 -a 0.3037617739110518 --n 38 --k 4 --eps 0.4370141475644993"
     calls += [
         f"{offset_check} --condition ii",
