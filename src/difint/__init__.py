@@ -32,7 +32,6 @@ from .errors import (
 )
 from .factored import (
     FactoredModel,
-    complex_response,
     frequency_response,
     log_response,
     multiply_and_simplify,

@@ -22,7 +22,6 @@ from .errors import DomainError, ShapeError
 __all__ = [
     "DEFAULT_CANCEL_TOL",
     "FactoredModel",
-    "complex_response",
     "frequency_response",
     "log_response",
     "multiply_and_simplify",
@@ -84,39 +83,6 @@ def checked_omegas(omegas) -> np.ndarray:
     return w
 
 
-# The kernels below work in buffers allocated once per call, because a fresh
-# temporary per ufunc costs more than the arithmetic on large grids.  Each
-# step is the ufunc the plain expression ((z + jw) / (p + jw)) ** k etc.
-# would call, on the same operands, so results are bit-identical to it.
-
-
-def complex_response(model: FactoredModel, omegas) -> np.ndarray:
-    """Complex values of ``model`` at ``s = j*omega`` over an array of
-    frequencies, from the direct factor product in fixed factor order."""
-    w = checked_omegas(omegas)
-    k = model.multiplicity
-    jw = 1j * w
-    # Complex steps never write over an input: on one-point grids numpy runs
-    # an aliased complex multiply or square through a different loop, which
-    # rounds differently.
-    values = np.full(w.shape, complex(model.gain))
-    num, den, ratio, spare = (np.empty(w.shape, complex) for _ in range(4))
-    if model.s_exponent:
-        np.multiply(values, jw**model.s_exponent, out=spare)
-        values, spare = spare, values
-    for z, p in model.factors:
-        np.add(jw, z, out=num)
-        np.add(jw, p, out=den)
-        np.divide(num, den, out=ratio)
-        if k == 2:  # what ``**`` calls; np.power rounds a square differently
-            np.square(ratio, out=num)
-        else:
-            np.power(ratio, k, out=num)
-        np.multiply(values, num, out=spare)
-        values, spare = spare, values
-    return values
-
-
 # Frequencies and corners whose squares, and sums of two squares, stay
 # normal floats: log_response squares them inside this range and takes
 # hypot outside it.
@@ -170,13 +136,18 @@ def log_response(model: FactoredModel, omegas) -> tuple[np.ndarray, np.ndarray]:
 def frequency_response(model: FactoredModel, omegas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized response over an array of frequencies.
 
-    Returns ``(values, magnitude_db, phase_deg)`` arrays: the first from
-    :func:`complex_response`, the other two from :func:`log_response`.
-    Callers that read only one part should call that kernel directly.
-    Reductions run in fixed factor order, so results are independent of any
-    outer parallelism.
+    Returns ``(values, magnitude_db, phase_deg)`` arrays: the last two from
+    :func:`log_response`, and the complex values rebuilt from them, which
+    stay finite wherever the model value is.  Callers that read only
+    magnitude and phase should call :func:`log_response` directly.
     """
-    return (complex_response(model, omegas), *log_response(model, omegas))
+    mag_db, phase_deg = log_response(model, omegas)
+    return complex_from_log(mag_db, phase_deg), mag_db, phase_deg
+
+
+def complex_from_log(mag_db, phase_deg) -> np.ndarray:
+    """Complex values of the given magnitudes (dB) and phases (degrees)."""
+    return 10.0 ** (mag_db / 20.0) * np.exp(1j * np.radians(phase_deg))
 
 
 def reciprocal(model: FactoredModel) -> FactoredModel:

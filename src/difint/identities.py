@@ -11,7 +11,9 @@ experiments of :mod:`difint.discrete` take their operands from it.
 A condition passes structurally when composing the two designed operators
 and cancelling leaves exactly the target s power, no residual factors and a
 unit gain.  The numeric deviation is always measured on the raw (unsimplified)
-operand product, so failed compositions still get an honest number.
+operand product, so failed compositions still get an honest number.  It is
+formed from the operands' summed log magnitudes and phases, never from their
+complex product, so a band far from 1 rad/s cannot overflow it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .design import DesignedPair, DesignSpec, design_pair
 from .errors import ShapeError
-from .factored import FactoredModel, frequency_response, multiply_and_simplify
+from .factored import FactoredModel, complex_from_log, frequency_response, multiply_and_simplify
 from .frequency import make_grid
 
 __all__ = [
@@ -78,14 +80,19 @@ def law_operands(
 def _verdict(condition: str, first: FactoredModel, second: FactoredModel, grid) -> IdentityVerdict:
     """Verdict for the product ``first * second`` against law ``condition``.
 
-    The deviation is ``max |composite(jw) / target(jw) - 1|`` over ``grid``,
-    evaluated from the two operand responses directly.  A composition whose
-    net s power cannot be represented counts as a structural failure, not an
-    error.
+    The deviation is ``max |composite(jw) / target(jw) - 1|`` over ``grid``.
+    The quotient is formed in log form: the operands' magnitudes and phases
+    are summed and the target's ``20*e*log10(w)`` dB and ``90*e`` degrees
+    subtracted, so it stays finite where the product itself would not.  A
+    composition whose net s power cannot be represented counts as a
+    structural failure, not an error.
     """
-    values = frequency_response(first, grid)[0] * frequency_response(second, grid)[0]
-    target = (1j * grid) ** _TARGET_S_EXPONENT[condition]
-    deviation = float(np.max(np.abs(values / target - 1.0)))
+    exponent = _TARGET_S_EXPONENT[condition]
+    _, first_db, first_deg = frequency_response(first, grid)
+    _, second_db, second_deg = frequency_response(second, grid)
+    excess_db = first_db + second_db - 20.0 * exponent * np.log10(grid)
+    excess_deg = first_deg + second_deg - 90.0 * exponent
+    deviation = float(np.max(np.abs(complex_from_log(excess_db, excess_deg) - 1.0)))
 
     try:
         simplified = multiply_and_simplify(first, second)

@@ -244,6 +244,26 @@ class TestShiftedBands:
         assert len(rows) == 1000
         assert all(math.isfinite(float(cell)) for row in rows for cell in row.split(","))
 
+    @pytest.mark.parametrize("band", (
+        ("-m", "5", "-a", "0.3", "--wl", "1e-200", "--wh", "1e-190"),
+        ("-m", "5", "-a", "0.496", "--wl", "3.13e-217", "--wh", "3.13e-216", "--n", "14",
+         "--k", "4"),
+        ("-m", "2", "-a", "0.3", "--wl", "1e-300", "--wh", "1e7", "--n", "1", "--k", "1"),
+    ))
+    def test_check_deviations_are_finite(self, band):
+        # The operands' complex product overflows on these bands; the
+        # deviation, formed in log form, must not.
+        proc = self.run("check", *band)
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+        def reject(constant):
+            raise ValueError(f"non-finite JSON constant {constant}")
+
+        for verdict in json.loads(proc.stdout, parse_constant=reject):
+            assert math.isfinite(verdict["numeric_max_deviation"])
+            if verdict["structural_pass"]:
+                assert verdict["numeric_max_deviation"] < 1e-12
+
 
 def one_shot_csv(header, columns, precision):
     """CSV text built as one string, as ``_csv`` did before it wrote blocks:

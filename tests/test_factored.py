@@ -1,6 +1,5 @@
 """Core factored-model algebra: evaluation, composition, reciprocal."""
 
-import cmath
 import math
 
 import mpmath
@@ -15,7 +14,6 @@ from difint import (
     DomainError,
     FactoredModel,
     ShapeError,
-    complex_response,
     design_integrator,
     design_pair,
     frequency_response,
@@ -30,8 +28,9 @@ ALL_METHODS = (1, 2, 3, 4, 5, 6, 7)
 
 
 def reference_frequency_response(model, omegas):
-    """Out-of-place factor loop: the reference the in-place kernel must
-    reproduce bit for bit."""
+    """Out-of-place factor loop: the reference whose magnitude and phase the
+    in-place kernel must reproduce bit for bit, and whose direct complex
+    product its rebuilt values must match to rounding."""
     w = np.asarray(omegas, dtype=float)
     k = model.multiplicity
     jw = 1j * w
@@ -137,11 +136,9 @@ class TestEvalResponse:
     def test_product_route_matches_log_sum_route(self, kappa):
         model = design_integrator(reference_spec(kappa, 0.7))
         for omega in np.geomspace(1e-4, 1e4, 25):
-            (value,), (magnitude_db,), (phase_deg,) = frequency_response(model, [omega])
-            rebuilt = 10.0 ** (magnitude_db / 20.0) * cmath.exp(
-                1j * math.radians(phase_deg)
-            )
-            assert abs(rebuilt - value) / abs(value) < 1e-12
+            (value,), _, _ = frequency_response(model, [omega])
+            (product,), _, _ = reference_frequency_response(model, [omega])
+            assert abs(value - product) / abs(product) < 1e-12
 
     @pytest.mark.parametrize("kappa", ALL_METHODS)
     @pytest.mark.parametrize("k", (1, 2, 3, 4))
@@ -153,11 +150,13 @@ class TestEvalResponse:
             pair = design_pair(reference_spec(kappa, alpha, k=k))
             for model in (pair.integrator, pair.differentiator):
                 for grid in grids:
-                    want = reference_frequency_response(model, grid)
-                    split = (complex_response(model, grid), *log_response(model, grid))
-                    for got in (frequency_response(model, grid), split):
-                        for g, r in zip(got, want, strict=True):
+                    product, *want = reference_frequency_response(model, grid)
+                    values, *got = frequency_response(model, grid)
+                    for logs in (got, log_response(model, grid)):
+                        for g, r in zip(logs, want, strict=True):
                             assert np.array_equal(g, r)
+                    # Measured worst case over these grids: 8.3e-15.
+                    assert np.max(np.abs(values - product) / np.abs(product)) < 1e-13
 
     def test_vectorized_rejects_nonpositive_and_nan_frequencies(self):
         m = FactoredModel(1.0, 0, 1, ((2.0, 1.0),))

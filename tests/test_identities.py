@@ -1,5 +1,6 @@
 """Composition-law verdicts and the seven-method pass/fail matrix."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,6 +11,7 @@ from difint import (
     check_identity,
     design_integrator,
     design_pair,
+    make_grid,
     multiply_and_simplify,
 )
 from difint import identities
@@ -159,3 +161,57 @@ class TestMethod5Inverse:
         assert not verdict.structural_pass
         assert verdict.numeric_max_deviation > 1e-2
         assert pair.differentiator.poles != pair.integrator.zeros
+
+
+def mpmath_deviation(condition, spec, dps=60):
+    """``max |first(jw) * second(jw) / (jw)**e - 1|`` over the verdict's grid,
+    from the complex factor products in ``dps``-digit arithmetic, whose
+    exponent range no product leaves."""
+    pair = design_pair(spec)
+    complement = design_pair(spec.complement()) if condition in ("i", "iii") else None
+    first, second = identities.law_operands(condition, pair, complement)
+    target = {"i": -1, "ii": 0, "iii": 1}[condition]
+    grid = make_grid(spec.omega_l, spec.omega_h, identities.GRID_COUNT)
+    worst = 0
+    with mpmath.workdps(dps):
+        gain = mpmath.mpf(first.gain) * mpmath.mpf(second.gain)
+        s_power = first.s_exponent + second.s_exponent - target
+        for omega in grid:
+            jw = mpmath.mpc(0, omega)
+            num = mpmath.fprod(jw + z for z in first.zeros + second.zeros)
+            den = mpmath.fprod(jw + p for p in first.poles + second.poles)
+            value = gain * jw**s_power * (num / den) ** first.multiplicity
+            worst = max(worst, abs(value - 1))
+    return float(worst)
+
+
+class TestDeviationOracle:
+    """Deviations against a 60-digit oracle, on bands where the operands'
+    complex product leaves the float range.  Measured worst cases over
+    methods 5 and 6 on these bands at orders 0.3 and 0.7 and all three
+    laws: 4.9e-13 relative on failing laws; over methods 1-4 on
+    1e-300..1e7: 1.1e-13 absolute on passing laws."""
+
+    @pytest.mark.parametrize("kappa, condition, band", (
+        (5, "i", (1e-200, 1e-190)),  # ~1e195: the product overflows
+        (5, "ii", (1e-170, 1e-160)),
+        (5, "iii", (1e-3, 1e3)),
+        (6, "i", (1e-170, 1e-160)),
+        (6, "ii", (1e-3, 1e3)),
+        (6, "iii", (1e-200, 1e-190)),
+    ))
+    def test_failing_law_matches_relative(self, kappa, condition, band):
+        spec = DesignSpec(kappa, 0.3, *band)
+        verdict = check_identity(condition, spec)
+        assert not verdict.structural_pass
+        want = mpmath_deviation(condition, spec)
+        assert abs(verdict.numeric_max_deviation - want) < 1e-11 * want
+
+    @pytest.mark.parametrize("kappa", (1, 2, 3, 4))
+    @pytest.mark.parametrize("condition", ("i", "iii"))
+    def test_passing_law_matches_absolute(self, kappa, condition):
+        spec = DesignSpec(kappa, 0.3, 1e-300, 1e7, n=1, k=1)
+        verdict = check_identity(condition, spec)
+        assert verdict.structural_pass
+        want = mpmath_deviation(condition, spec)
+        assert abs(verdict.numeric_max_deviation - want) < 1e-12

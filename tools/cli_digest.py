@@ -21,7 +21,8 @@ every command for methods 1..7 at orders 0.3 and 0.7 (methods 3/4 with
 ``--eps-special`` and with an in-range ``--eps``), tables 1..5, wide bands
 on which few high-multiplicity sections overflow or underflow the gain,
 ``design``, ``bode`` and ``check`` for methods 1..7 on 10-decade bands
-placed at 1e-200, 1e-170 and 1e160,
+placed at 1e-200, 1e-170 and 1e160, a ``check`` of method 5 on a
+one-decade band at 3e-217 whose operand product leaves the float range,
 offsets on either side of the admissible interval, then methods 3/4 with
 the offset omitted where ``check`` and ``simulate`` allow it, infinite
 horizons, a band whose ratio overflows, and ``pfe`` for methods 1..4 at
@@ -115,6 +116,7 @@ def _calls() -> list[str]:
             for alpha in ("0.3", "0.7"):
                 args = f"-m {method} -a {alpha} --wl {wl} --wh {wh}{special}"
                 calls += [f"design {args}", f"bode {args}", f"check {args}"]
+    calls.append("check -m 5 -a 0.496 --wl 3.13e-217 --wh 3.13e-216 --n 14 --k 4 --condition all")
     offset_check = "check -m 3 -a 0.3037617739110518 --n 38 --k 4 --eps 0.4370141475644993"
     calls += [
         f"{offset_check} --condition ii",
