@@ -50,7 +50,8 @@ __all__ = [
 def check_band(omega_l: float, omega_h: float) -> None:
     """Reject a band unless ``0 < omega_l < omega_h``, ``omega_h`` is finite
     and so is ``omega_h / omega_l``, on whose powers every corner and grid
-    point is placed."""
+    point is placed, and ``omega_l`` is a normal float: a subnormal edge
+    carries fewer significant digits than the band it names."""
     if not (0.0 < omega_l < omega_h and math.isfinite(omega_h)):
         raise DomainError(
             f"band must satisfy 0 < omega_l < omega_h, got [{omega_l!r}, {omega_h!r}]"
@@ -58,6 +59,11 @@ def check_band(omega_l: float, omega_h: float) -> None:
     if not math.isfinite(omega_h / omega_l):
         raise DomainError(
             f"band ratio omega_h / omega_l must be finite, got [{omega_l!r}, {omega_h!r}]"
+        )
+    if omega_l < sys.float_info.min:
+        raise DomainError(
+            f"band edge omega_l must be at least {sys.float_info.min!r} "
+            f"(the smallest normal float), got {omega_l!r}"
         )
 
 

@@ -1,18 +1,19 @@
 """Bilinear discretization and time-domain identity experiments.
 
 Each first-order factor maps through the trapezoidal substitution
-s <- (2/h)(q - 1)/(q + 1) to a strictly stable digital section; a net 1/s
-becomes a trapezoid accumulator head and a net s a central-difference head
-(which needs one sample of analytic input lookahead, so it is an offline
-device by construction).
+s <- (2/h)(q - 1)/(q + 1) to a strictly stable digital section.  A net 1/s
+is the factor 1/(s + p) at p = 0, so it maps the same way, to the trapezoid
+accumulator section (h/2, h/2, -1) that leads the cascade.  A net s becomes
+a central difference taken before the cascade, which needs one sample of
+analytic input lookahead, so it is an offline device by construction.
 
 The whole cascade runs as one pass of scipy's compiled second-order-section
-loop, with one row per first-order section.  Only that loop's extension,
-``scipy.signal._sosfilt``, is loaded, and only when :func:`simulate_filter`
-first runs: design, analysis and realization never load scipy, and
-simulation skips ``scipy.signal``'s package import, which pulls in
-``scipy.stats``, ``interpolate`` and ``optimize`` and costs about a second
-of every ``simulate`` call.
+loop, with one row per first-order section; no sections is the identity.
+Only that loop's extension, ``scipy.signal._sosfilt``, is loaded, and only
+when :func:`simulate_filter` first runs: design, analysis and realization
+never load scipy, and simulation skips ``scipy.signal``'s package import,
+which pulls in ``scipy.stats``, ``interpolate`` and ``optimize`` and costs
+about a second of every ``simulate`` call.
 """
 
 from __future__ import annotations
@@ -32,20 +33,13 @@ from .factored import FactoredModel, multiply_and_simplify
 from .identities import law_operands
 
 __all__ = [
-    "CENTRAL_DIFFERENCE",
     "DiscreteFilter",
     "FilterSection",
-    "PASSTHROUGH",
     "SimulationResult",
-    "TRAPEZOID_INTEGRATOR",
     "discretize",
     "identity_experiment",
     "simulate_filter",
 ]
-
-TRAPEZOID_INTEGRATOR = "trapezoid_integrator"
-CENTRAL_DIFFERENCE = "central_difference"
-PASSTHROUGH = "passthrough"
 
 
 @dataclass(frozen=True)
@@ -60,7 +54,7 @@ class FilterSection:
 @dataclass(frozen=True)
 class DiscreteFilter:
     sections: tuple[FilterSection, ...]
-    head: str | None
+    central_difference: bool
     sample_period: float
 
 
@@ -68,57 +62,50 @@ def discretize(model: FactoredModel, sample_period: float) -> DiscreteFilter:
     """Tustin-map a factored model at sample period ``sample_period``.
 
     Every real pole p > 0 lands strictly inside the unit circle
-    (|a1| < 1), so all factor sections are stable; only the trapezoid
-    integrator head is marginally stable, by design.
+    (|a1| < 1), so all factor sections are stable; only the accumulator
+    section of a net 1/s (pole p = 0) is marginally stable, by design.
+    The gain folds into the first factor section, or becomes a section of
+    its own when there is none.
     """
     if not sample_period > 0.0:
         raise DomainError(f"sample period must be > 0, got {sample_period!r}")
+    h = float(sample_period)
     c = 2.0 / sample_period
     sections: list[FilterSection] = []
     for z, p in model.factors:
         section = FilterSection((c + z) / (c + p), (z - c) / (c + p), (p - c) / (c + p))
         sections.extend([section] * model.multiplicity)
-
-    head = None
-    if model.s_exponent == -1:
-        head = TRAPEZOID_INTEGRATOR
-    elif model.s_exponent == 1:
-        head = CENTRAL_DIFFERENCE
-
     if sections:
         first = sections[0]
         sections[0] = FilterSection(first.b0 * model.gain, first.b1 * model.gain, first.a1)
     elif model.gain != 1.0:
         sections.append(FilterSection(model.gain, 0.0, 0.0))
-    elif head is None:
-        head = PASSTHROUGH
-    return DiscreteFilter(tuple(sections), head, float(sample_period))
+    if model.s_exponent == -1:
+        sections.insert(0, FilterSection(h / 2.0, h / 2.0, -1.0))
+    return DiscreteFilter(tuple(sections), model.s_exponent == 1, h)
 
 
 def simulate_filter(filt: DiscreteFilter, samples, lookahead: tuple[float, float] | None = None):
     """Run a filter over an input sequence from zero initial conditions.
 
     ``lookahead`` is the pair of analytic input samples one step before and
-    after the sequence; it must be supplied exactly when the filter has a
-    central-difference head.
+    after the sequence; it must be supplied exactly when the filter takes a
+    central difference.
     """
     u = np.asarray(samples, dtype=float)
     if u.ndim != 1:
         raise ValueError(f"samples must be a 1-D sequence, got shape {u.shape}")
-    h = filt.sample_period
-    rows = [[s.b0, s.b1, 0.0, 1.0, s.a1, 0.0] for s in filt.sections]
-    if filt.head == CENTRAL_DIFFERENCE:
+    if filt.central_difference:
         if lookahead is None:
-            raise ValueError("central-difference head needs (pre, post) lookahead samples")
+            raise ValueError("central difference needs (pre, post) lookahead samples")
         pre, post = lookahead
         extended = np.concatenate(([pre], u, [post]))
-        u = (extended[2:] - extended[:-2]) / (2.0 * h)
+        u = (extended[2:] - extended[:-2]) / (2.0 * filt.sample_period)
     elif lookahead is not None:
-        raise ValueError("lookahead is only meaningful with a central-difference head")
-    elif filt.head == TRAPEZOID_INTEGRATOR:
-        rows.insert(0, [h / 2.0, h / 2.0, 0.0, 1.0, -1.0, 0.0])
-    if not rows:
+        raise ValueError("lookahead is only meaningful with a central difference")
+    if not filt.sections:
         return u.copy()
+    rows = [[s.b0, s.b1, 0.0, 1.0, s.a1, 0.0] for s in filt.sections]
     # With a zero second-order tail each row computes exactly the
     # first-order recurrence; pairing sections into biquads would
     # reassociate it and change results in the last digits.  The kernel is
@@ -206,7 +193,7 @@ def _run_composite(stages, u, h, lookahead):
     y = u
     for stage in stages:
         filt = discretize(stage, h)
-        need = lookahead if filt.head == CENTRAL_DIFFERENCE else None
+        need = lookahead if filt.central_difference else None
         y = simulate_filter(filt, y, need)
     return y
 

@@ -181,25 +181,19 @@ def _greedy_match(zeros, poles, rel_tol):
     return matched_z, matched_p
 
 
-def multiply_and_simplify(
-    a: FactoredModel,
-    b: FactoredModel,
-    rel_tol: float = DEFAULT_CANCEL_TOL,
-) -> FactoredModel:
+def multiply_and_simplify(a: FactoredModel, b: FactoredModel) -> FactoredModel:
     """Multiply two models and cancel matching zero/pole pairs.
 
     Gains multiply and s powers add; a zero of one operand cancels a pole of
     the other when their relative gap ``|z - p| / max(z, p)`` is within
-    ``rel_tol``.  Because both operands must carry the same multiplicity, a
-    cancellation removes the full repeated factor on both sides.  Surviving
-    zeros and poles are re-paired in ascending order.
+    ``DEFAULT_CANCEL_TOL``.  Because both operands must carry the same
+    multiplicity, a cancellation removes the full repeated factor on both
+    sides.  Surviving zeros and poles are re-paired in ascending order.
 
     Raises ``ShapeError`` when the multiplicities differ or the net s power
     leaves {-1, 0, +1}; an out-of-range s power is how a failed composition
     law shows up structurally, so it is deliberately not generalized away.
     """
-    if not 0.0 <= rel_tol <= 1e-6:
-        raise DomainError(f"rel_tol must lie in [0, 1e-6], got {rel_tol!r}")
     if a.multiplicity != b.multiplicity:
         raise ShapeError(
             f"factor multiplicities differ: {a.multiplicity} vs {b.multiplicity}"
@@ -210,8 +204,8 @@ def multiply_and_simplify(
 
     za, pa = list(a.zeros), list(a.poles)
     zb, pb = list(b.zeros), list(b.poles)
-    za_used, pb_used = _greedy_match(za, pb, rel_tol)
-    zb_used, pa_used = _greedy_match(zb, pa, rel_tol)
+    za_used, pb_used = _greedy_match(za, pb, DEFAULT_CANCEL_TOL)
+    zb_used, pa_used = _greedy_match(zb, pa, DEFAULT_CANCEL_TOL)
 
     zeros = sorted(
         [z for i, z in enumerate(za) if i not in za_used]

@@ -256,48 +256,27 @@ def export_netlist(network: RcNetwork, format: str = "spice", meta=None, precisi
     both legs of a parallel RC share the same node pair.  Values print in
     scientific notation at ``precision`` fractional digits.
     """
-    groups = len(network.elements)
+    if format not in ("spice", "json"):
+        raise DomainError(f"format must be 'spice' or 'json', got {format!r}")
     lines = ["* series rc chain, driving-point impedance between node 1 and 0"]
-    records = []
-    r_count = c_count = 0
-    for index, element in enumerate(network.elements):
-        node_a = index + 1
-        node_b = 0 if index == groups - 1 else index + 2
+    entries = []
+    counts = {"R": 0, "C": 0}
+    for node_a, element in enumerate(network.elements, start=1):
+        node_b = 0 if node_a == len(network.elements) else node_a + 1
         if isinstance(element, SeriesResistor):
-            r_count += 1
-            records.append(("resistor", f"R{r_count}", node_a, node_b, element.resistance, None))
+            kind, values = "resistor", (("R", element.resistance),)
         elif isinstance(element, SeriesCapacitor):
-            c_count += 1
-            records.append(("capacitor", f"C{c_count}", node_a, node_b, element.capacitance, None))
+            kind, values = "capacitor", (("C", element.capacitance),)
         else:
-            r_count += 1
-            c_count += 1
-            records.append(
-                ("parallel_rc", f"R{r_count}/C{c_count}", node_a, node_b,
-                 element.resistance, element.capacitance)
-            )
+            kind, values = "parallel_rc", (("R", element.resistance), ("C", element.capacitance))
+        entry = {"kind": kind, "nodes": [node_a, node_b]}
+        for symbol, value in values:
+            counts[symbol] += 1
+            text = _sci(value, precision)
+            lines.append(f"{symbol}{counts[symbol]} {node_a} {node_b} {text}")
+            entry[symbol] = float(text)
+        entries.append(entry)
     if format == "spice":
-        for kind, name, node_a, node_b, first, second in records:
-            if kind == "parallel_rc":
-                r_name, c_name = name.split("/")
-                lines.append(f"{r_name} {node_a} {node_b} {_sci(first, precision)}")
-                lines.append(f"{c_name} {node_a} {node_b} {_sci(second, precision)}")
-            else:
-                lines.append(f"{name} {node_a} {node_b} {_sci(first, precision)}")
         lines.append(_meta_comment(meta))
         return "\n".join(lines) + "\n"
-    if format == "json":
-        elements = []
-        for kind, name, node_a, node_b, first, second in records:
-            entry = {"kind": kind, "nodes": [node_a, node_b]}
-            if kind == "resistor":
-                entry["R"] = float(_sci(first, precision))
-            elif kind == "capacitor":
-                entry["C"] = float(_sci(first, precision))
-            else:
-                entry["R"] = float(_sci(first, precision))
-                entry["C"] = float(_sci(second, precision))
-            elements.append(entry)
-        document = {"elements": elements, "meta": dict(meta) if meta else {}}
-        return json.dumps(document, indent=2) + "\n"
-    raise DomainError(f"format must be 'spice' or 'json', got {format!r}")
+    return json.dumps({"elements": entries, "meta": dict(meta) if meta else {}}, indent=2) + "\n"

@@ -107,6 +107,16 @@ class TestDesignCommand:
         assert code == 2 and out == ""
         assert "band ratio" in err
 
+    @pytest.mark.parametrize("command", ("design", "check"))
+    def test_subnormal_band_edge_exits_2(self, capsys, command):
+        code, out, err = run_cli(
+            capsys, command, "-m", "5" if command == "check" else "1", "-a", "0.3",
+            "--wl", "1e-320", "--wh", "1e-310",
+        )
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: band edge omega_l must be at least")
+
     @pytest.mark.parametrize("command", ("design", "bode", "pfe", "circuit", "check"))
     def test_unrepresentable_matched_gain_exits_2(self, capsys, command):
         code, out, err = run_cli(

@@ -1,6 +1,7 @@
 """Designer parameter formulas, gain matching, offset bounds, symmetry."""
 
 import math
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
@@ -56,10 +57,15 @@ class TestDesignSpec:
             DesignSpec(1, 0.3, *band)
 
     def test_accepts_widest_finite_ratios(self):
-        for band in ((1e-154, 1e154), (1e-300, 1e7), (1.0, 1e308), (1e-308, 1e-1)):
+        for band in ((1e-154, 1e154), (1e-300, 1e7), (1.0, 1e308), (sys.float_info.min, 1e-1)):
             for kappa in range(1, 8):
                 model = design_integrator(DesignSpec(kappa, 0.3, *band, n=10, k=2))
                 assert math.isfinite(model.gain)
+
+    @pytest.mark.parametrize("band", ((1e-310, 1e-300), (1e-320, 1e-310), (5e-324, 1e-300)))
+    def test_rejects_subnormal_lower_edge(self, band):
+        with pytest.raises(DomainError, match="smallest normal float"):
+            DesignSpec(1, 0.3, *band)
 
     @pytest.mark.parametrize("method", (2, 4))
     @pytest.mark.parametrize("band", ((1e-154, 1e154), (1e-300, 1e7)))

@@ -22,13 +22,7 @@ from difint import (
     simulate_filter,
 )
 from difint import discrete
-from difint.discrete import (
-    CENTRAL_DIFFERENCE,
-    PASSTHROUGH,
-    TRAPEZOID_INTEGRATOR,
-    DiscreteFilter,
-    FilterSection,
-)
+from difint.discrete import DiscreteFilter, FilterSection
 
 
 def reference_simulate(filt, samples, lookahead=None):
@@ -37,13 +31,10 @@ def reference_simulate(filt, samples, lookahead=None):
     from scipy.signal import lfilter
 
     u = np.asarray(samples, dtype=float)
-    h = filt.sample_period
-    if filt.head == CENTRAL_DIFFERENCE:
+    if filt.central_difference:
         pre, post = lookahead
         extended = np.concatenate(([pre], u, [post]))
-        y = (extended[2:] - extended[:-2]) / (2.0 * h)
-    elif filt.head == TRAPEZOID_INTEGRATOR:
-        y = lfilter([h / 2.0, h / 2.0], [1.0, -1.0], u)
+        y = (extended[2:] - extended[:-2]) / (2.0 * filt.sample_period)
     else:
         y = u.copy()
     for section in filt.sections:
@@ -57,7 +48,7 @@ def assert_bitwise_reference(model, h=0.001, counts=(1, 2, 1000, 10000)):
         t = np.arange(count) * h
         u = np.sin(t)
         need = None
-        if filt.head == CENTRAL_DIFFERENCE:
+        if filt.central_difference:
             need = (math.sin(-h), math.sin(t[-1] + h))
         got = simulate_filter(filt, u, need)
         assert np.array_equal(got, reference_simulate(filt, u, need))
@@ -71,17 +62,36 @@ class TestDiscretize:
         assert section.b0 == pytest.approx(2001.0 / 2002.0, rel=1e-15)
         assert section.b1 == pytest.approx(-1999.0 / 2002.0, rel=1e-15)
         assert section.a1 == pytest.approx(-1998.0 / 2002.0, rel=1e-15)
-        assert filt.head is None
+        assert filt.central_difference is False
 
     def test_multiplicity_repeats_sections(self):
         filt = discretize(FactoredModel(1.0, 0, 2, ((1.0, 2.0), (4.0, 3.0))), 0.01)
         assert len(filt.sections) == 4
 
-    def test_heads(self):
-        assert discretize(FactoredModel(1.0, -1), 0.1).head == TRAPEZOID_INTEGRATOR
-        assert discretize(FactoredModel(1.0, 1), 0.1).head == CENTRAL_DIFFERENCE
-        assert discretize(FactoredModel(1.0, 0), 0.1).head == PASSTHROUGH
-        assert discretize(FactoredModel(2.0, 0), 0.1).head is None  # static gain
+    def test_net_s_powers(self):
+        accumulator = FilterSection(0.05, 0.05, -1.0)  # Tustin map of 1/(s + 0)
+        assert discretize(FactoredModel(1.0, -1), 0.1) == DiscreteFilter((accumulator,), False, 0.1)
+        assert discretize(FactoredModel(1.0, 1), 0.1) == DiscreteFilter((), True, 0.1)
+        assert discretize(FactoredModel(1.0, 0), 0.1) == DiscreteFilter((), False, 0.1)
+        static_gain = FilterSection(2.0, 0.0, 0.0)
+        assert discretize(FactoredModel(2.0, 0), 0.1) == DiscreteFilter((static_gain,), False, 0.1)
+
+    @pytest.mark.parametrize("kappa", range(1, 8))
+    @pytest.mark.parametrize("alpha", (0.3, 0.7))
+    def test_integrator_leads_with_the_accumulator_section(self, kappa, alpha):
+        # 1/s is the factor 1/(s + p) at p = 0: its section (h/2, h/2, -1)
+        # runs first, then the gain-folded factor sections of the same model
+        # without its s power.  Only a net s takes a central difference.
+        h = 0.001
+        pair = design_pair(reference_spec(kappa, alpha))
+        for model in (pair.integrator, pair.differentiator):
+            filt = discretize(model, h)
+            factors = discretize(FactoredModel(model.gain, 0, model.multiplicity, model.factors), h)
+            if model.s_exponent == -1:
+                assert filt.sections == (FilterSection(h / 2.0, h / 2.0, -1.0),) + factors.sections
+            else:
+                assert filt.sections == factors.sections
+            assert filt.central_difference is (model.s_exponent == 1)
 
     def test_rejects_bad_sample_period(self):
         with pytest.raises(DomainError):
@@ -92,8 +102,12 @@ class TestDiscretize:
     def test_designed_sections_strictly_stable(self, kappa, alpha):
         pair = design_pair(reference_spec(kappa, alpha))
         for model in (pair.integrator, pair.differentiator):
-            filt = discretize(model, 0.001)
-            assert all(abs(s.a1) < 1.0 for s in filt.sections)
+            sections = discretize(model, 0.001).sections
+            if model.s_exponent == -1:
+                # Only the leading accumulator of 1/s sits on the unit circle.
+                assert sections[0].a1 == -1.0
+                sections = sections[1:]
+            assert all(abs(s.a1) < 1.0 for s in sections)
 
 
 class TestSimulateFilter:
@@ -140,8 +154,8 @@ class TestSimulateFilter:
         [
             (FactoredModel(1.0, 0), None),  # no sections
             (FactoredModel(2.0, 0), None),  # gain-only section
-            (FactoredModel(1.0, -1), None),  # trapezoid head
-            (FactoredModel(1.0, 1), (0.5, -0.5)),  # central-difference head
+            (FactoredModel(1.0, -1), None),  # accumulator section
+            (FactoredModel(1.0, 1), (0.5, -0.5)),  # central difference
             (FactoredModel(2.0, 0, 2, ((1.0, 2.0),)), None),
         ],
     )
@@ -157,27 +171,28 @@ class TestSimulateFilter:
 
 class TestCascadeKernel:
     @pytest.mark.parametrize(
-        "model, head, sections",
+        "model, central_difference, sections",
         [
-            (FactoredModel(1.0, 0), PASSTHROUGH, 0),
-            (FactoredModel(2.5, 0), None, 1),  # gain-only section
-            (FactoredModel(1.0, -1), TRAPEZOID_INTEGRATOR, 0),
-            (FactoredModel(3.0, -1), TRAPEZOID_INTEGRATOR, 1),
-            (FactoredModel(1.0, 1), CENTRAL_DIFFERENCE, 0),
-            (FactoredModel(0.5, 1), CENTRAL_DIFFERENCE, 1),
-            (FactoredModel(2.0, 0, 3, ((1.0, 2.0), (40.0, 30.0))), None, 6),
+            (FactoredModel(1.0, 0), False, 0),  # identity
+            (FactoredModel(2.5, 0), False, 1),  # gain-only section
+            (FactoredModel(1.0, -1), False, 1),  # accumulator section
+            (FactoredModel(3.0, -1), False, 2),  # accumulator, then gain-only
+            (FactoredModel(1.0, 1), True, 0),
+            (FactoredModel(0.5, 1), True, 1),
+            (FactoredModel(2.0, 0, 3, ((1.0, 2.0), (40.0, 30.0))), False, 6),
+            (FactoredModel(2.0, -1, 2, ((1.0, 2.0),)), False, 3),
         ],
     )
-    def test_every_head_is_bitwise_reference(self, model, head, sections):
+    def test_every_net_s_power_is_bitwise_reference(self, model, central_difference, sections):
         filt = assert_bitwise_reference(model)
-        assert filt.head == head
+        assert filt.central_difference is central_difference
         assert len(filt.sections) == sections
 
     @pytest.mark.parametrize("kappa", range(1, 8))
     @pytest.mark.parametrize("k", (1, 2, 3, 4))
     def test_designed_cascades_are_bitwise_reference(self, kappa, k):
-        # Orders 0.3 and 0.7 give every head on methods 1..4; simplified
-        # products add the gain-only and section-free cases.
+        # Orders 0.3 and 0.7 give every net s power on methods 1..4;
+        # simplified products add the gain-only and section-free cases.
         for alpha in (0.3, 0.7):
             pair = design_pair(reference_spec(kappa, alpha, k=k))
             models = [pair.integrator, pair.differentiator]
@@ -195,15 +210,20 @@ def public_sosfilt(filt, samples, lookahead=None):
     from scipy.signal import sosfilt
 
     u = np.asarray(samples, dtype=float)
-    h = filt.sample_period
     rows = [[s.b0, s.b1, 0.0, 1.0, s.a1, 0.0] for s in filt.sections]
-    if filt.head == CENTRAL_DIFFERENCE:
+    if filt.central_difference:
         pre, post = lookahead
         extended = np.concatenate(([pre], u, [post]))
-        u = (extended[2:] - extended[:-2]) / (2.0 * h)
-    elif filt.head == TRAPEZOID_INTEGRATOR:
-        rows.insert(0, [h / 2.0, h / 2.0, 0.0, 1.0, -1.0, 0.0])
+        u = (extended[2:] - extended[:-2]) / (2.0 * filt.sample_period)
     return sosfilt(np.array(rows), u)
+
+
+def with_head(sections, head, h):
+    """``sections`` as a filter with the given head: none, the accumulator
+    section of 1/s in front, or a central difference."""
+    if head == "accumulator":
+        sections = (FilterSection(h / 2.0, h / 2.0, -1.0),) + sections
+    return DiscreteFilter(sections, head == "central_difference", h)
 
 
 def random_cascade(rng, head):
@@ -217,8 +237,8 @@ def random_cascade(rng, head):
     u = rng.normal(size=count)
     u[rng.random(count) < 0.05] = 0.0
     u[rng.random(count) < 0.05] = -0.0
-    lookahead = tuple(rng.normal(size=2)) if head == CENTRAL_DIFFERENCE else None
-    return DiscreteFilter(sections, head, float(rng.uniform(1e-4, 0.1))), u, lookahead
+    lookahead = tuple(rng.normal(size=2)) if head == "central_difference" else None
+    return with_head(sections, head, float(rng.uniform(1e-4, 0.1))), u, lookahead
 
 
 def assert_same_bits(got, want):
@@ -227,7 +247,7 @@ def assert_same_bits(got, want):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-HEADS = (None, TRAPEZOID_INTEGRATOR, CENTRAL_DIFFERENCE)
+HEADS = ("none", "accumulator", "central_difference")
 
 
 class TestCompiledKernel:
@@ -243,9 +263,9 @@ class TestCompiledKernel:
     def test_extreme_sizes_are_bitwise_public_sosfilt(self, head, sections, count):
         rng = np.random.default_rng(sections + count)
         section = FilterSection(0.3, -0.2, -0.95)
-        filt = DiscreteFilter((section,) * sections, head, 0.001)
+        filt = with_head((section,) * sections, head, 0.001)
         u = rng.normal(size=count)
-        lookahead = (0.1, -0.1) if head == CENTRAL_DIFFERENCE else None
+        lookahead = (0.1, -0.1) if head == "central_difference" else None
         assert_same_bits(simulate_filter(filt, u, lookahead), public_sosfilt(filt, u, lookahead))
 
     def test_missing_scipy_is_module_not_found(self, monkeypatch):
@@ -270,7 +290,8 @@ import hashlib, json, sys
 import numpy as np
 from difint.discrete import DiscreteFilter, FilterSection, simulate_filter
 
-filt = DiscreteFilter((FilterSection(0.7, -0.4, -0.9),) * 12, "trapezoid_integrator", 0.01)
+accumulator = FilterSection(0.005, 0.005, -1.0)
+filt = DiscreteFilter((accumulator,) + (FilterSection(0.7, -0.4, -0.9),) * 12, False, 0.01)
 u = np.sin(np.arange(5000) * 0.01)
 rows = np.array([[0.005, 0.005, 0.0, 1.0, -1.0, 0.0]] + [[0.7, -0.4, 0.0, 1.0, -0.9, 0.0]] * 12)
 
@@ -389,14 +410,14 @@ def reference_run_composite(first, second, u, h, lookahead, force_cascade):
             pass
         else:
             filt = discretize(product, h)
-            need = lookahead if filt.head == CENTRAL_DIFFERENCE else None
+            need = lookahead if filt.central_difference else None
             return simulate_filter(filt, u, need)
     stages = [second, first]
     stages.sort(key=lambda m: -m.s_exponent)
     y = u
     for stage in stages:
         filt = discretize(stage, h)
-        need = lookahead if filt.head == CENTRAL_DIFFERENCE else None
+        need = lookahead if filt.central_difference else None
         y = simulate_filter(filt, y, need)
     return y
 

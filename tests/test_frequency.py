@@ -1,5 +1,7 @@
 """Frequency grids, ideal operator responses and band error norms."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,7 @@ class TestMakeGrid:
         ((1e-3, float("inf")), "band must satisfy 0 < omega_l < omega_h"),
         ((float("nan"), 1.0), "band must satisfy 0 < omega_l < omega_h"),
         ((0.0, 1.0), "band must satisfy 0 < omega_l < omega_h"),
+        ((1e-310, 1e-300), "smallest normal float"),
     ))
     def test_rejects_bands_as_design_spec_does(self, band, message):
         # The same rule and text as DesignSpec: no grid with inf points.
@@ -53,6 +56,11 @@ class TestMakeGrid:
         with pytest.raises(DomainError) as spec_err:
             DesignSpec(1, 0.3, *band)
         assert str(grid_err.value) == str(spec_err.value)
+
+    def test_accepts_smallest_normal_lower_edge(self):
+        grid = make_grid(sys.float_info.min, 1.0, 5)
+        assert grid[0] == sys.float_info.min and grid[-1] == 1.0
+        assert np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0.0)
 
     @pytest.mark.parametrize("count", (2.5, 3.0, True, "3"))
     def test_rejects_non_integral_count(self, count):

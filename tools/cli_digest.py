@@ -27,7 +27,8 @@ offsets on either side of the admissible interval, then methods 3/4 with
 the offset omitted where ``check`` and ``simulate`` allow it, infinite
 horizons, a band whose ratio overflows, and ``pfe`` for methods 1..4 at
 n = 40 and 60 and k = 3 and 4, where repeated-pole expansions used to
-overflow; every call runs at ``--precision 9`` and 17.  The ``--output``
+overflow, and ``check`` and ``design`` on the subnormal band
+1e-320..1e-310; every call runs at ``--precision 9`` and 17.  The ``--output``
 calls are a 10k-point ``bode``, a many-block ``simulate --experiment all``
 and one call per error exit code (2, 3, 4).
 """
@@ -72,6 +73,9 @@ WIDE_BANDS = [("1e-154", "1e154"), ("1e-300", "1e7")]
 # Ordinary 10-decade bands placed where the product of the band edges, or
 # the squares of frequencies and corners, leave the float range.
 SHIFTED_BANDS = [("1e-200", "1e-190"), ("1e-170", "1e-160"), ("1e160", "1e170")]
+
+# Calls on a band whose lower edge is subnormal, which is rejected.
+SUBNORMAL_BAND_CALLS = ["check -m 5 -a 0.3", "design -m 1 -a 0.3"]
 
 
 def _offsets(method: int, k: int) -> list[str]:
@@ -142,6 +146,7 @@ def _calls() -> list[str]:
         for alpha in ("0.3", "0.7"):
             for n in (40, 60):
                 calls += [f"pfe -m {method} -a {alpha} --n {n} --k {k}{special}" for k in (3, 4)]
+    calls += [f"{command} --wl 1e-320 --wh 1e-310" for command in SUBNORMAL_BAND_CALLS]
     return calls
 
 
