@@ -134,8 +134,11 @@ class DesignSpec:
 
     @property
     def nu(self) -> float:
-        """Order folded onto (0, 0.5]: nu = 0.5 - |alpha - 0.5|."""
-        return 0.5 - abs(self.alpha - 0.5)
+        """Order folded onto (0, 0.5]: alpha itself up to 0.5, else 1 - alpha.
+
+        Both are exact, so a tiny order keeps all its digits.
+        """
+        return self.alpha if self.alpha <= 0.5 else 1.0 - self.alpha
 
     @property
     def branch(self) -> Branch:

@@ -14,6 +14,12 @@ when :func:`simulate_filter` first runs: design, analysis and realization
 never load scipy, and simulation skips ``scipy.signal``'s package import,
 which pulls in ``scipy.stats``, ``interpolate`` and ``optimize`` and costs
 about a second of every ``simulate`` call.
+
+An identity experiment runs its three laws in two lanes: the calling thread
+runs one and a helper thread the other.  The compiled loop and numpy's
+array operations release the GIL, so the lanes filter in parallel.  Each
+law is computed by exactly the arithmetic of a serial run, so results are
+bit-identical to running the laws one after another.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import importlib.util
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
@@ -118,6 +125,9 @@ def simulate_filter(filt: DiscreteFilter, samples, lookahead: tuple[float, float
 
 
 _SOSFILT = "scipy.signal._sosfilt"
+# Two threads loading the extension at once can leave one of them with a
+# module that has no ``_sosfilt`` yet, so the load is serialised.
+_SOSFILT_LOCK = threading.Lock()
 
 
 def _sosfilt_kernel():
@@ -128,19 +138,20 @@ def _sosfilt_kernel():
     own name, so a later ``import scipy.signal`` reuses it (and a
     ``scipy.signal`` imported earlier lends its copy here).
     """
-    module = sys.modules.get(_SOSFILT)
-    if module is None:
-        scipy = importlib.util.find_spec("scipy")  # finds scipy without importing it
-        if scipy is None:
-            raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
-        finder = FileFinder(os.path.join(scipy.submodule_search_locations[0], "signal"),
-                            (ExtensionFileLoader, EXTENSION_SUFFIXES))
-        spec = finder.find_spec(_SOSFILT)
-        if spec is None:
-            raise ModuleNotFoundError(f"No module named {_SOSFILT!r}", name=_SOSFILT)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        sys.modules[_SOSFILT] = module
+    with _SOSFILT_LOCK:
+        module = sys.modules.get(_SOSFILT)
+        if module is None:
+            scipy = importlib.util.find_spec("scipy")  # finds scipy without importing it
+            if scipy is None:
+                raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+            finder = FileFinder(os.path.join(scipy.submodule_search_locations[0], "signal"),
+                                (ExtensionFileLoader, EXTENSION_SUFFIXES))
+            spec = finder.find_spec(_SOSFILT)
+            if spec is None:
+                raise ModuleNotFoundError(f"No module named {_SOSFILT!r}", name=_SOSFILT)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[_SOSFILT] = module
     return module._sosfilt
 
 
@@ -158,15 +169,36 @@ class SimulationResult:
 
     @classmethod
     def from_signals(cls, time, input_signal, exact, approx) -> "SimulationResult":
-        error = np.asarray(exact) - np.asarray(approx)
+        """Raises :class:`DomainError` when the filter output is not finite,
+        or when the error's 2-norm exceeds the float range."""
+        approx = np.asarray(approx)
+        if not np.all(np.isfinite(approx)):
+            raise DomainError("the simulated output is not finite")
+        error = np.asarray(exact) - approx
+        inf_norm = float(np.max(np.abs(error)))
+        # Far from the simulated frequencies the squares, or their sum,
+        # overflow although the norm itself is finite; only then is the
+        # error scaled by its largest magnitude first.
+        with np.errstate(over="ignore"):
+            square_sum = np.sum(error * error)
+        if math.isfinite(square_sum):
+            two_norm = math.sqrt(square_sum)
+        else:
+            scaled = error / inf_norm
+            two_norm = inf_norm * math.sqrt(np.sum(scaled * scaled))
+        if not math.isfinite(two_norm):
+            raise DomainError(
+                f"the time-domain error 2-norm exceeds the float range "
+                f"(largest error {inf_norm!r})"
+            )
         return cls(
             time=np.asarray(time),
             input_signal=np.asarray(input_signal),
             exact=np.asarray(exact),
-            approx=np.asarray(approx),
+            approx=approx,
             error=error,
-            inf_norm=float(np.max(np.abs(error))),
-            two_norm=float(math.sqrt(np.sum(error * error))),
+            inf_norm=inf_norm,
+            two_norm=two_norm,
         )
 
 
@@ -242,19 +274,44 @@ def identity_experiment(
     laws = (("x", "i", 1.0 - c), ("y", "ii", u), ("z", "iii", c))
     cascades = [_cascade(*law_operands(condition, pair, complement), cascade)
                 for _, condition, _ in laws]
-    # In cascade mode one first stage opens two laws' cascades: I(alpha)
-    # those of laws i and ii below alpha = 0.5, D(alpha) those of ii and iii
-    # above.  Its output over u is computed once, handed on, and dropped
-    # after the last law that reads it.
-    kept = {}
-    results = {}
-    for index, ((name, _, exact), stages) in enumerate(zip(laws, cascades)):
-        head, rest = stages[0], stages[1:]
-        y = kept.pop(head, None)
-        if y is None:
-            y = _run_composite((head,), u, sample_period, lookahead)
-        if rest and any(later[0] == head and later[1:] for later in cascades[index + 1:]):
-            kept[head] = y
-        approx = _run_composite(rest, y, sample_period, lookahead)
-        results[name] = SimulationResult.from_signals(t, u, exact, approx)
-    return results
+    # The laws run in two lanes, one on a helper thread.  In cascade mode
+    # one first stage opens two laws' cascades: I(alpha) those of laws i and
+    # ii below alpha = 0.5, D(alpha) those of ii and iii above.  Those two
+    # laws share a lane, so the stage's output over u is computed once,
+    # handed on, and dropped after the last law that reads it.  Otherwise
+    # the lanes are {i, ii} | {iii}.
+    if cascades[1][0] == cascades[2][0] != cascades[0][0]:
+        lanes = ((1, 2), (0,))
+    else:
+        lanes = ((0, 1), (2,))
+    outcomes = [None] * len(laws)
+
+    def run_lane(lane):
+        kept = {}
+        try:
+            for position, index in enumerate(lane):
+                head, rest = cascades[index][0], cascades[index][1:]
+                y = kept.pop(head, None)
+                if y is None:
+                    y = _run_composite((head,), u, sample_period, lookahead)
+                if rest and any(cascades[later][0] == head and cascades[later][1:]
+                                for later in lane[position + 1:]):
+                    kept[head] = y
+                approx = _run_composite(rest, y, sample_period, lookahead)
+                outcomes[index] = SimulationResult.from_signals(t, u, laws[index][2], approx)
+        except Exception as exc:
+            # Raised once both lanes are done.  An interrupt reaches only the
+            # calling thread, and propagates as soon as the helper is joined.
+            outcomes[index] = exc
+
+    helper = threading.Thread(target=run_lane, args=(lanes[1],))
+    helper.start()
+    try:
+        run_lane(lanes[0])
+    finally:
+        helper.join()
+    # The earliest failing law in x, y, z order raises, whichever lane ran it.
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return {name: outcome for (name, _, _), outcome in zip(laws, outcomes)}

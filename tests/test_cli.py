@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +166,21 @@ class TestTableCommand:
         )
         assert code == 0
         assert out == EXPECTED_MATRIX_TEXT
+
+    @pytest.mark.parametrize("which, band", (("4", ("1e200", "1e210")),
+                                             ("5", ("1e-250", "1e-240"))))
+    def test_time_domain_tables_far_from_the_simulated_band_are_finite(self, capsys, which,
+                                                                        band):
+        # Errors of ~1e198..1e238, whose squares overflow; their 2-norms fit.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "table", "--which", which, "--wl", band[0],
+                                     "--wh", band[1], "--T", "0.05")
+        assert code == 0 and err == "" and caught == []
+        rows = [line.split(",")[1:] for line in out.splitlines()[1:]]
+        assert len(rows) == 7
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+        assert max(float(cell) for row in rows for cell in row) > 1e198
 
     @pytest.mark.parametrize("which", ("1", "2", "3"))
     def test_band_with_overflowing_ratio_exits_2(self, capsys, which):
@@ -336,6 +352,17 @@ class TestSimulateCommand:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: sample period and duration must be finite")
+
+    def test_all_experiments_in_a_fresh_process(self):
+        # The laws' two lanes make the first two filter calls of the process
+        # at about the same time, so both load the compiled kernel at once.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "difint.cli", "simulate", "-m", "2", "-a", "0.4",
+             "--T", "1", "--experiment", "all"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert len(proc.stdout.splitlines()) == 1 + 3 * 1001
 
     def test_single_experiment_csv(self, capsys):
         code, out, _ = run_cli(

@@ -103,6 +103,15 @@ class TestDesignSpec:
         assert DesignSpec(1, 0.5).branch is Branch.LOW_ORDER
         assert DesignSpec(1, 0.51).branch is Branch.HIGH_ORDER
 
+    @pytest.mark.parametrize("alpha", (1e-300, 1e-20, 1e-10, 0.1, 0.25, 0.3, 0.5))
+    def test_folded_order_is_exact(self, alpha):
+        # 0.5 - |alpha - 0.5| rounds tiny orders off, to 0.0 below ~2.8e-17.
+        assert DesignSpec(1, alpha).nu == alpha
+
+    @pytest.mark.parametrize("alpha", (0.51, 0.7, 0.9, 1.0 - 1e-10))
+    def test_high_orders_fold_to_their_complement(self, alpha):
+        assert DesignSpec(1, alpha).nu == 1.0 - alpha
+
     @pytest.mark.parametrize("band", ((1e-3, 1e3), (0.02, 7e3), (1e-154, 1e154), (1e-300, 1e7)))
     def test_band_center_is_the_root_of_a_representable_product(self, band):
         assert DesignSpec(1, 0.3, *band).omega_m == math.sqrt(band[0] * band[1])
@@ -201,6 +210,13 @@ class TestEpsilonBounds:
         for alpha in (1e-9, 1.0 - 1e-9):
             lower, upper = epsilon_bounds(DesignSpec(3, alpha))
             assert 0.0 < lower < upper < 1e-7
+
+    def test_tiny_order_keeps_a_finite_interval(self):
+        # With nu folded to 0.0 the upper end divided by zero.
+        spec = DesignSpec(4, 1e-300, n=1, k=2, epsilon=3.86)
+        lower, upper = epsilon_bounds(spec)
+        assert 0.0 < lower < spec.epsilon < upper < math.inf
+        assert design_integrator(spec).gain > 0.0
 
     def test_usage_error_outside_methods_3_and_4(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -481,3 +483,173 @@ class TestIdentityExperimentReference:
         for i, a in enumerate(approx):
             for other in approx[i + 1:] + stages:
                 assert not np.shares_memory(a, other)
+
+
+def serial_identity_experiment(kappa, alpha, k, h, duration, cascade):
+    """The three laws run one after another in one thread, as before they
+    ran in two lanes: the reference the lanes must reproduce bit for bit."""
+    spec = reference_spec(kappa, alpha, k=k)
+    pair, complement = design_pair(spec), design_pair(spec.complement())
+    t = np.arange(int(round(duration / h)) + 1) * h
+    u = np.sin(t)
+    c = np.cos(t)
+    lookahead = (math.sin(-h), math.sin(t[-1] + h))
+    laws = (("x", "i", 1.0 - c), ("y", "ii", u), ("z", "iii", c))
+    cascades = [discrete._cascade(*discrete.law_operands(condition, pair, complement), cascade)
+                for _, condition, _ in laws]
+    kept = {}
+    results = {}
+    for index, ((name, _, exact), stages) in enumerate(zip(laws, cascades)):
+        head, rest = stages[0], stages[1:]
+        y = kept.pop(head, None)
+        if y is None:
+            y = discrete._run_composite((head,), u, h, lookahead)
+        if rest and any(later[0] == head and later[1:] for later in cascades[index + 1:]):
+            kept[head] = y
+        approx = discrete._run_composite(rest, y, h, lookahead)
+        results[name] = discrete.SimulationResult.from_signals(t, u, exact, approx)
+    return results
+
+
+class LawFailure(Exception):
+    pass
+
+
+class TestIdentityLanes:
+    @pytest.mark.parametrize("kappa", range(1, 8))
+    @pytest.mark.parametrize("cascade", (False, True))
+    @pytest.mark.parametrize("alpha", (0.3, 0.7))
+    @pytest.mark.parametrize("k", (1, 2, 3))
+    def test_lanes_are_bitwise_the_serial_run(self, kappa, cascade, alpha, k):
+        h, duration = 0.001, 5.0
+        want = serial_identity_experiment(kappa, alpha, k, h, duration, cascade)
+        got = identity_experiment(kappa, alpha, k=k, sample_period=h, duration=duration,
+                                  cascade=cascade)
+        assert list(got) == list(want) == ["x", "y", "z"]
+        for name in want:
+            assert np.array_equal(got[name].approx, want[name].approx)
+            assert np.array_equal(got[name].error, want[name].error)
+            assert got[name].inf_norm == want[name].inf_norm
+            assert got[name].two_norm == want[name].two_norm
+
+    @pytest.mark.parametrize("failing", (("x",), ("y",), ("z",), ("x", "z"), ("y", "z"),
+                                         ("x", "y", "z")))
+    @pytest.mark.parametrize("cascade", (False, True))
+    @pytest.mark.parametrize("alpha", (0.3, 0.7))
+    def test_earliest_failing_law_raises_after_the_helper_is_joined(
+            self, monkeypatch, failing, cascade, alpha):
+        # Below 0.5 the lanes are {x, y} | {z}; in cascade mode above 0.5
+        # they are {y, z} | {x}, so every failing set spans both lanes or
+        # either one of them.
+        real = discrete.SimulationResult.from_signals.__func__
+
+        def failing_from_signals(cls, time, input_signal, exact, approx):
+            name = "y" if exact is input_signal else ("x" if exact[0] == 0.0 else "z")
+            if name in failing:
+                raise LawFailure(name)
+            return real(cls, time, input_signal, exact, approx)
+
+        monkeypatch.setattr(discrete.SimulationResult, "from_signals",
+                            classmethod(failing_from_signals))
+        before = threading.active_count()
+        with pytest.raises(LawFailure) as caught:
+            identity_experiment(1, alpha, duration=0.1, cascade=cascade)
+        assert caught.value.args == (failing[0],)
+        assert threading.active_count() == before
+
+
+    def test_concurrent_experiments_are_bitwise_the_serial_run(self):
+        # Four callers, each with its helper lane, on two cores, switching
+        # threads as often as the interpreter allows.
+        cases = ((1, 0.3), (3, 0.7), (5, 0.3), (6, 0.7))
+        want = [serial_identity_experiment(kappa, alpha, 2, 0.001, 2.0, True)
+                for kappa, alpha in cases]
+        got = [None] * len(cases)
+
+        def run(index):
+            kappa, alpha = cases[index]
+            got[index] = identity_experiment(kappa, alpha, sample_period=0.001, duration=2.0,
+                                             cascade=True)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=run, args=(i,)) for i in range(len(cases))]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        for results, reference in zip(got, want):
+            assert list(results) == ["x", "y", "z"]
+            for name in reference:
+                assert np.array_equal(results[name].approx, reference[name].approx)
+
+
+class TestSimulationResultNorms:
+    def test_two_norm_keeps_the_plain_sum_where_it_is_finite(self):
+        rng = np.random.default_rng(7)
+        for scale in (1e-300, 1.0, 1e150):
+            exact = rng.normal(size=1000) * scale
+            result = discrete.SimulationResult.from_signals(
+                np.arange(1000), exact, exact, np.zeros(1000))
+            assert result.two_norm == math.sqrt(np.sum(exact * exact))
+
+    def test_two_norm_scales_when_the_squares_overflow(self):
+        exact = np.array([3e200, -4e200, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = discrete.SimulationResult.from_signals(
+                np.arange(3), exact, exact, np.zeros(3))
+        assert result.inf_norm == 4e200
+        assert result.two_norm == pytest.approx(5e200, rel=1e-15)
+
+    def test_two_norm_beyond_the_float_range_is_a_domain_error(self):
+        exact = np.full(4, 1.5e308)
+        with pytest.raises(DomainError, match="2-norm exceeds the float range"):
+            discrete.SimulationResult.from_signals(np.arange(4), exact, exact, np.zeros(4))
+
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+    def test_non_finite_output_is_a_domain_error(self, bad):
+        approx = np.array([0.0, bad, 1.0])
+        with pytest.raises(DomainError, match="not finite"):
+            discrete.SimulationResult.from_signals(np.arange(3), np.zeros(3), np.zeros(3), approx)
+
+
+# Runs in a fresh interpreter: two threads make their first simulate_filter
+# call at the same moment, so both race to load the compiled kernel.
+_FIRST_LOAD_RACE_PROBE = """
+import threading
+import numpy as np
+from difint.discrete import DiscreteFilter, FilterSection, simulate_filter
+
+filt = DiscreteFilter((FilterSection(0.7, -0.4, -0.9),) * 3, False, 0.01)
+barrier = threading.Barrier(2)
+errors = []
+
+def first_call():
+    barrier.wait()
+    try:
+        simulate_filter(filt, np.ones(100))
+    except Exception as exc:
+        errors.append(repr(exc))
+
+threads = [threading.Thread(target=first_call) for _ in range(2)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join()
+print(errors)
+"""
+
+
+class TestKernelFirstLoad:
+    def test_two_threads_loading_at_once_both_succeed(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        for _ in range(2):
+            proc = subprocess.run([sys.executable, "-c", _FIRST_LOAD_RACE_PROBE], env=env,
+                                  capture_output=True, text=True, timeout=120, check=True)
+            assert (proc.stdout, proc.stderr) == ("[]\n", "")

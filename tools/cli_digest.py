@@ -28,9 +28,18 @@ the offset omitted where ``check`` and ``simulate`` allow it, infinite
 horizons, a band whose ratio overflows, and ``pfe`` for methods 1..4 at
 n = 40 and 60 and k = 3 and 4, where repeated-pole expansions used to
 overflow, and ``check`` and ``design`` on the subnormal band
-1e-320..1e-310; every call runs at ``--precision 9`` and 17.  The ``--output``
+1e-320..1e-310, tables 4 and 5 on bands at 1e200 and 1e-250 whose
+time-domain errors square past the float range, and method 4 designed and
+checked at the tiny orders 1e-300 and 1e-20; every call runs at
+``--precision 9`` and 17.  The ``--output``
 calls are a 10k-point ``bode``, a many-block ``simulate --experiment all``
 and one call per error exit code (2, 3, 4).
+
+``cli_digest.txt`` next to this script is the expected output;
+``tests/test_cli_digest.py`` holds the tree to it.  A change that moves
+output on purpose regenerates it with
+
+    PYTHONPATH=src python tools/cli_digest.py > tools/cli_digest.txt
 """
 
 from __future__ import annotations
@@ -43,6 +52,7 @@ import shlex
 import tempfile
 import traceback
 import warnings
+from collections.abc import Iterator
 
 from difint.cli import main
 
@@ -76,6 +86,15 @@ SHIFTED_BANDS = [("1e-200", "1e-190"), ("1e-170", "1e-160"), ("1e160", "1e170")]
 
 # Calls on a band whose lower edge is subnormal, which is rejected.
 SUBNORMAL_BAND_CALLS = ["check -m 5 -a 0.3", "design -m 1 -a 0.3"]
+
+# Time-domain errors of ~1e198..1e239 whose squares overflow although their
+# 2-norms do not, and orders so small that only an exact fold keeps them.
+FLOAT_EDGE_CALLS = [
+    "table --which 4 --wl 1e200 --wh 1e210 --T 0.05",
+    "table --which 5 --wl 1e-250 --wh 1e-240 --T 0.05",
+    "design -m 4 -a 1e-300 --n 1 --k 2 --eps 3.86",
+    "check -m 4 -a 1e-20",
+]
 
 
 def _offsets(method: int, k: int) -> list[str]:
@@ -147,6 +166,7 @@ def _calls() -> list[str]:
             for n in (40, 60):
                 calls += [f"pfe -m {method} -a {alpha} --n {n} --k {k}{special}" for k in (3, 4)]
     calls += [f"{command} --wl 1e-320 --wh 1e-310" for command in SUBNORMAL_BAND_CALLS]
+    calls += FLOAT_EDGE_CALLS
     return calls
 
 
@@ -180,19 +200,25 @@ def _run_to_file(argv: list[str], directory: str) -> tuple[int, str, str, str]:
     return code, out, err, written
 
 
-def run() -> None:
+def lines() -> Iterator[str]:
+    """The digest, one line per call and precision."""
     for call in _calls():
         for precision in ("9", "17"):
             argv = ["--precision", precision, *shlex.split(call)]
             code, out, err = _run(argv)
-            print(code, _sha(out), _sha(err), shlex.join(argv), flush=True)
+            yield f"{code} {_sha(out)} {_sha(err)} {shlex.join(argv)}"
     with tempfile.TemporaryDirectory() as directory:
         for call in OUTPUT_CALLS:
             for precision in ("9", "17"):
                 argv = ["--precision", precision, *shlex.split(call)]
                 code, out, err, written = _run_to_file(argv, directory)
-                print(code, _sha(out), _sha(err), written,
-                      shlex.join(["--output", "FILE", *argv]), flush=True)
+                yield (f"{code} {_sha(out)} {_sha(err)} {written} "
+                       f"{shlex.join(['--output', 'FILE', *argv])}")
+
+
+def run() -> None:
+    for line in lines():
+        print(line, flush=True)
 
 
 if __name__ == "__main__":
