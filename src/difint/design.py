@@ -116,7 +116,11 @@ class DesignSpec:
 
     def complement(self) -> "DesignSpec":
         """This spec at the complement order ``1 - alpha``; every other
-        field, the offset included, is kept."""
+        field, the offset included, is kept.  Up to alpha = 2**-54 (~5.6e-17)
+        ``1 - alpha`` rounds to 1.0, which is no order: :class:`DomainError`."""
+        if 1.0 - self.alpha == 1.0:
+            raise DomainError(f"order {self.alpha!r} has no complement order: 1 - alpha "
+                              f"rounds to 1.0")
         return replace(self, alpha=1.0 - self.alpha)
 
     @property

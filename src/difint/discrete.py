@@ -15,11 +15,13 @@ never load scipy, and simulation skips ``scipy.signal``'s package import,
 which pulls in ``scipy.stats``, ``interpolate`` and ``optimize`` and costs
 about a second of every ``simulate`` call.
 
-An identity experiment runs its three laws in two lanes: the calling thread
-runs one and a helper thread the other.  The compiled loop and numpy's
-array operations release the GIL, so the lanes filter in parallel.  Each
-law is computed by exactly the arithmetic of a serial run, so results are
-bit-identical to running the laws one after another.
+An identity experiment groups its three laws by the first stage of their
+cascades: each group filters that stage over the input once and runs its
+laws' remaining stages on the output.  The last group runs on a helper
+thread and the others on the calling thread.  The compiled loop and
+numpy's array operations release the GIL, so the two threads filter in
+parallel.  Each law is computed by exactly the arithmetic of a serial run,
+so results are bit-identical to running the laws one after another.
 """
 
 from __future__ import annotations
@@ -220,16 +222,6 @@ def _cascade(first, second, force_cascade) -> tuple[FactoredModel, ...]:
     return tuple(sorted([second, first], key=lambda m: -m.s_exponent))
 
 
-def _run_composite(stages, u, h, lookahead):
-    """Run ``stages`` over ``u`` in order; no stage returns ``u`` itself."""
-    y = u
-    for stage in stages:
-        filt = discretize(stage, h)
-        need = lookahead if filt.central_difference else None
-        y = simulate_filter(filt, y, need)
-    return y
-
-
 def identity_experiment(
     kappa: int,
     alpha: float,
@@ -272,45 +264,45 @@ def identity_experiment(
     lookahead = (math.sin(-sample_period), math.sin(t[-1] + sample_period))
 
     laws = (("x", "i", 1.0 - c), ("y", "ii", u), ("z", "iii", c))
-    cascades = [_cascade(*law_operands(condition, pair, complement), cascade)
-                for _, condition, _ in laws]
-    # The laws run in two lanes, one on a helper thread.  In cascade mode
-    # one first stage opens two laws' cascades: I(alpha) those of laws i and
-    # ii below alpha = 0.5, D(alpha) those of ii and iii above.  Those two
-    # laws share a lane, so the stage's output over u is computed once,
-    # handed on, and dropped after the last law that reads it.  Otherwise
-    # the lanes are {i, ii} | {iii}.
-    if cascades[1][0] == cascades[2][0] != cascades[0][0]:
-        lanes = ((1, 2), (0,))
-    else:
-        lanes = ((0, 1), (2,))
+    # Laws whose cascades open with the same stage form a group, which
+    # filters that stage over u once and runs each member's remaining
+    # stages on its output; a failing shared stage is charged to the
+    # group's first law.  The last group runs on a helper thread and the
+    # others on the calling thread.
+    groups = {}
+    for index, (_, condition, _) in enumerate(laws):
+        head, *rest = _cascade(*law_operands(condition, pair, complement), cascade)
+        groups.setdefault(head, []).append((index, rest))
     outcomes = [None] * len(laws)
 
-    def run_lane(lane):
-        kept = {}
+    def run(stage, y):
+        filt = discretize(stage, sample_period)
+        return simulate_filter(filt, y, lookahead if filt.central_difference else None)
+
+    def run_groups(part):
         try:
-            for position, index in enumerate(lane):
-                head, rest = cascades[index][0], cascades[index][1:]
-                y = kept.pop(head, None)
-                if y is None:
-                    y = _run_composite((head,), u, sample_period, lookahead)
-                if rest and any(cascades[later][0] == head and cascades[later][1:]
-                                for later in lane[position + 1:]):
-                    kept[head] = y
-                approx = _run_composite(rest, y, sample_period, lookahead)
-                outcomes[index] = SimulationResult.from_signals(t, u, laws[index][2], approx)
+            for head, members in part:
+                index = members[0][0]
+                shared = run(head, u)
+                for index, rest in members:
+                    y = shared
+                    for stage in rest:
+                        y = run(stage, y)
+                    outcomes[index] = SimulationResult.from_signals(t, u, laws[index][2], y)
         except Exception as exc:
-            # Raised once both lanes are done.  An interrupt reaches only the
-            # calling thread, and propagates as soon as the helper is joined.
+            # Raised once both threads are done.  An interrupt reaches only
+            # the calling thread, and propagates as soon as the helper is
+            # joined.
             outcomes[index] = exc
 
-    helper = threading.Thread(target=run_lane, args=(lanes[1],))
+    *mine, last = groups.items()
+    helper = threading.Thread(target=run_groups, args=([last],))
     helper.start()
     try:
-        run_lane(lanes[0])
+        run_groups(mine)
     finally:
         helper.join()
-    # The earliest failing law in x, y, z order raises, whichever lane ran it.
+    # The earliest failing law in x, y, z order raises, whichever thread ran it.
     for outcome in outcomes:
         if isinstance(outcome, Exception):
             raise outcome

@@ -214,6 +214,22 @@ class TestCheckCommand:
         assert code == 0
         assert all(v["structural_pass"] for v in json.loads(out))
 
+    @pytest.mark.parametrize("argv", (
+        ("check", "-m", "4", "-a", "1e-20"),
+        ("check", "-m", "4", "-a", "1e-20", "--condition", "i"),
+        ("simulate", "-m", "4", "-a", "1e-20", "--T", "0.05"),
+        ("table", "--which", "1", "--alphas", "1e-20"),
+        ("table", "--which", "4", "--alpha", "1e-20", "--T", "0.05"),
+    ))
+    def test_laws_reading_the_complement_of_a_tiny_order_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: order 1e-20 has no complement order: 1 - alpha rounds to 1.0\n"
+
+    def test_inverse_law_at_a_tiny_order_needs_no_complement(self, capsys):
+        code, out, _ = run_cli(capsys, "check", "-m", "4", "-a", "1e-20", "--condition", "ii")
+        assert code == 0 and json.loads(out)["structural_pass"] is True
+
     def test_simulate_accepts_offset_method_without_eps(self, capsys):
         code, out, _ = run_cli(
             capsys, "simulate", "--method", "4", "--alpha", "0.3",

@@ -146,6 +146,16 @@ class TestDesignSpec:
                 if field.name != "alpha":
                     assert getattr(complement, field.name) == getattr(spec, field.name)
 
+    @pytest.mark.parametrize("alpha", (1e-300, 1e-20, 2.0**-54))
+    def test_complement_of_a_tiny_order_names_the_given_order(self, alpha):
+        spec = DesignSpec(1, alpha)
+        assert design_pair(spec).integrator.gain > 0.0
+        with pytest.raises(DomainError) as caught:
+            spec.complement()
+        assert str(caught.value) == (f"order {alpha!r} has no complement order: "
+                                     f"1 - alpha rounds to 1.0")
+        assert DesignSpec(1, 2.0**-53).complement().alpha == 1.0 - 2.0**-53
+
     def test_forced_multiplicities(self):
         for spec, k in ((DesignSpec(5, 0.4, k=2), 1), (DesignSpec(6, 0.4, k=1), 2),
                         (DesignSpec(7, 0.4, k=3), 1), (DesignSpec(1, 0.4, k=3), 3)):

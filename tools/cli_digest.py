@@ -30,7 +30,8 @@ n = 40 and 60 and k = 3 and 4, where repeated-pole expansions used to
 overflow, and ``check`` and ``design`` on the subnormal band
 1e-320..1e-310, tables 4 and 5 on bands at 1e200 and 1e-250 whose
 time-domain errors square past the float range, and method 4 designed and
-checked at the tiny orders 1e-300 and 1e-20; every call runs at
+checked at the tiny orders 1e-300 and 1e-20, and simulated and tabled at
+1e-20, whose complement order rounds to 1.0; every call runs at
 ``--precision 9`` and 17.  The ``--output``
 calls are a 10k-point ``bode``, a many-block ``simulate --experiment all``
 and one call per error exit code (2, 3, 4).
@@ -88,12 +89,18 @@ SHIFTED_BANDS = [("1e-200", "1e-190"), ("1e-170", "1e-160"), ("1e160", "1e170")]
 SUBNORMAL_BAND_CALLS = ["check -m 5 -a 0.3", "design -m 1 -a 0.3"]
 
 # Time-domain errors of ~1e198..1e239 whose squares overflow although their
-# 2-norms do not, and orders so small that only an exact fold keeps them.
+# 2-norms do not, orders so small that only an exact fold keeps them, and
+# an order whose complement 1 - alpha rounds to 1.0, so that only law ii,
+# which reads no complement, is run.
 FLOAT_EDGE_CALLS = [
     "table --which 4 --wl 1e200 --wh 1e210 --T 0.05",
     "table --which 5 --wl 1e-250 --wh 1e-240 --T 0.05",
     "design -m 4 -a 1e-300 --n 1 --k 2 --eps 3.86",
     "check -m 4 -a 1e-20",
+    "check -m 4 -a 1e-20 --condition ii",
+    "simulate -m 4 -a 1e-20 --T 0.05",
+    "table --which 1 --alphas 1e-20",
+    "table --which 4 --alpha 1e-20 --T 0.05",
 ]
 
 
