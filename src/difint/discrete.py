@@ -36,10 +36,10 @@ from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFin
 
 import numpy as np
 
-from .design import DesignSpec, design_pair
+from .design import DesignSpec
 from .errors import DomainError, ShapeError
 from .factored import FactoredModel, multiply_and_simplify
-from .identities import law_operands
+from .identities import CONDITIONS, law_operands
 
 __all__ = [
     "DiscreteFilter",
@@ -255,7 +255,7 @@ def identity_experiment(
             f"of samples, got {sample_period!r} and {duration!r}"
         )
     spec = DesignSpec(kappa, alpha, omega_l, omega_h, n, k, epsilon)
-    pair, complement = design_pair(spec), design_pair(spec.complement())
+    operands = law_operands(spec, CONDITIONS)
 
     count = int(round(duration / sample_period)) + 1
     t = np.arange(count) * sample_period
@@ -263,17 +263,17 @@ def identity_experiment(
     c = np.cos(t)
     lookahead = (math.sin(-sample_period), math.sin(t[-1] + sample_period))
 
-    laws = (("x", "i", 1.0 - c), ("y", "ii", u), ("z", "iii", c))
+    exact = (1.0 - c, u, c)
     # Laws whose cascades open with the same stage form a group, which
     # filters that stage over u once and runs each member's remaining
     # stages on its output; a failing shared stage is charged to the
     # group's first law.  The last group runs on a helper thread and the
     # others on the calling thread.
     groups = {}
-    for index, (_, condition, _) in enumerate(laws):
-        head, *rest = _cascade(*law_operands(condition, pair, complement), cascade)
+    for index, (first, second) in enumerate(operands):
+        head, *rest = _cascade(first, second, cascade)
         groups.setdefault(head, []).append((index, rest))
-    outcomes = [None] * len(laws)
+    outcomes = [None] * len(exact)
 
     def run(stage, y):
         filt = discretize(stage, sample_period)
@@ -288,7 +288,7 @@ def identity_experiment(
                     y = shared
                     for stage in rest:
                         y = run(stage, y)
-                    outcomes[index] = SimulationResult.from_signals(t, u, laws[index][2], y)
+                    outcomes[index] = SimulationResult.from_signals(t, u, exact[index], y)
         except Exception as exc:
             # Raised once both threads are done.  An interrupt reaches only
             # the calling thread, and propagates as soon as the helper is
@@ -306,4 +306,4 @@ def identity_experiment(
     for outcome in outcomes:
         if isinstance(outcome, Exception):
             raise outcome
-    return {name: outcome for (name, _, _), outcome in zip(laws, outcomes)}
+    return dict(zip(("x", "y", "z"), outcomes))

@@ -85,7 +85,9 @@ def checked_omegas(omegas) -> np.ndarray:
 
 # Frequencies and corners whose squares, and sums of two squares, stay
 # normal floats: log_response squares them inside this range and takes
-# hypot outside it.
+# hypot outside it.  A factor's quotient of two such sums lies between 1
+# and (z/p)**2, so its corners must also lie within the range's upper
+# bound of each other.
 _SQUARED_RANGE = (1e-150, 1e150)
 
 
@@ -93,14 +95,16 @@ def _squares_in_range(w: np.ndarray, factors) -> bool:
     lo, hi = _SQUARED_RANGE
     if w.size and not lo <= w.min() <= w.max() <= hi:
         return False
-    return all(lo <= z <= hi and lo <= p <= hi for z, p in factors)
+    return all(lo <= z <= hi and lo <= p <= hi and z <= p * hi and p <= z * hi
+               for z, p in factors)
 
 
 def log_response(model: FactoredModel, omegas) -> tuple[np.ndarray, np.ndarray]:
     """``(magnitude_db, phase_deg)`` of ``model`` over an array of
     frequencies, summed from per-factor log magnitudes and arguments in
     fixed factor order, so long chains never wrap the phase.  Where a
-    frequency or corner lies outside ``_SQUARED_RANGE``, each factor's log
+    frequency or corner lies outside ``_SQUARED_RANGE``, or a factor's
+    corners lie more than its upper bound apart, each factor's log
     magnitude is the difference of two ``log10(hypot(...))`` terms, which
     neither overflows nor underflows for any band a spec admits."""
     w = checked_omegas(omegas)

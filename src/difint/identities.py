@@ -5,8 +5,8 @@ Condition "ii":  D(alpha) * I(alpha)     = 1
 Condition "iii": D(alpha) * D(1 - alpha) = s
 
 :func:`law_operands` is the one place that says which two designed
-operators each law composes; the verdicts here and the time-domain
-experiments of :mod:`difint.discrete` take their operands from it.
+operators each law composes, and designs just those; the verdicts here and
+the time-domain experiments of :mod:`difint.discrete` take them from it.
 
 A condition passes structurally when composing the two designed operators
 and cancelling leaves exactly the target s power, no residual factors and a
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import DesignedPair, DesignSpec, design_pair
+from .design import DesignSpec, design_pair
 from .errors import ShapeError
 from .factored import FactoredModel, complex_from_log, frequency_response, multiply_and_simplify
 from .frequency import make_grid
@@ -58,23 +58,20 @@ class IdentityVerdict:
     failure_note: str = ""
 
 
-def law_operands(
-    condition: str, pair: DesignedPair, complement: DesignedPair | None
-) -> tuple[FactoredModel, FactoredModel]:
-    """The two operators whose product law ``condition`` is about.
-
-    ``pair`` is designed at the order alpha and ``complement`` at 1 - alpha;
-    law "ii" reads only ``pair``, so ``complement`` may be None there.
-    """
-    if condition in ("i", "iii") and complement is None:
-        raise ValueError(f"law {condition!r} needs the pair designed at 1 - alpha")
-    if condition == "i":
-        return pair.integrator, complement.integrator
-    if condition == "ii":
-        return pair.differentiator, pair.integrator
-    if condition == "iii":
-        return pair.differentiator, complement.differentiator
-    raise ValueError(f"condition must be one of {CONDITIONS}, got {condition!r}")
+def law_operands(spec: DesignSpec, conditions) -> list[tuple[FactoredModel, FactoredModel]]:
+    """The two operators whose product each law in ``conditions`` is about,
+    in the order given.  ``spec`` is designed once, and its complement only
+    when law "i" or "iii", which read it, is among ``conditions``."""
+    for condition in conditions:
+        if condition not in CONDITIONS:
+            raise ValueError(f"condition must be one of {CONDITIONS}, got {condition!r}")
+    pair = design_pair(spec)
+    operands = {"ii": (pair.differentiator, pair.integrator)}
+    if "i" in conditions or "iii" in conditions:
+        complement = design_pair(spec.complement())
+        operands["i"] = (pair.integrator, complement.integrator)
+        operands["iii"] = (pair.differentiator, complement.differentiator)
+    return [operands[condition] for condition in conditions]
 
 
 def _verdict(condition: str, first: FactoredModel, second: FactoredModel, grid) -> IdentityVerdict:
@@ -100,7 +97,7 @@ def _verdict(condition: str, first: FactoredModel, second: FactoredModel, grid) 
         return IdentityVerdict(condition, False, deviation, None, str(exc))
 
     structural = (
-        simplified.s_exponent == _TARGET_S_EXPONENT[condition]
+        simplified.s_exponent == exponent
         and not simplified.factors
         and abs(simplified.gain - 1.0) <= GAIN_TOL
     )
@@ -116,9 +113,7 @@ def _verdict(condition: str, first: FactoredModel, second: FactoredModel, grid) 
 def check_identity(condition: str, spec: DesignSpec) -> IdentityVerdict:
     """Verdict for one composition law at the order of ``spec``, with its
     deviation measured on a ``GRID_COUNT``-point log grid over the band."""
-    pair = design_pair(spec)
-    complement = design_pair(spec.complement()) if condition in ("i", "iii") else None
-    first, second = law_operands(condition, pair, complement)
+    [(first, second)] = law_operands(spec, (condition,))
     grid = make_grid(spec.omega_l, spec.omega_h, GRID_COUNT)
     return _verdict(condition, first, second, grid)
 
@@ -135,12 +130,12 @@ def associativity_table(
     take their special offset at each order: no one offset is admissible
     for both, as their intervals differ.
 
-    Each order's pair, and its complement while law i or iii is open, are
-    designed once and feed every column still open: a column stops at its
-    first failing order, and a row once all its columns have failed.  The
-    numeric deviation of each verdict does not enter the matrix.  Orders
-    must avoid 0.5 (the structure switch makes it singular for the piecewise
-    methods) and the sweep must be non-empty.
+    One :func:`law_operands` call per order feeds every column still open,
+    so the complement is designed only while law i or iii is open: a column
+    stops at its first failing order, and a row once all its columns have
+    failed.  The numeric deviation of each verdict does not enter the
+    matrix.  Orders must avoid 0.5 (the structure switch makes it singular
+    for the piecewise methods) and the sweep must be non-empty.
     """
     alphas = [float(a) for a in alphas]
     if not alphas:
@@ -152,15 +147,12 @@ def associativity_table(
     grid = make_grid(omega_l, omega_h, GRID_COUNT)
     for row, kappa in enumerate(range(1, 8)):
         for alpha in alphas:
-            if not table[row].any():
+            columns = np.flatnonzero(table[row])
+            if not columns.size:
                 break
             spec = DesignSpec(kappa, alpha, omega_l, omega_h, n, k)
-            pair = design_pair(spec)
-            # Laws i and iii read the complement; law ii alone does not.
-            open_complement = table[row, 0] or table[row, 2]
-            complement = design_pair(spec.complement()) if open_complement else None
-            for col, condition in enumerate(CONDITIONS):
-                if table[row, col]:
-                    first, second = law_operands(condition, pair, complement)
-                    table[row, col] = _verdict(condition, first, second, grid).structural_pass
+            conditions = [CONDITIONS[col] for col in columns]
+            operands = law_operands(spec, conditions)
+            for col, condition, (first, second) in zip(columns, conditions, operands):
+                table[row, col] = _verdict(condition, first, second, grid).structural_pass
     return table

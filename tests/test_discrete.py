@@ -503,14 +503,13 @@ def serial_identity_experiment(kappa, alpha, k, h, duration, cascade):
     stage's output kept until the last law that reads it: the reference the
     grouped, two-thread run must reproduce bit for bit."""
     spec = reference_spec(kappa, alpha, k=k)
-    pair, complement = design_pair(spec), design_pair(spec.complement())
+    operands = discrete.law_operands(spec, ("i", "ii", "iii"))
     t = np.arange(int(round(duration / h)) + 1) * h
     u = np.sin(t)
     c = np.cos(t)
     lookahead = (math.sin(-h), math.sin(t[-1] + h))
-    laws = (("x", "i", 1.0 - c), ("y", "ii", u), ("z", "iii", c))
-    cascades = [discrete._cascade(*discrete.law_operands(condition, pair, complement), cascade)
-                for _, condition, _ in laws]
+    laws = (("x", 1.0 - c), ("y", u), ("z", c))
+    cascades = [discrete._cascade(first, second, cascade) for first, second in operands]
 
     def run(stages, y):
         for stage in stages:
@@ -520,7 +519,7 @@ def serial_identity_experiment(kappa, alpha, k, h, duration, cascade):
 
     kept = {}
     results = {}
-    for index, ((name, _, exact), stages) in enumerate(zip(laws, cascades)):
+    for index, ((name, exact), stages) in enumerate(zip(laws, cascades)):
         head, rest = stages[0], stages[1:]
         y = kept.pop(head, None)
         if y is None:

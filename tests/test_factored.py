@@ -213,6 +213,7 @@ class TestBandPlacement:
         (6, 0.7, (1e160, 1e170), 10, 2),
         (2, 0.3, (1e-154, 1e154), 1, 1),
         (4, 0.7, (1e-300, 1e7), 1, 1),
+        (2, 0.3, (1e-100, 1e100), 1, 1),  # in range, but corners 1e200 apart
     ))
     def test_matches_mpmath_off_the_squared_range(self, kappa, alpha, band, n, k):
         # Measured worst case over methods 1..7, orders 0.3 and 0.7, both
@@ -227,6 +228,23 @@ class TestBandPlacement:
             want_db, want_deg = mpmath_log_response(model, grid)
             assert np.max(np.abs(magnitude_db - want_db)) < 2e-11
             assert np.max(np.abs(phase_deg - want_deg)) < 1e-12
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kappa", (2, 4, 5, 7))
+    @pytest.mark.parametrize("alpha", (0.3, 0.7))
+    @pytest.mark.parametrize("band", ((1e-100, 1e100), (1e-150, 1e150), (1e-78, 1e77)))
+    def test_matches_mpmath_with_corners_far_apart(self, kappa, alpha, band):
+        # Every frequency and corner lies in the squared range, but one
+        # factor's corners lie up to 1e300 apart, so its quotient of two
+        # sums of squares would overflow or underflow.  Measured worst case
+        # over these 48 models at 41 points: 4.5e-13 dB and 1.4e-14 degrees.
+        grid = make_grid(*band, 41)
+        pair = design_pair(DesignSpec(kappa, alpha, *band, n=1, k=1))
+        for model in (pair.integrator, pair.differentiator):
+            magnitude_db, phase_deg = log_response(model, grid)
+            want_db, want_deg = mpmath_log_response(model, grid)
+            assert np.max(np.abs(magnitude_db - want_db)) < 1e-12
+            assert np.max(np.abs(phase_deg - want_deg)) < 1e-13
 
     @settings(max_examples=150, deadline=None, database=None, derandomize=True)
     @given(

@@ -7,10 +7,12 @@ import pytest
 from conftest import reference_spec
 from difint import (
     DesignSpec,
+    DomainError,
     associativity_table,
     check_identity,
     design_integrator,
     design_pair,
+    identity_experiment,
     make_grid,
     multiply_and_simplify,
 )
@@ -67,12 +69,6 @@ class TestCheckIdentity:
         with pytest.raises(ValueError):
             check_identity("iv", DesignSpec(1, 0.4))
 
-    @pytest.mark.parametrize("condition", ("i", "iii"))
-    def test_law_operands_needs_complement(self, condition):
-        pair = design_pair(DesignSpec(1, 0.4))
-        with pytest.raises(ValueError, match="1 - alpha"):
-            identities.law_operands(condition, pair, None)
-
     @pytest.mark.parametrize("kappa", (1, 2, 3, 4, 7))
     @pytest.mark.parametrize("alpha", (0.1, 0.5, 0.9))
     def test_inverse_law_deviation_at_float_level(self, kappa, alpha):
@@ -105,6 +101,18 @@ class TestCheckIdentity:
         np.testing.assert_allclose(sorted(low.zeros), sorted(high.poles), rtol=1e-12)
 
 
+def counted_designs(monkeypatch):
+    """The specs that ``identities.design_pair`` is called with from now on."""
+    designs = []
+
+    def counting_design(spec):
+        designs.append(spec)
+        return design_pair(spec)
+
+    monkeypatch.setattr(identities, "design_pair", counting_design)
+    return designs
+
+
 class TestAssociativityTable:
     def test_full_matrix(self):
         matrix = associativity_table(MATRIX_ALPHAS)
@@ -120,20 +128,16 @@ class TestAssociativityTable:
         matrix = associativity_table([0.25])
         np.testing.assert_array_equal(matrix, EXPECTED_MATRIX)
 
-    def test_each_order_is_designed_once(self, monkeypatch):
-        designs, products = [], []
-
-        def counting_design(spec):
-            designs.append(spec)
-            return design_pair(spec)
+    @pytest.mark.parametrize("n, k", ((10, 2), (60, 3)))
+    def test_each_order_is_designed_once(self, monkeypatch, n, k):
+        designs, products = counted_designs(monkeypatch), []
 
         def counting_product(a, b):
             products.append((a, b))
             return multiply_and_simplify(a, b)
 
-        monkeypatch.setattr(identities, "design_pair", counting_design)
         monkeypatch.setattr(identities, "multiply_and_simplify", counting_product)
-        matrix = associativity_table(MATRIX_ALPHAS)
+        matrix = associativity_table(MATRIX_ALPHAS, n=n, k=k)
         np.testing.assert_array_equal(matrix, EXPECTED_MATRIX)
         # Methods 1-4 pass everywhere: pair and complement at 8 orders each.
         # Methods 5 and 6 fail every law at the first order, and method 7
@@ -141,9 +145,6 @@ class TestAssociativityTable:
         assert len(designs) == 4 * 16 + 2 + 2 + (2 + 7)
         # One verdict per open column: a column stops at its first failure.
         assert len(products) == 4 * 24 + 3 + 3 + (3 + 7)
-        designs.clear()
-        check_identity("ii", DesignSpec(1, 0.4))
-        assert len(designs) == 1
 
     def test_rejects_empty_sweep(self):
         with pytest.raises(ValueError):
@@ -152,6 +153,47 @@ class TestAssociativityTable:
     def test_rejects_singular_order(self):
         with pytest.raises(ValueError):
             associativity_table([0.3, 0.5])
+
+
+class TestLawOperands:
+    def test_law_ii_reads_no_complement(self, monkeypatch):
+        # 1 - 1e-20 rounds to 1.0, so this order has no complement to design.
+        spec = DesignSpec(4, 1e-20)
+        designs = counted_designs(monkeypatch)
+        [(first, second)] = identities.law_operands(spec, ("ii",))
+        assert designs == [spec]
+        pair = design_pair(spec)
+        assert (first, second) == (pair.differentiator, pair.integrator)
+
+    @pytest.mark.parametrize("condition", ("i", "iii"))
+    def test_complement_laws_name_the_tiny_order(self, condition):
+        with pytest.raises(DomainError, match="order 1e-20 has no complement order"):
+            identities.law_operands(DesignSpec(4, 1e-20), (condition,))
+
+    def test_rejects_unknown_condition(self):
+        with pytest.raises(ValueError, match="'iv'"):
+            identities.law_operands(DesignSpec(1, 0.4), ("ii", "iv"))
+
+    def test_operands_come_in_the_order_given(self, monkeypatch):
+        spec = DesignSpec(2, 0.3)
+        pair, complement = design_pair(spec), design_pair(spec.complement())
+        designs = counted_designs(monkeypatch)
+        got = identities.law_operands(spec, ("iii", "ii", "i"))
+        assert designs == [spec, spec.complement()]
+        assert got == [(pair.differentiator, complement.differentiator),
+                       (pair.differentiator, pair.integrator),
+                       (pair.integrator, complement.integrator)]
+
+    @pytest.mark.parametrize("condition, count", (("i", 2), ("ii", 1), ("iii", 2)))
+    def test_check_identity_designs_what_its_law_reads(self, monkeypatch, condition, count):
+        designs = counted_designs(monkeypatch)
+        check_identity(condition, DesignSpec(1, 0.4))
+        assert len(designs) == count
+
+    def test_identity_experiment_designs_the_pair_and_its_complement(self, monkeypatch):
+        designs = counted_designs(monkeypatch)
+        identity_experiment(1, 0.4, duration=0.1)
+        assert designs == [DesignSpec(1, 0.4), DesignSpec(1, 0.4).complement()]
 
 
 class TestMethod5Inverse:
@@ -167,9 +209,7 @@ def mpmath_deviation(condition, spec, dps=60):
     """``max |first(jw) * second(jw) / (jw)**e - 1|`` over the verdict's grid,
     from the complex factor products in ``dps``-digit arithmetic, whose
     exponent range no product leaves."""
-    pair = design_pair(spec)
-    complement = design_pair(spec.complement()) if condition in ("i", "iii") else None
-    first, second = identities.law_operands(condition, pair, complement)
+    [(first, second)] = identities.law_operands(spec, (condition,))
     target = {"i": -1, "ii": 0, "iii": 1}[condition]
     grid = make_grid(spec.omega_l, spec.omega_h, identities.GRID_COUNT)
     worst = 0

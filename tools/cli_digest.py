@@ -31,13 +31,17 @@ overflow, and ``check`` and ``design`` on the subnormal band
 1e-320..1e-310, tables 4 and 5 on bands at 1e200 and 1e-250 whose
 time-domain errors square past the float range, and method 4 designed and
 checked at the tiny orders 1e-300 and 1e-20, and simulated and tabled at
-1e-20, whose complement order rounds to 1.0; every call runs at
-``--precision 9`` and 17.  The ``--output``
+1e-20, whose complement order rounds to 1.0, and ``bode`` and ``check``
+at n = k = 1 on the bands 1e-100..1e100 and 1e-150..1e150, and tables 1
+and 2 on the first, on which one factor's corners lie up to 1e300 apart;
+every call runs at ``--precision 9`` and 17.  The ``--output``
 calls are a 10k-point ``bode``, a many-block ``simulate --experiment all``
 and one call per error exit code (2, 3, 4).
 
 ``cli_digest.txt`` next to this script is the expected output;
-``tests/test_cli_digest.py`` holds the tree to it.  A change that moves
+``tests/test_cli_digest.py`` holds the tree to it, and in the same pass
+requires every call that exits 0 to write nothing to stderr and no number
+written as ``nan`` or ``inf``.  A change that moves
 output on purpose regenerates it with
 
     PYTHONPATH=src python tools/cli_digest.py > tools/cli_digest.txt
@@ -102,6 +106,12 @@ FLOAT_EDGE_CALLS = [
     "table --which 1 --alphas 1e-20",
     "table --which 4 --alpha 1e-20 --T 0.05",
 ]
+
+
+# Bands inside the range where log_response squares frequencies and
+# corners, on which one single-section factor's corners lie up to 1e300
+# apart, so that its quotient of two sums of squares leaves the float range.
+FAR_CORNER_BANDS = [("1e-100", "1e100"), ("1e-150", "1e150")]
 
 
 def _offsets(method: int, k: int) -> list[str]:
@@ -174,6 +184,13 @@ def _calls() -> list[str]:
                 calls += [f"pfe -m {method} -a {alpha} --n {n} --k {k}{special}" for k in (3, 4)]
     calls += [f"{command} --wl 1e-320 --wh 1e-310" for command in SUBNORMAL_BAND_CALLS]
     calls += FLOAT_EDGE_CALLS
+    for wl, wh in FAR_CORNER_BANDS:
+        for command in ("bode", "check"):
+            args = f"-a 0.3 --n 1 --k 1 --wl {wl} --wh {wh}"
+            calls += [f"{command} -m 2 {args}", f"{command} -m 4 {args} --eps-special"]
+    calls += ["bode -m 5 -a 0.3 --n 1 --k 1 --wl 1e-150 --wh 1e150",
+              "check -m 7 -a 0.3 --n 1 --k 1 --wl 1e-150 --wh 1e150"]
+    calls += [f"table --which {which} --n 1 --k 1 --wl 1e-100 --wh 1e100" for which in (1, 2)]
     return calls
 
 
@@ -196,35 +213,39 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _run_to_file(argv: list[str], directory: str) -> tuple[int, str, str, str]:
+def _run_to_file(argv: list[str], directory: str) -> tuple[int, str, str, bytes | None]:
     path = os.path.join(directory, "output")
     code, out, err = _run(["--output", path, *argv])
     if not os.path.exists(path):
-        return code, out, err, "absent"
+        return code, out, err, None
     with open(path, "rb") as handle:
-        written = hashlib.sha256(handle.read()).hexdigest()
+        written = handle.read()
     os.remove(path)
     return code, out, err, written
 
 
-def lines() -> Iterator[str]:
-    """The digest, one line per call and precision."""
+def outcomes() -> Iterator[tuple[str, int, str, str]]:
+    """Per call and precision: the digest line, the exit code, stderr and
+    the text the call wrote, which is the file for an ``--output`` call
+    that created one and stdout otherwise."""
     for call in _calls():
         for precision in ("9", "17"):
             argv = ["--precision", precision, *shlex.split(call)]
             code, out, err = _run(argv)
-            yield f"{code} {_sha(out)} {_sha(err)} {shlex.join(argv)}"
+            yield f"{code} {_sha(out)} {_sha(err)} {shlex.join(argv)}", code, err, out
     with tempfile.TemporaryDirectory() as directory:
         for call in OUTPUT_CALLS:
             for precision in ("9", "17"):
                 argv = ["--precision", precision, *shlex.split(call)]
                 code, out, err, written = _run_to_file(argv, directory)
-                yield (f"{code} {_sha(out)} {_sha(err)} {written} "
-                       f"{shlex.join(['--output', 'FILE', *argv])}")
+                digest = "absent" if written is None else hashlib.sha256(written).hexdigest()
+                text = out if written is None else written.decode("utf-8", "replace")
+                yield (f"{code} {_sha(out)} {_sha(err)} {digest} "
+                       f"{shlex.join(['--output', 'FILE', *argv])}", code, err, text)
 
 
 def run() -> None:
-    for line in lines():
+    for line, *_ in outcomes():
         print(line, flush=True)
 
 
