@@ -7,13 +7,15 @@ accumulator section (h/2, h/2, -1) that leads the cascade.  A net s becomes
 a central difference taken before the cascade, which needs one sample of
 analytic input lookahead, so it is an offline device by construction.
 
-The whole cascade runs as one pass of scipy's compiled second-order-section
-loop, with one row per first-order section; no sections is the identity.
-Only that loop's extension, ``scipy.signal._sosfilt``, is loaded, and only
-when :func:`simulate_filter` first runs: design, analysis and realization
-never load scipy, and simulation skips ``scipy.signal``'s package import,
-which pulls in ``scipy.stats``, ``interpolate`` and ``optimize`` and costs
-about a second of every ``simulate`` call.
+The cascade runs through scipy's compiled second-order-section loop, with
+one row per first-order section, in passes of at most eight rows that each
+filter the whole signal in place; no sections is the identity.  Within a
+sample the loop chains its sections serially, so short passes keep that
+chain short.  Only the loop's extension, ``scipy.signal._sosfilt``, is
+loaded, and only when :func:`simulate_filter` first runs: design, analysis
+and realization never load scipy, and simulation skips ``scipy.signal``'s
+package import, which pulls in ``scipy.stats``, ``interpolate`` and
+``optimize`` and costs about a second of every ``simulate`` call.
 
 An identity experiment groups its three laws by the first stage of their
 cascades: each group filters that stage over the input once and runs its
@@ -114,16 +116,31 @@ def simulate_filter(filt: DiscreteFilter, samples, lookahead: tuple[float, float
         raise ValueError("lookahead is only meaningful with a central difference")
     if not filt.sections:
         return u.copy()
-    rows = [[s.b0, s.b1, 0.0, 1.0, s.a1, 0.0] for s in filt.sections]
+    rows = np.array([[s.b0, s.b1, 0.0, 1.0, s.a1, 0.0] for s in filt.sections])
     # With a zero second-order tail each row computes exactly the
     # first-order recurrence; pairing sections into biquads would
-    # reassociate it and change results in the last digits.  The kernel is
-    # called as scipy.signal.sosfilt calls it for 1-D float64 input with no
-    # initial state, so results are bit-identical, without importing
-    # scipy.signal.  It filters y in place.
+    # reassociate it and change results in the last digits.  The kernel
+    # filters y in place from zero state, as scipy.signal.sosfilt calls it
+    # for 1-D float64 input, without importing scipy.signal.  Each pass
+    # feeds its sections the whole output of the pass before, so every
+    # section sees the same input stream in the same order as in one call,
+    # and results are bit-identical to scipy.signal.sosfilt.
+    kernel = _sosfilt_kernel()
     y = u[np.newaxis].copy()
-    _sosfilt_kernel()(np.array(rows), y, np.zeros((1, len(rows), 2)))
+    for rows_of_pass in np.array_split(rows, -(-len(rows) // _PASS_SECTIONS)):
+        kernel(rows_of_pass, y, np.zeros((1, len(rows_of_pass), 2)))
     return y[0]
+
+
+# Sections per kernel pass, at most.  Within a sample the kernel runs one
+# serial multiply-add chain through all the sections of its call, so a long
+# call waits on that chain; a short pass leaves the CPU independent samples
+# to overlap.  Measured on 50k samples (2-vCPU Xeon, best of 9): one call
+# takes 2.2-3.2 ns a section-sample at 24-241 sections, passes of at most
+# 8 take 1.6-2.4 ns (241 sections: 38.2 -> 19.1 ms).  The rows are split
+# into passes of near-equal size, since a trailing pass of one row loses
+# time (9 sections: 0.91 ms in slices of 8, 0.76 ms in passes of 5 and 4).
+_PASS_SECTIONS = 8
 
 
 _SOSFILT = "scipy.signal._sosfilt"

@@ -91,6 +91,12 @@ def checked_omegas(omegas) -> np.ndarray:
 _SQUARED_RANGE = (1e-150, 1e150)
 
 
+# A factor's quotient hypot(w, z) / hypot(w, p) lies between 1 and z/p, so
+# it stays a normal float while its corners lie within this ratio of each
+# other, well inside 1 / sys.float_info.min (~4.5e307).
+_QUOTIENT_RANGE = 1e300
+
+
 def _squares_in_range(w: np.ndarray, factors) -> bool:
     lo, hi = _SQUARED_RANGE
     if w.size and not lo <= w.min() <= w.max() <= hi:
@@ -105,8 +111,10 @@ def log_response(model: FactoredModel, omegas) -> tuple[np.ndarray, np.ndarray]:
     fixed factor order, so long chains never wrap the phase.  Where a
     frequency or corner lies outside ``_SQUARED_RANGE``, or a factor's
     corners lie more than its upper bound apart, each factor's log
-    magnitude is the difference of two ``log10(hypot(...))`` terms, which
-    neither overflows nor underflows for any band a spec admits."""
+    magnitude is the ``log10`` of the quotient of two ``hypot`` terms,
+    which neither overflows nor underflows; only a factor whose corners lie
+    more than ``_QUOTIENT_RANGE`` apart takes the difference of the two
+    terms' logs instead, which loses digits to cancellation."""
     w = checked_omegas(omegas)
     k = model.multiplicity
     term, other = np.empty(w.shape), np.empty(w.shape)
@@ -123,6 +131,11 @@ def log_response(model: FactoredModel, omegas) -> tuple[np.ndarray, np.ndarray]:
             term /= other
             np.log10(term, out=term)
             term *= 10.0 * k
+        elif p <= z * _QUOTIENT_RANGE and z <= p * _QUOTIENT_RANGE:
+            np.hypot(w, z, out=term)
+            term /= np.hypot(w, p, out=other)
+            np.log10(term, out=term)
+            term *= 20.0 * k
         else:
             np.log10(np.hypot(w, z, out=term), out=term)
             np.log10(np.hypot(w, p, out=other), out=other)

@@ -9,11 +9,13 @@ import threading
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
 from conftest import reference_spec
 from difint import (
+    DesignSpec,
     DomainError,
     FactoredModel,
     ShapeError,
@@ -28,8 +30,8 @@ from difint.discrete import DiscreteFilter, FilterSection
 
 
 def reference_simulate(filt, samples, lookahead=None):
-    """One lfilter pass per first-order section: the reference the single
-    sosfilt pass must reproduce bit for bit."""
+    """One lfilter pass per first-order section: the reference the sosfilt
+    passes must reproduce bit for bit."""
     from scipy.signal import lfilter
 
     u = np.asarray(samples, dtype=float)
@@ -208,7 +210,7 @@ class TestCascadeKernel:
 
 def public_sosfilt(filt, samples, lookahead=None):
     """The cascade through public ``scipy.signal.sosfilt``, one row per
-    section: the reference the direct kernel call must reproduce bit for bit."""
+    section: the reference the direct kernel calls must reproduce bit for bit."""
     from scipy.signal import sosfilt
 
     u = np.asarray(samples, dtype=float)
@@ -283,6 +285,53 @@ class TestCompiledKernel:
         kept = u.copy()
         simulate_filter(discretize(FactoredModel(2.0, -1, 1, ((1.0, 2.0),)), 0.01), u)
         np.testing.assert_array_equal(u, kept)
+
+
+PASS = discrete._PASS_SECTIONS
+PASS_EDGE_COUNTS = (1, PASS - 1, PASS, PASS + 1, 2 * PASS + 1, 3 * PASS + 1)
+
+
+def edge_cascade(head, sections):
+    """A seeded stable filter of exactly ``sections`` rows, the head's
+    accumulator included, and an input with signed zeros."""
+    rng = np.random.default_rng([sections, HEADS.index(head)])
+    h = 0.001
+    body = tuple(
+        FilterSection(float(rng.normal()), float(rng.normal()), float(rng.uniform(-0.99, 0.99)))
+        for _ in range(sections - (head == "accumulator"))
+    )
+    u = rng.normal(size=5000)
+    u[::7] = -0.0
+    u[3::11] = 0.0
+    lookahead = (0.2, -0.3) if head == "central_difference" else None
+    return with_head(body, head, h), u, lookahead
+
+
+class TestKernelPasses:
+    @pytest.mark.parametrize("head", HEADS)
+    @pytest.mark.parametrize("sections", PASS_EDGE_COUNTS)
+    def test_pass_edges_are_bitwise_public_sosfilt(self, head, sections):
+        filt, u, lookahead = edge_cascade(head, sections)
+        assert len(filt.sections) == sections
+        assert_same_bits(simulate_filter(filt, u, lookahead), public_sosfilt(filt, u, lookahead))
+
+    @pytest.mark.parametrize("head", HEADS)
+    @pytest.mark.parametrize("sections", PASS_EDGE_COUNTS + (130,))
+    def test_each_pass_holds_at_most_pass_rows(self, monkeypatch, head, sections):
+        kernel = discrete._sosfilt_kernel()
+        rows_per_call = []
+
+        def recording(sos, x, zi):
+            rows_per_call.append(len(sos))
+            return kernel(sos, x, zi)
+
+        monkeypatch.setattr(discrete, "_sosfilt_kernel", lambda: recording)
+        filt, u, lookahead = edge_cascade(head, sections)
+        simulate_filter(filt, u, lookahead)
+        assert len(rows_per_call) == math.ceil(sections / PASS)
+        assert max(rows_per_call) <= PASS
+        assert sum(rows_per_call) == sections
+        assert max(rows_per_call) - min(rows_per_call) <= 1  # split evenly
 
 
 # Runs in a fresh interpreter: the kernel loaded alone and scipy.signal must
@@ -635,6 +684,78 @@ class TestIdentityLanes:
             assert list(results) == ["x", "y", "z"]
             for name in reference:
                 assert np.array_equal(results[name].approx, reference[name].approx)
+
+
+def mpmath_first_order(x, b0, b1, a1):
+    """y[t] = b0*x[t] + b1*x[t-1] - a1*y[t-1] from a zero past."""
+    y, previous_x, previous_y = [], 0, 0
+    for value in x:
+        previous_y = b0 * value + b1 * previous_x - a1 * previous_y
+        previous_x = value
+        y.append(previous_y)
+    return y
+
+
+def mpmath_stage(model, samples, h, lookahead, dps=30):
+    """One experiment stage in ``dps``-digit arithmetic, over the exact
+    values of the float input.  The Tustin coefficients are formed here from
+    the model's corners, gain and h: a net s is the central difference over
+    the analytic lookahead, a net 1/s the trapezoid accumulator, and the
+    gain scales the output."""
+    with mpmath.workdps(dps):
+        h = mpmath.mpf(h)
+        x = [mpmath.mpf(value) for value in samples]
+        if model.s_exponent == 1:
+            pre, post = (mpmath.mpf(value) for value in lookahead)
+            padded = [pre] + x + [post]
+            x = [(padded[i + 2] - padded[i]) / (2 * h) for i in range(len(x))]
+        elif model.s_exponent == -1:
+            x = mpmath_first_order(x, h / 2, h / 2, -1)
+        c = 2 / h
+        for z, p in model.factors:
+            z, p = mpmath.mpf(z), mpmath.mpf(p)
+            for _ in range(model.multiplicity):
+                x = mpmath_first_order(x, (c + z) / (c + p), (z - c) / (c + p),
+                                       (p - c) / (c + p))
+        gain = mpmath.mpf(model.gain)
+        return np.array([float(gain * value) for value in x])
+
+
+class TestTimeDomainOracle:
+    @pytest.mark.parametrize("kappa", range(1, 8))
+    def test_every_experiment_stage_matches_mpmath(self, kappa):
+        # Each stage an identity experiment runs, fed the float output of
+        # the stage before, against the 30-digit recurrence over the same
+        # input; the last stage's output is the experiment's approx bit for
+        # bit.  Measured worst case over methods 1..7 (1000 samples at
+        # h = 1e-3): 5.4e-13 of the stage's largest output, at method 4,
+        # alpha 0.3, k = 2 in cascade mode.
+        h, n = 1e-3, 3
+        exact = {}  # by stage prefix: stages shared between laws run once
+        for alpha in (0.3, 0.7):
+            for k in (1, 2):
+                spec = DesignSpec(kappa, alpha, 1e-3, 1e3, n, k)
+                operands = discrete.law_operands(spec, ("i", "ii", "iii"))
+                for cascade in (False, True):
+                    results = identity_experiment(kappa, alpha, n=n, k=k, sample_period=h,
+                                                  duration=0.999, cascade=cascade)
+                    t = results["x"].time
+                    assert len(t) == 1000
+                    u = np.sin(t)
+                    lookahead = (math.sin(-h), math.sin(t[-1] + h))
+                    for name, (first, second) in zip("xyz", operands):
+                        stages = discrete._cascade(first, second, cascade)
+                        y = u
+                        for index, stage in enumerate(stages):
+                            filt = discretize(stage, h)
+                            ahead = lookahead if filt.central_difference else None
+                            want = exact.get(stages[:index + 1])
+                            if want is None:
+                                want = exact[stages[:index + 1]] = mpmath_stage(stage, y, h, ahead)
+                            y = simulate_filter(filt, y, ahead)
+                            miss = np.max(np.abs(y - want)) / np.max(np.abs(want))
+                            assert miss < 1e-12, (alpha, k, cascade, name, index)
+                        assert np.array_equal(y, results[name].approx)
 
 
 class TestSimulationResultNorms:

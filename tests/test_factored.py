@@ -205,7 +205,7 @@ def _scaling_power(kappa, alpha, kind):
 
 class TestBandPlacement:
     """Bands far from 1 rad/s: squared frequencies and corners would leave
-    the float range, so log_response sums log10(hypot) differences there."""
+    the float range, so log_response takes the log of hypot quotients there."""
 
     @pytest.mark.parametrize("kappa, alpha, band, n, k", (
         (1, 0.7, (1e-200, 1e-190), 10, 2),
@@ -217,8 +217,9 @@ class TestBandPlacement:
     ))
     def test_matches_mpmath_off_the_squared_range(self, kappa, alpha, band, n, k):
         # Measured worst case over methods 1..7, orders 0.3 and 0.7, both
-        # kinds and 40 points on each of these and two more bands: 6.8e-12
-        # dB and 1.0e-13 degrees, on magnitudes of up to ~3000 dB.
+        # kinds and 40 points on each of these bands: 1.8e-12 dB and 8.5e-14
+        # degrees, on magnitudes of up to ~3000 dB (6.8e-12 dB while the
+        # hypot route subtracted two logs).
         grid = make_grid(*band, 9)
         pair = design_pair(DesignSpec(kappa, alpha, *band, n=n, k=k))
         for model in (pair.integrator, pair.differentiator):
@@ -245,6 +246,43 @@ class TestBandPlacement:
             want_db, want_deg = mpmath_log_response(model, grid)
             assert np.max(np.abs(magnitude_db - want_db)) < 1e-12
             assert np.max(np.abs(phase_deg - want_deg)) < 1e-13
+
+    @pytest.mark.parametrize("band", ((1e-200, 1e-190), (1e-170, 1e-160), (1e160, 1e170),
+                                      (1e290, 1e300)))
+    def test_hypot_route_takes_one_log_per_factor(self, band):
+        # One log10 of each factor's hypot quotient, where the difference
+        # of two logs near +-195 lost digits to cancellation.  Measured
+        # worst case over methods 1..7, orders 0.3 and 0.7, both kinds and
+        # these 41 points: 1.4e-12 dB (4 ulp) on the first three bands and
+        # 2.7e-12 dB (5 ulp) on magnitudes of ~6000 dB on the last, where
+        # two log10(hypot) terms missed by up to 6.8e-12 dB (59 ulp).
+        grid = make_grid(*band, 41)
+        for kappa in ALL_METHODS:
+            for alpha in (0.3, 0.7):
+                pair = design_pair(DesignSpec(kappa, alpha, *band))
+                for model in (pair.integrator, pair.differentiator):
+                    with np.errstate(all="raise"):
+                        magnitude_db, phase_deg = log_response(model, grid)
+                    want_db, want_deg = mpmath_log_response(model, grid)
+                    miss = np.abs(magnitude_db - want_db)
+                    assert np.max(miss) < 4e-12
+                    assert np.max(miss / np.spacing(np.abs(want_db))) <= 8
+                    assert np.max(np.abs(phase_deg - want_deg)) < 1e-12
+
+    @pytest.mark.parametrize("z, p", ((1e-305, 1e8), (1e300, 1e-10), (1e-30, 1e300)))
+    def test_corners_past_the_quotient_range_take_two_logs(self, z, p):
+        # Corners more than 1e300 apart: near the smaller one the quotient
+        # of the two hypot terms would leave the normal range (subnormal,
+        # overflowing or zero, in this order).  Phases far below 1 degree
+        # may underflow harmlessly.  Measured worst case: 1.8e-12 dB on
+        # magnitudes of ~12500 dB, and 2.8e-14 degrees.
+        model = FactoredModel(1.0, 0, 2, ((z, p),))
+        grid = np.geomspace(min(z, p), max(z, p), 41)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            magnitude_db, phase_deg = log_response(model, grid)
+        want_db, want_deg = mpmath_log_response(model, grid)
+        assert np.max(np.abs(magnitude_db - want_db)) < 4e-12
+        assert np.max(np.abs(phase_deg - want_deg)) < 1e-13
 
     @settings(max_examples=150, deadline=None, database=None, derandomize=True)
     @given(

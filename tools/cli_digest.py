@@ -33,8 +33,9 @@ time-domain errors square past the float range, and method 4 designed and
 checked at the tiny orders 1e-300 and 1e-20, and simulated and tabled at
 1e-20, whose complement order rounds to 1.0, and ``bode`` and ``check``
 at n = k = 1 on the bands 1e-100..1e100 and 1e-150..1e150, and tables 1
-and 2 on the first, on which one factor's corners lie up to 1e300 apart;
-every call runs at ``--precision 9`` and 17.  The ``--output``
+and 2 on the first, on which one factor's corners lie up to 1e300 apart,
+and tables 4 and 5 at n = 60 and k = 3, whose cascades run up to 181
+sections; every call runs at ``--precision 9`` and 17.  The ``--output``
 calls are a 10k-point ``bode``, a many-block ``simulate --experiment all``
 and one call per error exit code (2, 3, 4).
 
@@ -191,6 +192,7 @@ def _calls() -> list[str]:
     calls += ["bode -m 5 -a 0.3 --n 1 --k 1 --wl 1e-150 --wh 1e150",
               "check -m 7 -a 0.3 --n 1 --k 1 --wl 1e-150 --wh 1e150"]
     calls += [f"table --which {which} --n 1 --k 1 --wl 1e-100 --wh 1e100" for which in (1, 2)]
+    calls += [f"table --which {which} --n 60 --k 3 --T 2" for which in (4, 5)]
     return calls
 
 
