@@ -6,65 +6,17 @@ frequency- and time-domain accuracy against classic recursive designs, and
 exports partial-fraction and passive RC realizations.
 """
 
-from .design import (
-    Branch,
-    DesignSpec,
-    DesignedPair,
-    design_integrator,
-    design_pair,
-    epsilon_bounds,
-    special_epsilon,
-)
-from .discrete import (
-    DiscreteFilter,
-    FilterSection,
-    SimulationResult,
-    discretize,
-    identity_experiment,
-    simulate_filter,
-)
-from .errors import (
-    ConditioningError,
-    DomainError,
-    EpsilonRangeError,
-    NotRealizableError,
-    ShapeError,
-)
-from .factored import (
-    FactoredModel,
-    frequency_response,
-    log_response,
-    multiply_and_simplify,
-    reciprocal,
-)
-from .frequency import (
-    DIFFERENTIATOR,
-    INTEGRATOR,
-    ErrorReport,
-    SweepRow,
-    error_series,
-    exact_response,
-    make_grid,
-    sweep_table,
-)
-from .identities import (
-    CONDITIONS,
-    IdentityVerdict,
-    associativity_table,
-    check_identity,
-)
-from .realization import (
-    ParallelRC,
-    PartialFractionForm,
-    PartialFractionTerm,
-    RcNetwork,
-    SeriesCapacitor,
-    SeriesResistor,
-    evaluate_partial_fractions,
-    export_netlist,
-    network_impedance,
-    synthesize_rc,
-    to_partial_fractions,
-)
+from . import design, discrete, errors, factored, frequency, identities, realization
+from .design import *
+from .discrete import *
+from .errors import *
+from .factored import *
+from .frequency import *
+from .identities import *
+from .realization import *
+
+__all__ = [name for module in (design, discrete, errors, factored, frequency, identities,
+                               realization)
+           for name in module.__all__]
 
 __version__ = "0.1.0"

@@ -24,9 +24,9 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-from .design import DesignSpec, design_pair
+from .design import METHODS, DesignSpec, design_pair
 from .discrete import identity_experiment
-from .errors import DomainError, EpsilonRangeError, NotRealizableError, ShapeError
+from .errors import DomainError, EpsilonRangeError, NotRealizableError
 from .factored import log_response
 from .frequency import DIFFERENTIATOR, INTEGRATOR, exact_response, make_grid, sweep_table
 from .identities import CONDITIONS, associativity_table, check_identity
@@ -35,17 +35,31 @@ from .realization import export_netlist, synthesize_rc, to_partial_fractions
 _TABLE_SWEEP_ALPHAS = [a / 10.0 for a in range(1, 10)]
 _MATRIX_ALPHAS = [0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.8, 0.9]
 _BLOCK_ROWS = 4096  # CSV rows formatted and written per chunk
+_KINDS = {"int": INTEGRATOR, "diff": DIFFERENTIATOR}  # by --kind
+# Exit codes of the errors a command raises; any other ValueError exits 2.
+_EXIT_CODES = {EpsilonRangeError: 3, NotRealizableError: 4}
+
+
+def _add_band_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--wl", type=float, default=DesignSpec.omega_l,
+                        help="band lower edge, rad/s")
+    parser.add_argument("--wh", type=float, default=DesignSpec.omega_h,
+                        help="band upper edge, rad/s")
+    parser.add_argument("--n", type=int, default=DesignSpec.n, help="number of factor pairs")
+    parser.add_argument("--k", type=int, default=DesignSpec.k, help="factor multiplicity")
+
+
+def _add_sampling_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--h", type=float, default=0.001, help="sample period, s")
+    parser.add_argument("--T", type=float, default=10.0, help="horizon, s")
 
 
 def _add_design_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--method", "-m", type=int, required=True, choices=range(1, 8),
-                        metavar="1..7", help="design method index")
+    parser.add_argument("--method", "-m", type=int, required=True, choices=METHODS,
+                        metavar=f"{METHODS[0]}..{METHODS[-1]}", help="design method index")
     parser.add_argument("--alpha", "-a", type=float, required=True,
                         help="fractional order in (0, 1)")
-    parser.add_argument("--wl", type=float, default=1e-3, help="band lower edge, rad/s")
-    parser.add_argument("--wh", type=float, default=1e3, help="band upper edge, rad/s")
-    parser.add_argument("--n", type=int, default=10, help="number of factor pairs")
-    parser.add_argument("--k", type=int, default=2, help="factor multiplicity")
+    _add_band_arguments(parser)
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--eps", type=float, default=None,
                        help="ripple offset in dB (methods 3 and 4)")
@@ -54,7 +68,7 @@ def _add_design_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_kind_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--kind", choices=("int", "diff"), default="int",
+    parser.add_argument("--kind", choices=_KINDS, default="int",
                         help="integrator or differentiator")
 
 
@@ -86,20 +100,14 @@ def build_parser() -> argparse.ArgumentParser:
                          help="1: composition law matrix; 2/3: integrator/differentiator "
                               "band error norms; 4/5: time-domain identity errors at "
                               "order 0.4 / at the singular order 0.5")
-    p_table.add_argument("--wl", type=float, default=1e-3)
-    p_table.add_argument("--wh", type=float, default=1e3)
-    p_table.add_argument("--n", type=int, default=10)
-    p_table.add_argument("--k", type=int, default=2)
+    _add_band_arguments(p_table)
     p_table.add_argument("--points", type=int, default=10000,
                          help="frequency grid size (tables 2 and 3)")
     p_table.add_argument("--alphas", default=None,
                          help="comma-separated order sweep (tables 1, 2, 3)")
     p_table.add_argument("--alpha", type=float, default=None,
                          help="single order (tables 4 and 5)")
-    p_table.add_argument("--h", type=float, default=0.001,
-                         help="sample period, s (tables 4 and 5)")
-    p_table.add_argument("--T", type=float, default=10.0,
-                         help="simulation horizon, s (tables 4 and 5)")
+    _add_sampling_arguments(p_table)
 
     p_check = sub.add_parser("check", help="composition law verdicts as JSON")
     _add_design_arguments(p_check)
@@ -107,8 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="time-domain identity experiment CSV")
     _add_design_arguments(p_sim)
-    p_sim.add_argument("--h", type=float, default=0.001, help="sample period, s")
-    p_sim.add_argument("--T", type=float, default=10.0, help="horizon, s")
+    _add_sampling_arguments(p_sim)
     p_sim.add_argument("--experiment", choices=("x", "y", "z", "all"), default="all")
 
     p_pfe = sub.add_parser("pfe", help="partial-fraction form as JSON")
@@ -134,9 +141,13 @@ def _spec_from_args(args, require_epsilon: bool = True) -> DesignSpec:
     return DesignSpec(args.method, args.alpha, args.wl, args.wh, args.n, args.k, args.eps)
 
 
-def _model(spec: DesignSpec, kind: str):
+def _designed(args):
+    """The spec of a command that takes ``--kind``, its kind
+    (``INTEGRATOR`` or ``DIFFERENTIATOR``) and the model of that kind."""
+    spec = _spec_from_args(args)
+    kind = _KINDS[args.kind]
     pair = design_pair(spec)
-    return pair.integrator if kind == "int" else pair.differentiator
+    return spec, kind, pair.integrator if kind == INTEGRATOR else pair.differentiator
 
 
 def _fmt(value: float, precision: int) -> str:
@@ -188,9 +199,7 @@ def _model_json(model, precision):
 
 
 def cmd_design(args) -> Iterable[str]:
-    spec = _spec_from_args(args)
-    model = _model(spec, args.kind)
-    kind = "integrator" if args.kind == "int" else "differentiator"
+    spec, kind, model = _designed(args)
     p = args.precision
     if args.format == "json":
         payload = {
@@ -220,9 +229,7 @@ def cmd_design(args) -> Iterable[str]:
 
 
 def cmd_bode(args) -> Iterable[str]:
-    spec = _spec_from_args(args)
-    model = _model(spec, args.kind)
-    kind = INTEGRATOR if args.kind == "int" else DIFFERENTIATOR
+    spec, kind, model = _designed(args)
     grid = make_grid(spec.omega_l, spec.omega_h, args.points)
     mag_model, phase_model = log_response(model, grid)
     mag_exact, phase_exact = exact_response(spec.alpha, kind, grid)
@@ -246,15 +253,15 @@ def cmd_table(args) -> Iterable[str]:
         alphas = _parse_alphas(args.alphas) if args.alphas else _MATRIX_ALPHAS
         matrix = associativity_table(alphas, args.wl, args.wh, args.n, args.k)
         lines = ["method  i  ii  iii"]
-        for row, kappa in enumerate(range(1, 8)):
-            marks = ["✓" if matrix[row, col] else "×" for col in range(3)]
+        for kappa, passes in zip(METHODS, matrix):
+            marks = ["✓" if passed else "×" for passed in passes]
             lines.append(f"{kappa}       {marks[0]}  {marks[1]}   {marks[2]}")
         return ["\n".join(lines) + "\n"]
     if args.which in (2, 3):
         alphas = _parse_alphas(args.alphas) if args.alphas else _TABLE_SWEEP_ALPHAS
         kind = INTEGRATOR if args.which == 2 else DIFFERENTIATOR
         rows = []
-        for kappa in range(1, 8):
+        for kappa in METHODS:
             row = sweep_table(kappa, kind, alphas, args.wl, args.wh, args.n, args.k,
                               args.points)
             rows.append([str(kappa), row.mag_norm_inf, row.mag_norm_two,
@@ -263,7 +270,7 @@ def cmd_table(args) -> Iterable[str]:
         return _csv(header, list(zip(*rows)), p)
     alpha = args.alpha if args.alpha is not None else (0.4 if args.which == 4 else 0.5)
     rows = []
-    for kappa in range(1, 8):
+    for kappa in METHODS:
         res = identity_experiment(kappa, alpha, args.wl, args.wh, args.n, args.k,
                                   sample_period=args.h, duration=args.T)
         rows.append([str(kappa),
@@ -313,7 +320,7 @@ def cmd_simulate(args) -> Iterable[str]:
 
 
 def cmd_pfe(args) -> Iterable[str]:
-    model = _model(_spec_from_args(args), args.kind)
+    _, _, model = _designed(args)
     pf = to_partial_fractions(model)
     p = args.precision
     payload = {
@@ -329,8 +336,7 @@ def cmd_pfe(args) -> Iterable[str]:
 
 
 def cmd_circuit(args) -> Iterable[str]:
-    spec = _spec_from_args(args)
-    model = _model(spec, args.kind)
+    spec, _, model = _designed(args)
     if model.multiplicity != 1:
         # Checked before expanding: no repeated-pole model is an RC ladder
         # whatever its residues, even where its expansion would overflow
@@ -379,15 +385,9 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         chunks = _COMMANDS[args.command](args)
-    except EpsilonRangeError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NotRealizableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (DomainError, ShapeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _EXIT_CODES.get(type(exc), 2)
     try:
         _write_output(chunks, args.output)
     except BrokenPipeError:

@@ -37,6 +37,7 @@ from .errors import DomainError, EpsilonRangeError
 from .factored import FactoredModel, reciprocal
 
 __all__ = [
+    "METHODS",
     "Branch",
     "DesignSpec",
     "DesignedPair",
@@ -45,6 +46,9 @@ __all__ = [
     "epsilon_bounds",
     "special_epsilon",
 ]
+
+# The method indices: 1..4 the piecewise designs, 5..7 the baselines.
+METHODS = (1, 2, 3, 4, 5, 6, 7)
 
 
 def check_band(omega_l: float, omega_h: float) -> None:
@@ -88,7 +92,9 @@ class DesignSpec:
     baselines).  ``epsilon`` (dB) is consumed by methods 3 and 4 only and
     must lie in the interval returned by :func:`epsilon_bounds`; designing
     checks it.  An omitted offset of method 3 or 4 is the special one of
-    :func:`special_epsilon`, filled in at construction.
+    :func:`special_epsilon`, filled in at construction.  The band, ``n``
+    and ``k`` default to the reference setting of the benchmark tables,
+    which the sweeps, the law matrix and the command line read from here.
     """
 
     kappa: int
@@ -100,8 +106,9 @@ class DesignSpec:
     epsilon: float | None = None
 
     def __post_init__(self):
-        if self.kappa not in (1, 2, 3, 4, 5, 6, 7):
-            raise DomainError(f"method index must be 1..7, got {self.kappa!r}")
+        if not is_count(self.kappa) or self.kappa not in METHODS:
+            raise DomainError(f"method index must be {METHODS[0]}..{METHODS[-1]}, "
+                              f"got {self.kappa!r}")
         if not (math.isfinite(self.alpha) and 0.0 < self.alpha < 1.0):
             raise DomainError(f"order must lie strictly in (0, 1), got {self.alpha!r}")
         check_band(self.omega_l, self.omega_h)

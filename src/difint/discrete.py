@@ -242,10 +242,10 @@ def _cascade(first, second, force_cascade) -> tuple[FactoredModel, ...]:
 def identity_experiment(
     kappa: int,
     alpha: float,
-    omega_l: float = 1e-3,
-    omega_h: float = 1e3,
-    n: int = 10,
-    k: int = 2,
+    omega_l: float = DesignSpec.omega_l,
+    omega_h: float = DesignSpec.omega_h,
+    n: int = DesignSpec.n,
+    k: int = DesignSpec.k,
     epsilon: float | None = None,
     sample_period: float = 0.001,
     duration: float = 10.0,

@@ -1,5 +1,13 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "ConditioningError",
+    "DomainError",
+    "EpsilonRangeError",
+    "NotRealizableError",
+    "ShapeError",
+]
+
 
 class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""

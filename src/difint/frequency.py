@@ -108,10 +108,10 @@ def sweep_table(
     kappa: int,
     kind: str,
     alphas,
-    omega_l: float = 1e-3,
-    omega_h: float = 1e3,
-    n: int = 10,
-    k: int = 2,
+    omega_l: float = DesignSpec.omega_l,
+    omega_h: float = DesignSpec.omega_h,
+    n: int = DesignSpec.n,
+    k: int = DesignSpec.k,
     count: int = 10000,
 ) -> SweepRow:
     """Per-order error norms, maximized over ``alphas``.

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import DesignSpec, design_pair
+from .design import METHODS, DesignSpec, design_pair
 from .errors import ShapeError
 from .factored import FactoredModel, complex_from_log, frequency_response, multiply_and_simplify
 from .frequency import make_grid
@@ -39,11 +39,10 @@ CONDITIONS = ("i", "ii", "iii")
 
 _TARGET_S_EXPONENT = {"i": -1, "ii": 0, "iii": 1}
 
-# Structural gain gate and numeric gate sit two-plus orders above the
-# roundoff of 20-factor products and far below any genuine mismatch (the
-# benchmark baselines miss by more than 1e-2).
+# The structural gain gate sits two-plus orders above the roundoff of
+# 20-factor products and far below any genuine mismatch (the benchmark
+# baselines miss by more than 1e-2).
 GAIN_TOL = 1e-10
-NUMERIC_PASS_TOL = 1e-8
 
 # Points of the log grid on which check_identity measures its deviation.
 GRID_COUNT = 1000
@@ -120,10 +119,10 @@ def check_identity(condition: str, spec: DesignSpec) -> IdentityVerdict:
 
 def associativity_table(
     alphas,
-    omega_l: float = 1e-3,
-    omega_h: float = 1e3,
-    n: int = 10,
-    k: int = 2,
+    omega_l: float = DesignSpec.omega_l,
+    omega_h: float = DesignSpec.omega_h,
+    n: int = DesignSpec.n,
+    k: int = DesignSpec.k,
 ) -> np.ndarray:
     """7x3 boolean matrix: entry (kappa-1, condition) is True iff the law
     passes structurally for every order in ``alphas``.  Methods 3 and 4
@@ -143,9 +142,9 @@ def associativity_table(
     for a in alphas:
         if not (0.0 < a < 1.0) or a == 0.5:
             raise ValueError(f"orders must lie in (0, 0.5) or (0.5, 1), got {a!r}")
-    table = np.ones((7, len(CONDITIONS)), dtype=bool)
+    table = np.ones((len(METHODS), len(CONDITIONS)), dtype=bool)
     grid = make_grid(omega_l, omega_h, GRID_COUNT)
-    for row, kappa in enumerate(range(1, 8)):
+    for row, kappa in enumerate(METHODS):
         for alpha in alphas:
             columns = np.flatnonzero(table[row])
             if not columns.size:

@@ -34,8 +34,8 @@ from difint import (
     to_partial_fractions,
 )
 from difint.cli import main as cli_main
-from difint.identities import NUMERIC_PASS_TOL
 from test_design import random_specs
+from test_identities import NUMERIC_PASS_TOL
 from test_realization import impedance_from_groups, parse_spice
 
 SWEEP_ALPHAS = [a / 10.0 for a in range(1, 10)]

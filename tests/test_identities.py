@@ -17,7 +17,12 @@ from difint import (
     multiply_and_simplify,
 )
 from difint import identities
-from difint.identities import NUMERIC_PASS_TOL
+
+# A law that passes structurally deviates by less than this from its
+# target, two-plus orders above the roundoff of 20-factor products and far
+# below any genuine mismatch (the benchmark baselines miss by more than
+# 1e-2).
+NUMERIC_PASS_TOL = 1e-8
 
 # Expected matrix: methods 1-4 satisfy every law, 5 and 6 none, 7 only the
 # differentiator-times-integrator law.

@@ -16,9 +16,10 @@ its temporary path in the arguments.  An exception that escapes ``main``
 counts as exit 1 with its type and message as stderr, and each warning
 adds a ``Category: message`` line to stderr: tracebacks and the default
 warning format name source paths and line numbers, which differ between
-trees.  The list covers the README examples,
-every command for methods 1..7 at orders 0.3 and 0.7 (methods 3/4 with
-``--eps-special`` and with an in-range ``--eps``), tables 1..5, wide bands
+trees.  The list opens with the ``difint`` lines of README.md's ``sh``
+blocks, read from the README itself, and covers every command for
+methods 1..7 at orders 0.3 and 0.7 (methods 3/4 with ``--eps-special``
+and with an in-range ``--eps``), tables 1..5, wide bands
 on which few high-multiplicity sections overflow or underflow the gain,
 ``design``, ``bode`` and ``check`` for methods 1..7 on 10-decade bands
 placed at 1e-200, 1e-170 and 1e160, a ``check`` of method 5 on a
@@ -54,23 +55,17 @@ import contextlib
 import hashlib
 import io
 import os
+import re
 import shlex
 import tempfile
 import traceback
 import warnings
 from collections.abc import Iterator
+from pathlib import Path
 
 from difint.cli import main
 
-README = [
-    "design --method 2 --alpha 0.4 --wl 1e-3 --wh 1e3 --n 10 --k 2 --kind int",
-    "bode --method 1 --alpha 0.4 --points 10000",
-    "table --which 1",
-    "check --method 7 --alpha 0.3 --condition all",
-    "simulate --method 5 --alpha 0.4 --h 0.001 --T 10 --experiment z",
-    "pfe --method 2 --alpha 0.7 --k 1",
-    "circuit --method 1 --alpha 0.3 --k 1 --format spice",
-]
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # In-range offsets (dB) of methods 3 and 4 at orders 0.3 and 0.7 on the
 # default band and n = 10, by multiplicity.
@@ -121,8 +116,16 @@ def _offsets(method: int, k: int) -> list[str]:
     return ["--eps-special", f"--eps {IN_RANGE_EPS[method, k]}"]
 
 
+def _readme_calls() -> list[str]:
+    """The arguments of each ``difint ...`` line of the README's ``sh``
+    blocks, in order."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    return [line[len("difint "):] for block in blocks for line in block.splitlines()
+            if line.startswith("difint ")]
+
+
 def _calls() -> list[str]:
-    calls = list(README)
+    calls = _readme_calls()
     for method in range(1, 8):
         for alpha in ("0.3", "0.7"):
             design = f"-m {method} -a {alpha}"
