@@ -24,11 +24,12 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-from .design import METHODS, DesignSpec, design_pair
-from .discrete import identity_experiment
+from .design import METHODS, OFFSET_METHODS, DesignSpec, design_pair
+from .discrete import DURATION, EXPERIMENTS, SAMPLE_PERIOD, identity_experiment
 from .errors import DomainError, EpsilonRangeError, NotRealizableError
 from .factored import log_response
-from .frequency import DIFFERENTIATOR, INTEGRATOR, exact_response, make_grid, sweep_table
+from .frequency import (DIFFERENTIATOR, INTEGRATOR, SWEEP_COUNT, exact_response, make_grid,
+                        sweep_table)
 from .identities import CONDITIONS, associativity_table, check_identity
 from .realization import export_netlist, synthesize_rc, to_partial_fractions
 
@@ -50,8 +51,8 @@ def _add_band_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_sampling_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--h", type=float, default=0.001, help="sample period, s")
-    parser.add_argument("--T", type=float, default=10.0, help="horizon, s")
+    parser.add_argument("--h", type=float, default=SAMPLE_PERIOD, help="sample period, s")
+    parser.add_argument("--T", type=float, default=DURATION, help="horizon, s")
 
 
 def _add_design_arguments(parser: argparse.ArgumentParser) -> None:
@@ -101,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "band error norms; 4/5: time-domain identity errors at "
                               "order 0.4 / at the singular order 0.5")
     _add_band_arguments(p_table)
-    p_table.add_argument("--points", type=int, default=10000,
+    p_table.add_argument("--points", type=int, default=SWEEP_COUNT,
                          help="frequency grid size (tables 2 and 3)")
     p_table.add_argument("--alphas", default=None,
                          help="comma-separated order sweep (tables 1, 2, 3)")
@@ -111,12 +112,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="composition law verdicts as JSON")
     _add_design_arguments(p_check)
-    p_check.add_argument("--condition", choices=("i", "ii", "iii", "all"), default="all")
+    p_check.add_argument("--condition", choices=(*CONDITIONS, "all"), default="all")
 
     p_sim = sub.add_parser("simulate", help="time-domain identity experiment CSV")
     _add_design_arguments(p_sim)
     _add_sampling_arguments(p_sim)
-    p_sim.add_argument("--experiment", choices=("x", "y", "z", "all"), default="all")
+    p_sim.add_argument("--experiment", choices=(*EXPERIMENTS, "all"), default="all")
 
     p_pfe = sub.add_parser("pfe", help="partial-fraction form as JSON")
     _add_design_arguments(p_pfe)
@@ -130,20 +131,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _spec_from_args(args, require_epsilon: bool = True) -> DesignSpec:
-    if args.method in (3, 4):
-        if args.eps is None and not args.eps_special and require_epsilon:
-            raise DomainError(
-                f"method {args.method} needs --eps or --eps-special"
-            )
-    elif args.eps is not None or args.eps_special:
+def _spec_from_args(args) -> DesignSpec:
+    # --eps-special reaches the spec as no offset, which it cannot reject.
+    if args.eps_special and args.method not in OFFSET_METHODS:
         raise DomainError(f"method {args.method} does not take a ripple offset")
     return DesignSpec(args.method, args.alpha, args.wl, args.wh, args.n, args.k, args.eps)
 
 
 def _designed(args):
     """The spec of a command that takes ``--kind``, its kind
-    (``INTEGRATOR`` or ``DIFFERENTIATOR``) and the model of that kind."""
+    (``INTEGRATOR`` or ``DIFFERENTIATOR``) and the model of that kind.
+    Unlike ``check`` and ``simulate``, these commands need an offset method
+    to be given its offset."""
+    if args.method in OFFSET_METHODS and args.eps is None and not args.eps_special:
+        raise DomainError(f"method {args.method} needs --eps or --eps-special")
     spec = _spec_from_args(args)
     kind = _KINDS[args.kind]
     pair = design_pair(spec)
@@ -273,16 +274,14 @@ def cmd_table(args) -> Iterable[str]:
     for kappa in METHODS:
         res = identity_experiment(kappa, alpha, args.wl, args.wh, args.n, args.k,
                                   sample_period=args.h, duration=args.T)
-        rows.append([str(kappa),
-                     res["x"].inf_norm, res["x"].two_norm,
-                     res["y"].inf_norm, res["y"].two_norm,
-                     res["z"].inf_norm, res["z"].two_norm])
-    header = ["method", "x_inf", "x_two", "y_inf", "y_two", "z_inf", "z_two"]
+        rows.append([str(kappa), *itertools.chain.from_iterable(
+            (res[name].inf_norm, res[name].two_norm) for name in EXPERIMENTS)])
+    header = ["method", *(f"{name}_{norm}" for name in EXPERIMENTS for norm in ("inf", "two"))]
     return _csv(header, list(zip(*rows)), p)
 
 
 def cmd_check(args) -> Iterable[str]:
-    spec = _spec_from_args(args, require_epsilon=False)
+    spec = _spec_from_args(args)
     conditions = CONDITIONS if args.condition == "all" else (args.condition,)
     p = args.precision
     verdicts = []
@@ -301,7 +300,7 @@ def cmd_check(args) -> Iterable[str]:
 
 
 def cmd_simulate(args) -> Iterable[str]:
-    spec = _spec_from_args(args, require_epsilon=False)
+    spec = _spec_from_args(args)
     results = identity_experiment(spec.kappa, spec.alpha, spec.omega_l, spec.omega_h,
                                   spec.n, spec.k, spec.epsilon,
                                   sample_period=args.h, duration=args.T)
@@ -316,7 +315,7 @@ def cmd_simulate(args) -> Iterable[str]:
         return _csv(header, columns(args.experiment), p)
     return itertools.chain(
         [",".join(["experiment", *header]) + "\n"],
-        *(_csv_rows(columns(name), p, prefix=f"{name},") for name in ("x", "y", "z")))
+        *(_csv_rows(columns(name), p, prefix=f"{name},") for name in EXPERIMENTS))
 
 
 def cmd_pfe(args) -> Iterable[str]:

@@ -29,15 +29,15 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 import sys
 from dataclasses import dataclass, replace
 
 from .errors import DomainError, EpsilonRangeError
-from .factored import FactoredModel, reciprocal
+from .factored import FactoredModel, is_count, reciprocal
 
 __all__ = [
     "METHODS",
+    "OFFSET_METHODS",
     "Branch",
     "DesignSpec",
     "DesignedPair",
@@ -47,8 +47,9 @@ __all__ = [
     "special_epsilon",
 ]
 
-# The method indices: 1..4 the piecewise designs, 5..7 the baselines.
-METHODS = (1, 2, 3, 4, 5, 6, 7)
+# The methods that place their corners from a ripple offset; no other
+# method takes one.
+OFFSET_METHODS = (3, 4)
 
 
 def check_band(omega_l: float, omega_h: float) -> None:
@@ -71,12 +72,6 @@ def check_band(omega_l: float, omega_h: float) -> None:
         )
 
 
-def is_count(value) -> bool:
-    """Whether ``value`` is an integer (numpy integers included) and not a
-    bool, which Python would otherwise treat as 0 or 1."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 class Branch(enum.Enum):
     """Which side of the alpha = 0.5 structure switch a design sits on."""
 
@@ -89,10 +84,11 @@ class DesignSpec:
     """Complete input to a designer.
 
     ``kappa`` selects the method (1..4 piecewise designs, 5..7 benchmark
-    baselines).  ``epsilon`` (dB) is consumed by methods 3 and 4 only and
-    must lie in the interval returned by :func:`epsilon_bounds`; designing
-    checks it.  An omitted offset of method 3 or 4 is the special one of
-    :func:`special_epsilon`, filled in at construction.  The band, ``n``
+    baselines).  ``epsilon`` (dB) is taken by the ``OFFSET_METHODS`` 3 and
+    4 only, and an offset on any other method is a :class:`DomainError`.
+    It must lie in the interval returned by :func:`epsilon_bounds`;
+    designing checks it.  An omitted offset of method 3 or 4 is the special
+    one of :func:`special_epsilon`, filled in at construction.  The band, ``n``
     and ``k`` default to the reference setting of the benchmark tables,
     which the sweeps, the law matrix and the command line read from here.
     """
@@ -109,6 +105,8 @@ class DesignSpec:
         if not is_count(self.kappa) or self.kappa not in METHODS:
             raise DomainError(f"method index must be {METHODS[0]}..{METHODS[-1]}, "
                               f"got {self.kappa!r}")
+        if self.epsilon is not None and self.kappa not in OFFSET_METHODS:
+            raise DomainError(f"method {self.kappa} does not take a ripple offset")
         if not (math.isfinite(self.alpha) and 0.0 < self.alpha < 1.0):
             raise DomainError(f"order must lie strictly in (0, 1), got {self.alpha!r}")
         check_band(self.omega_l, self.omega_h)
@@ -118,7 +116,7 @@ class DesignSpec:
                 raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "k", int(self.k))
-        if self.kappa in (3, 4) and self.epsilon is None:
+        if self.kappa in OFFSET_METHODS and self.epsilon is None:
             object.__setattr__(self, "epsilon", special_epsilon(self))
 
     def complement(self) -> "DesignSpec":
@@ -172,7 +170,7 @@ def epsilon_bounds(spec: DesignSpec) -> tuple[float, float]:
     ``lower * (1 - 1e-12)`` or above ``upper * (1 + 1e-12)`` are rejected.
     Only methods 3 and 4 take an offset; anything else is a usage error.
     """
-    if spec.kappa not in (3, 4):
+    if spec.kappa not in OFFSET_METHODS:
         raise ValueError(f"epsilon bounds only apply to methods 3 and 4, not {spec.kappa}")
     nu, k, n = spec.nu, spec.k, spec.n
     decades = math.log10(spec.omega_h / spec.omega_l)
@@ -189,7 +187,7 @@ def special_epsilon(spec: DesignSpec) -> float:
     """Offset at which method 3 collapses onto method 1 (the right crossing
     point lands on the band edge) and method 4 onto method 2 (equal to the
     upper admissibility bound)."""
-    if spec.kappa not in (3, 4):
+    if spec.kappa not in OFFSET_METHODS:
         raise ValueError(f"special epsilon only applies to methods 3 and 4, not {spec.kappa}")
     if spec.kappa == 4:
         return epsilon_bounds(spec)[1]
@@ -265,7 +263,7 @@ def _piecewise_integrator(spec: DesignSpec) -> FactoredModel:
     I(alpha) * I(1 - alpha) cancels to 1/s by construction.  The offset of
     methods 3 and 4 is checked against the requested spec, so its
     admissible interval never depends on the branch arithmetic."""
-    if spec.kappa in (3, 4):
+    if spec.kappa in OFFSET_METHODS:
         _checked_epsilon(spec)
     k = spec.k
     if spec.branch is Branch.LOW_ORDER:
@@ -320,6 +318,20 @@ def _baseline7_integrator(spec: DesignSpec) -> FactoredModel:
     return FactoredModel(gain, 0, 1, tuple(zip(zeros, poles)))
 
 
+# Each method's integrator designer and, for the baselines 5 and 6 only,
+# its own differentiator designer; every other differentiator is the exact
+# reciprocal of its integrator.  Methods 1..4 share the piecewise designer.
+_DESIGNERS = {
+    **dict.fromkeys((1, 2, 3, 4), (_piecewise_integrator, None)),
+    5: (_baseline5_integrator, _baseline5_differentiator),
+    6: (_baseline6_integrator, _baseline6_differentiator),
+    7: (_baseline7_integrator, None),
+}
+
+# The method indices: 1..4 the piecewise designs, 5..7 the baselines.
+METHODS = tuple(_DESIGNERS)
+
+
 def design_integrator(spec: DesignSpec) -> FactoredModel:
     """Build the integrator approximant of s**(-alpha) for ``spec``.
 
@@ -327,13 +339,7 @@ def design_integrator(spec: DesignSpec) -> FactoredModel:
     and on the high branch (1/s times a chain) above; both branches pin the
     magnitude at the band center to omega_m**(-alpha).
     """
-    if spec.kappa in (1, 2, 3, 4):
-        return _piecewise_integrator(spec)
-    if spec.kappa == 5:
-        return _baseline5_integrator(spec)
-    if spec.kappa == 6:
-        return _baseline6_integrator(spec)
-    return _baseline7_integrator(spec)
+    return _DESIGNERS[spec.kappa][0](spec)
 
 
 def design_pair(spec: DesignSpec) -> DesignedPair:
@@ -345,10 +351,5 @@ def design_pair(spec: DesignSpec) -> DesignedPair:
     composition laws.
     """
     integrator = design_integrator(spec)
-    if spec.kappa == 5:
-        differentiator = _baseline5_differentiator(spec)
-    elif spec.kappa == 6:
-        differentiator = _baseline6_differentiator(spec)
-    else:
-        differentiator = reciprocal(integrator)
-    return DesignedPair(integrator, differentiator)
+    own = _DESIGNERS[spec.kappa][1]
+    return DesignedPair(integrator, reciprocal(integrator) if own is None else own(spec))

@@ -52,6 +52,14 @@ __all__ = [
     "simulate_filter",
 ]
 
+# The identity experiments, named after the signals of laws "i", "ii" and
+# "iii" in that order.
+EXPERIMENTS = ("x", "y", "z")
+
+# Sample period and horizon (s) of an identity experiment unless given.
+SAMPLE_PERIOD = 0.001
+DURATION = 10.0
+
 
 @dataclass(frozen=True)
 class FilterSection:
@@ -247,14 +255,14 @@ def identity_experiment(
     n: int = DesignSpec.n,
     k: int = DesignSpec.k,
     epsilon: float | None = None,
-    sample_period: float = 0.001,
-    duration: float = 10.0,
+    sample_period: float = SAMPLE_PERIOD,
+    duration: float = DURATION,
     cascade: bool = False,
 ) -> dict[str, SimulationResult]:
     """Simulate the three composition laws on u(t) = sin(t).
 
-    Returns results keyed "x", "y", "z" for laws "i", "ii" and "iii" of
-    :func:`difint.identities.law_operands`:
+    Returns results keyed by the ``EXPERIMENTS`` "x", "y" and "z", for laws
+    "i", "ii" and "iii" of :func:`difint.identities.law_operands`:
 
         x = I(alpha) I(1-alpha)[u] -> 1 - cos(t)
         y = D(alpha) I(alpha)[u]   -> sin(t)
@@ -323,4 +331,4 @@ def identity_experiment(
     for outcome in outcomes:
         if isinstance(outcome, Exception):
             raise outcome
-    return dict(zip(("x", "y", "z"), outcomes))
+    return dict(zip(EXPERIMENTS, outcomes))

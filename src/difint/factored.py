@@ -13,6 +13,7 @@ cancellation and reciprocal possible on 20+ section models.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,12 @@ __all__ = [
 DEFAULT_CANCEL_TOL = 1e-9
 
 
+def is_count(value) -> bool:
+    """Whether ``value`` is an integer (numpy integers included) and not a
+    bool, which Python would otherwise treat as 0 or 1."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class FactoredModel:
     """Immutable factored rational model.
@@ -51,12 +58,10 @@ class FactoredModel:
         gain = float(self.gain)
         if not (math.isfinite(gain) and gain > 0.0):
             raise DomainError(f"gain must be finite and positive, got {self.gain!r}")
-        if self.s_exponent not in (-1, 0, 1):
-            raise ShapeError(
-                f"s exponent must be -1, 0 or +1, got {self.s_exponent!r}"
-            )
-        if int(self.multiplicity) < 1:
-            raise DomainError(f"multiplicity must be >= 1, got {self.multiplicity!r}")
+        if not is_count(self.s_exponent) or self.s_exponent not in (-1, 0, 1):
+            raise ShapeError(f"s exponent must be an integer -1, 0 or +1, got {self.s_exponent!r}")
+        if not is_count(self.multiplicity) or self.multiplicity < 1:
+            raise DomainError(f"multiplicity must be an integer >= 1, got {self.multiplicity!r}")
         factors = tuple((float(z), float(p)) for z, p in self.factors)
         for z, p in factors:
             if not (math.isfinite(z) and z > 0.0 and math.isfinite(p) and p > 0.0):

@@ -7,9 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import DesignSpec, check_band, design_pair, is_count
+from .design import DesignSpec, check_band, design_pair
 from .errors import DomainError
-from .factored import FactoredModel, checked_omegas, log_response
+from .factored import FactoredModel, checked_omegas, is_count, log_response
 
 __all__ = [
     "DIFFERENTIATOR",
@@ -24,6 +24,9 @@ __all__ = [
 
 INTEGRATOR = "integrator"
 DIFFERENTIATOR = "differentiator"
+
+# Points of the log grid on which a sweep measures each order's error.
+SWEEP_COUNT = 10000
 
 
 def make_grid(omega_l: float, omega_h: float, count: int) -> np.ndarray:
@@ -112,7 +115,7 @@ def sweep_table(
     omega_h: float = DesignSpec.omega_h,
     n: int = DesignSpec.n,
     k: int = DesignSpec.k,
-    count: int = 10000,
+    count: int = SWEEP_COUNT,
 ) -> SweepRow:
     """Per-order error norms, maximized over ``alphas``.
 

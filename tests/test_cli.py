@@ -72,11 +72,12 @@ class TestDesignCommand:
         assert code == 2
         assert "error:" in err
 
-    def test_offset_on_wrong_method_is_invalid(self, capsys):
-        code, _, err = run_cli(
-            capsys, "design", "--method", "1", "--alpha", "0.4", "--eps", "1.9",
-        )
-        assert code == 2
+    @pytest.mark.parametrize("command", ("design", "check", "simulate"))
+    @pytest.mark.parametrize("offset", (("--eps", "1.9"), ("--eps-special",)))
+    def test_offset_on_wrong_method_is_invalid(self, capsys, command, offset):
+        code, out, err = run_cli(capsys, command, "--method", "1", "--alpha", "0.4", *offset)
+        assert (code, out) == (2, "")
+        assert err == "error: method 1 does not take a ripple offset\n"
 
     def test_missing_offset_for_method3(self, capsys):
         code, _, err = run_cli(capsys, "design", "--method", "3", "--alpha", "0.4")

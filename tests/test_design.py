@@ -28,7 +28,7 @@ from difint import (
     special_epsilon,
     sweep_table,
 )
-from difint.design import _checked_epsilon
+from difint.design import OFFSET_METHODS, _checked_epsilon
 
 PIECEWISE = (1, 2, 3, 4)
 
@@ -134,6 +134,18 @@ class TestDesignSpec:
             assert math.isnan(DesignSpec(kappa, 0.4, epsilon=math.nan).epsilon)
         for kappa in (1, 2, 5, 6, 7):
             assert DesignSpec(kappa, 0.4).epsilon is None
+
+    @pytest.mark.parametrize("kappa", (1, 2, 5, 6, 7))
+    def test_offset_on_any_other_method_is_rejected(self, kappa):
+        assert kappa not in OFFSET_METHODS
+        message = f"method {kappa} does not take a ripple offset"
+        with pytest.raises(DomainError, match=message):
+            DesignSpec(kappa, 0.3, epsilon=1.0)
+        # Checked right after the method index, before the order.
+        with pytest.raises(DomainError, match=message):
+            DesignSpec(kappa, 1.5, epsilon=1.0)
+        with pytest.raises(DomainError, match="method index"):
+            DesignSpec(0, 0.3, epsilon=1.0)
 
     @pytest.mark.parametrize("alpha", (0.3, 0.5, 0.7, 1e-9, 1.0 - 1e-9))
     def test_complement_changes_only_the_order(self, alpha):

@@ -81,11 +81,10 @@ class TestFactoredModel:
         with pytest.raises(DomainError):
             FactoredModel(-1.0)
 
-    def test_rejects_out_of_range_s_exponent(self):
+    @pytest.mark.parametrize("s_exponent", (-2, 2, 1.0, -0.5, True, False))
+    def test_rejects_out_of_range_s_exponent(self, s_exponent):
         with pytest.raises(ShapeError):
-            FactoredModel(1.0, s_exponent=-2)
-        with pytest.raises(ShapeError):
-            FactoredModel(1.0, s_exponent=2)
+            FactoredModel(1.0, s_exponent=s_exponent)
 
     def test_rejects_nonpositive_critical_frequencies(self):
         with pytest.raises(DomainError):
@@ -93,9 +92,15 @@ class TestFactoredModel:
         with pytest.raises(DomainError):
             FactoredModel(1.0, 0, 1, ((1.0, -2.0),))
 
-    def test_rejects_bad_multiplicity(self):
-        with pytest.raises(DomainError):
-            FactoredModel(1.0, 0, 0)
+    @pytest.mark.parametrize("multiplicity", (0, -1, 1.5, 2.0, True, "2"))
+    def test_rejects_bad_multiplicity(self, multiplicity):
+        with pytest.raises(DomainError, match="multiplicity must be an integer >= 1"):
+            FactoredModel(1.0, 0, multiplicity, ((1.0, 2.0),))
+
+    def test_numpy_integers_are_counts(self):
+        model = FactoredModel(1.0, np.int64(-1), np.int32(3), ((1.0, 2.0),))
+        assert (model.s_exponent, model.multiplicity) == (-1, 3)
+        assert type(model.s_exponent) is int and type(model.multiplicity) is int
 
     def test_zero_pole_views(self):
         m = FactoredModel(2.0, 0, 1, ((3.0, 1.0), (5.0, 4.0)))

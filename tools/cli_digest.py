@@ -36,7 +36,8 @@ checked at the tiny orders 1e-300 and 1e-20, and simulated and tabled at
 at n = k = 1 on the bands 1e-100..1e100 and 1e-150..1e150, and tables 1
 and 2 on the first, on which one factor's corners lie up to 1e300 apart,
 and tables 4 and 5 at n = 60 and k = 3, whose cascades run up to 181
-sections; every call runs at ``--precision 9`` and 17.  The ``--output``
+sections, and table 1 and ``check`` of methods 2 and 4 on a band below
+1e308 whose law operands leave the float range; every call runs at ``--precision 9`` and 17.  The ``--output``
 calls are a 10k-point ``bode``, a many-block ``simulate --experiment all``
 and one call per error exit code (2, 3, 4).
 
@@ -64,6 +65,7 @@ from collections.abc import Iterator
 from pathlib import Path
 
 from difint.cli import main
+from difint.design import METHODS, OFFSET_METHODS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -109,9 +111,19 @@ FLOAT_EDGE_CALLS = [
 # apart, so that its quotient of two sums of squares leaves the float range.
 FAR_CORNER_BANDS = [("1e-100", "1e100"), ("1e-150", "1e150")]
 
+# A band near the top of the float range on which the law operands at
+# order 0.7, n = 1 and k = 4 reach magnitudes of ~6900 dB, whose complex
+# values overflow.
+HUGE_OPERAND_BAND = "--wl 1.168150908264658e+195 --wh 1e+308 --n 1 --k 4"
+HUGE_OPERAND_CALLS = [
+    f"table --which 1 {HUGE_OPERAND_BAND} --alphas 0.7,0.9999519354742552",
+    f"check -m 2 -a 0.7 {HUGE_OPERAND_BAND}",
+    f"check -m 4 -a 0.7 {HUGE_OPERAND_BAND} --eps-special",
+]
+
 
 def _offsets(method: int, k: int) -> list[str]:
-    if method not in (3, 4):
+    if method not in OFFSET_METHODS:
         return [""]
     return ["--eps-special", f"--eps {IN_RANGE_EPS[method, k]}"]
 
@@ -126,7 +138,7 @@ def _readme_calls() -> list[str]:
 
 def _calls() -> list[str]:
     calls = _readme_calls()
-    for method in range(1, 8):
+    for method in METHODS:
         for alpha in ("0.3", "0.7"):
             design = f"-m {method} -a {alpha}"
             for offset in _offsets(method, 2):
@@ -141,7 +153,7 @@ def _calls() -> list[str]:
             for offset in _offsets(method, 1):
                 args = f"{design} --k 1 {offset}".strip()
                 calls += [f"circuit {args} --format spice", f"circuit {args} --format json"]
-            special = " --eps-special" if method in (3, 4) else ""
+            special = " --eps-special" if method in OFFSET_METHODS else ""
             calls.append(f"check {design} --n 60 --k 3{special} --condition all")
     calls += [f"table --which {which}" for which in range(1, 6)]
     calls += [f"table --which {which} --n 60 --k 3" for which in range(1, 4)]
@@ -155,8 +167,8 @@ def _calls() -> list[str]:
                               f"circuit {args}", f"check {args}"]
     calls += [f"table --which 1 --wl {wl} --wh {wh} --n 1 --k 8" for wl, wh in WIDE_BANDS]
     for wl, wh in SHIFTED_BANDS:
-        for method in range(1, 8):
-            special = " --eps-special" if method in (3, 4) else ""
+        for method in METHODS:
+            special = " --eps-special" if method in OFFSET_METHODS else ""
             for alpha in ("0.3", "0.7"):
                 args = f"-m {method} -a {alpha} --wl {wl} --wh {wh}{special}"
                 calls += [f"design {args}", f"bode {args}", f"check {args}"]
@@ -172,7 +184,7 @@ def _calls() -> list[str]:
         "design -m 1 -a 0.3 --eps 1",
         "design -m 1 -a 1.2",
     ]
-    for method in (3, 4):
+    for method in OFFSET_METHODS:
         for alpha in ("0.3", "0.7"):
             calls += [f"check -m {method} -a {alpha} --condition all",
                       f"simulate -m {method} -a {alpha} --experiment all"]
@@ -182,7 +194,7 @@ def _calls() -> list[str]:
         "table --which 2 --wl 1e-300 --wh 1e300",
     ]
     for method in range(1, 5):
-        special = " --eps-special" if method in (3, 4) else ""
+        special = " --eps-special" if method in OFFSET_METHODS else ""
         for alpha in ("0.3", "0.7"):
             for n in (40, 60):
                 calls += [f"pfe -m {method} -a {alpha} --n {n} --k {k}{special}" for k in (3, 4)]
@@ -196,6 +208,7 @@ def _calls() -> list[str]:
               "check -m 7 -a 0.3 --n 1 --k 1 --wl 1e-150 --wh 1e150"]
     calls += [f"table --which {which} --n 1 --k 1 --wl 1e-100 --wh 1e100" for which in (1, 2)]
     calls += [f"table --which {which} --n 60 --k 3 --T 2" for which in (4, 5)]
+    calls += HUGE_OPERAND_CALLS
     return calls
 
 
