@@ -17,13 +17,17 @@ and realization never load scipy, and simulation skips ``scipy.signal``'s
 package import, which pulls in ``scipy.stats``, ``interpolate`` and
 ``optimize`` and costs about a second of every ``simulate`` call.
 
-An identity experiment groups its three laws by the first stage of their
-cascades: each group filters that stage over the input once and runs its
-laws' remaining stages on the output.  The last group runs on a helper
-thread and the others on the calling thread.  The compiled loop and
-numpy's array operations release the GIL, so the two threads filter in
-parallel.  Each law is computed by exactly the arithmetic of a serial run,
-so results are bit-identical to running the laws one after another.
+An identity experiment arranges the stages of its three laws as a forest:
+laws whose cascades open with the same stage share it as a head, filtered
+over the input once, and each law's remaining stages follow it.  The
+stages are planned across two lanes, the calling thread and one helper
+thread, from their row counts alone, so the plan is the same on every run:
+each stage whole or in two halves cut at a pass boundary.  A stage that
+continues on the other lane is handed over, whole signal, through an
+event.  The compiled loop and numpy's array operations release the GIL,
+so the two threads filter in parallel.  Every section still sees the same
+input in the same order, so results are bit-identical to running the laws
+one after another.
 """
 
 from __future__ import annotations
@@ -247,6 +251,146 @@ def _cascade(first, second, force_cascade) -> tuple[FactoredModel, ...]:
     return tuple(sorted([second, first], key=lambda m: -m.s_exponent))
 
 
+def _stage_tree(operands, force_cascade, sample_period):
+    """The discretized stages of the laws' cascades, as a forest.
+
+    Laws whose cascades open with the same stage share that stage as a
+    head; each law's remaining stages follow it as a chain of their own.
+    Returns the filters, each one's parent (-1 for a head) and each law's
+    last stage, as indices into the filters.  Stages are discretized in
+    law order, so a failure to discretize is the earliest law's.
+    """
+    filters, parents, ends, heads = [], [], [], {}
+    for first, second in operands:
+        head, *rest = _cascade(first, second, force_cascade)
+        node = heads.get(head)
+        if node is None:
+            node = heads[head] = len(filters)
+            filters.append(discretize(head, sample_period))
+            parents.append(-1)
+        for stage in rest:
+            filters.append(discretize(stage, sample_period))
+            parents.append(node)
+            node = len(filters) - 1
+        ends.append(node)
+    return filters, parents, ends
+
+
+# Handing a signal from one lane to the other costs about this many rows of
+# filtering: the reading thread waits for the writing one and pulls the
+# signal over from the other core's cache.  Measured over the time-domain
+# benchmark pool (2-vCPU Xeon), against whole laws on each thread: planned
+# in single passes, the busier thread filters 20 % fewer rows but needs ~9
+# handoffs an op, and the pool ran 6 % slower; planned as here, at 3 or 5
+# rows a handoff, it ran 14 % faster.
+_HANDOFF_ROWS = 3
+
+
+def _lane_plan(rows: tuple[int, ...],
+               parents: tuple[int, ...]) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """Split the filter passes of a forest of stages between two lanes.
+
+    Stage i has ``rows[i]`` sections and reads the output of stage
+    ``parents[i]`` (-1 for a head, which reads the input); a parent comes
+    before its children.  The plan is drawn twice, once with every stage
+    whole and once with every stage of two or more passes in two halves
+    cut at a pass boundary, and the one whose makespan plus
+    ``_HANDOFF_ROWS`` per handoff is smaller wins, whole stages on a tie.
+
+    Returns each lane's slices ``(stage, first row, end row)`` in run
+    order.  Every wait of a slice is on a slice scheduled before it, so two
+    lanes that run their slices in this order cannot deadlock.
+    """
+    whole, halved = (_list_schedule(rows, parents, halves) for halves in (False, True))
+    return min(whole, halved, key=lambda schedule: schedule[0])[1]
+
+
+def _list_schedule(rows, parents, halves):
+    """A greedy list schedule of the stages' units on two lanes, and its cost.
+
+    A unit is a whole stage, or with ``halves`` the first or the second
+    half of the passes :func:`simulate_filter` runs it in (near-equal ones
+    of at most ``_PASS_SECTIONS`` rows); a stage without sections is one
+    empty unit.  A unit follows the stage's unit before it, and a stage's
+    first unit its parent's last.  Weighting each unit by its rows, the
+    lane that comes free first takes the ready unit with the longest path
+    of rows still below it; a lane with no unit ready idles until one is.
+    When both lanes are free at once, the one that has run fewer units
+    goes first, and the helper (lane 1) on a tie, since the calling thread
+    (lane 0) computes the targets first.  Consecutive units of one stage
+    on one lane merge into one slice.
+
+    Returns the makespan plus ``_HANDOFF_ROWS`` per unit whose predecessor
+    runs on the other lane, and the plan.
+    """
+    units, weights, follows, last = [], [], [], []
+    for stage, (count, parent) in enumerate(zip(rows, parents)):
+        before = last[parent] if parent >= 0 else -1
+        passes = -(-count // _PASS_SECTIONS) or 1
+        size, extra = divmod(count, passes)
+        cuts = (0, -(-passes // 2), passes) if halves and passes > 1 else (0, passes)
+        edges = [cut * size + min(cut, extra) for cut in cuts]
+        for lo, hi in zip(edges, edges[1:]):
+            units.append((stage, lo, hi))
+            weights.append(hi - lo)
+            follows.append(before)
+            before = len(units) - 1
+        last.append(before)
+    path = weights[:]  # rows from the start of each unit to the end of its longest chain
+    for u in reversed(range(len(units))):
+        q = follows[u]
+        if q >= 0:
+            path[q] = max(path[q], weights[q] + path[u])
+    finish = [None] * len(units)
+    lane_of = [0] * len(units)
+    free = [0, 0]
+    lanes = ([], [])
+    while None in finish:
+        lane = min((1, 0), key=lambda i: (free[i], len(lanes[i])))
+        now = free[lane]
+        ready = [u for u, q in enumerate(follows) if finish[u] is None
+                 and (q < 0 or finish[q] is not None and finish[q] <= now)]
+        if ready:
+            u = max(ready, key=lambda u: (path[u], -u))
+            free[lane] = finish[u] = now + weights[u]
+            lane_of[u] = lane
+            lanes[lane].append(u)
+        else:
+            free[lane] = min(f for f in finish if f is not None and f > now)
+    handoffs = sum(q >= 0 and lane_of[q] != lane_of[u] for u, q in enumerate(follows))
+    plan = []
+    for lane in lanes:
+        slices = []
+        for stage, lo, hi in (units[u] for u in lane):
+            if slices and slices[-1][0] == stage and slices[-1][2] == lo:
+                lo = slices.pop()[1]
+            slices.append((stage, lo, hi))
+        plan.append(tuple(slices))
+    return max(free) + _HANDOFF_ROWS * handoffs, tuple(plan)
+
+
+def _filter_slice(filt: DiscreteFilter, lo: int, hi: int, samples, lookahead):
+    """Run sections ``lo:hi`` of ``filt`` over ``samples``; only the slice
+    from the first section takes the filter's central difference."""
+    central = filt.central_difference and lo == 0
+    part = DiscreteFilter(filt.sections[lo:hi], central, filt.sample_period)
+    return simulate_filter(part, samples, lookahead if central else None)
+
+
+class _Slice:
+    """One slice of a lane plan while it runs: what it reads, who reads its
+    output, and the event a reader on the other lane waits for.  A plain
+    class, since a dataclass costs a quarter of a millisecond at import."""
+
+    def __init__(self, stage: int, lo: int, hi: int):
+        self.stage, self.lo, self.hi = stage, lo, hi
+        self.source: _Slice | None = None
+        self.readers = 0
+        self.laws: tuple[int, ...] = ()  # laws whose last stage this slice ends
+        self.handoff: threading.Event | None = None
+        self.output: np.ndarray | None = None
+
+
 def identity_experiment(
     kappa: int,
     alpha: float,
@@ -280,54 +424,108 @@ def identity_experiment(
             f"of samples, got {sample_period!r} and {duration!r}"
         )
     spec = DesignSpec(kappa, alpha, omega_l, omega_h, n, k, epsilon)
-    operands = law_operands(spec, CONDITIONS)
+    filters, parents, ends = _stage_tree(law_operands(spec, CONDITIONS), cascade, sample_period)
+    rows = tuple(len(filt.sections) for filt in filters)
+    lanes = [[_Slice(*piece) for piece in lane] for lane in _lane_plan(rows, tuple(parents))]
+
+    # Wire each slice to the slice whose output it reads: the stage's slice
+    # before it, else the parent's last slice, else the input.  A slice read
+    # on the other lane hands its output over through an event.
+    ending = {(piece.stage, piece.hi): (lane, piece)
+              for lane, pieces in enumerate(lanes) for piece in pieces}
+    for lane, pieces in enumerate(lanes):
+        for piece in pieces:
+            parent = parents[piece.stage]
+            if piece.lo:
+                source_lane, piece.source = ending[piece.stage, piece.lo]
+            elif parent >= 0:
+                source_lane, piece.source = ending[parent, rows[parent]]
+            else:
+                continue
+            piece.source.readers += 1
+            if source_lane != lane and piece.source.handoff is None:
+                piece.source.handoff = threading.Event()
+    for law, stage in enumerate(ends):
+        piece = ending[stage, rows[stage]][1]
+        piece.laws += (law,)
+        piece.readers += 1
+    # A failing slice is charged to the earliest law whose path holds it.
+    charged = [-1] * len(filters)
+    for law, stage in enumerate(ends):
+        while stage >= 0 and charged[stage] < 0:
+            charged[stage], stage = law, parents[stage]
 
     count = int(round(duration / sample_period)) + 1
-    t = np.arange(count) * sample_period
+    t = np.arange(count, dtype=float) * sample_period
     u = np.sin(t)
-    c = np.cos(t)
     lookahead = (math.sin(-sample_period), math.sin(t[-1] + sample_period))
+    exact = [None, u, None]
+    targets = threading.Event()  # set once the calling thread has 1 - cos(t) and cos(t)
+    outcomes = [None] * len(ends)
+    lock = threading.Lock()
 
-    exact = (1.0 - c, u, c)
-    # Laws whose cascades open with the same stage form a group, which
-    # filters that stage over u once and runs each member's remaining
-    # stages on its output; a failing shared stage is charged to the
-    # group's first law.  The last group runs on a helper thread and the
-    # others on the calling thread.
-    groups = {}
-    for index, (first, second) in enumerate(operands):
-        head, *rest = _cascade(first, second, cascade)
-        groups.setdefault(head, []).append((index, rest))
-    outcomes = [None] * len(exact)
+    def release(piece):
+        # One reader is done with the output; the last one drops it.
+        with lock:
+            piece.readers -= 1
+            if not piece.readers:
+                piece.output = None
 
-    def run(stage, y):
-        filt = discretize(stage, sample_period)
-        return simulate_filter(filt, y, lookahead if filt.central_difference else None)
+    def run_lane(pieces):
+        for piece in pieces:
+            source = piece.source
+            if source is not None and source.handoff is not None:
+                source.handoff.wait()
+            # A source that failed, or never ran, leaves its readers nothing.
+            signal = u if source is None else source.output
+            if signal is not None:
+                try:
+                    piece.output = _filter_slice(filters[piece.stage], piece.lo, piece.hi,
+                                                 signal, lookahead)
+                except Exception as exc:
+                    outcomes[charged[piece.stage]] = exc
+                del signal
+                if source is not None:
+                    release(source)
+            if piece.handoff is not None:
+                piece.handoff.set()
+            if piece.laws and piece.output is not None:
+                targets.wait()
+            for law in piece.laws:
+                if piece.output is not None and exact[law] is not None:
+                    try:
+                        outcomes[law] = SimulationResult.from_signals(t, u, exact[law],
+                                                                      piece.output)
+                    except Exception as exc:
+                        outcomes[law] = exc
+                    release(piece)
 
-    def run_groups(part):
+    def open_lane(pieces):
+        # Whatever stops a lane, the other one must not wait for it forever.
+        for piece in pieces:
+            if piece.handoff is not None:
+                piece.handoff.set()
+
+    def run_helper():
         try:
-            for head, members in part:
-                index = members[0][0]
-                shared = run(head, u)
-                for index, rest in members:
-                    y = shared
-                    for stage in rest:
-                        y = run(stage, y)
-                    outcomes[index] = SimulationResult.from_signals(t, u, exact[index], y)
-        except Exception as exc:
-            # Raised once both threads are done.  An interrupt reaches only
-            # the calling thread, and propagates as soon as the helper is
-            # joined.
-            outcomes[index] = exc
+            run_lane(lanes[1])
+        finally:
+            open_lane(lanes[1])
 
-    *mine, last = groups.items()
-    helper = threading.Thread(target=run_groups, args=([last],))
+    helper = threading.Thread(target=run_helper)
     helper.start()
     try:
-        run_groups(mine)
+        c = np.cos(t)
+        exact[0], exact[2] = 1.0 - c, c
+        targets.set()
+        run_lane(lanes[0])
     finally:
+        # An interrupt reaches only the calling thread, and propagates as
+        # soon as the helper is joined.
+        targets.set()
+        open_lane(lanes[0])
         helper.join()
-    # The earliest failing law in x, y, z order raises, whichever thread ran it.
+    # The earliest failing law in x, y, z order raises, whichever lane ran it.
     for outcome in outcomes:
         if isinstance(outcome, Exception):
             raise outcome

@@ -1,6 +1,7 @@
 """Bilinear discretization, cascade simulation and identity experiments."""
 
 import functools
+import hashlib
 import json
 import math
 import os
@@ -517,10 +518,10 @@ class TestIdentityExperimentReference:
             assert np.array_equal(result.exact, exact[name])
             assert np.array_equal(result.error, exact[name] - expected)
 
-    # Filter passes of the three laws in simplified mode.  Law i of methods
-    # 5 and 6 composes two 1/s heads, which no simplified product holds, so
-    # it still runs as a two-stage cascade.
-    SIMPLIFIED_PASSES = {1: 3, 2: 3, 3: 3, 4: 3, 5: 4, 6: 4, 7: 3}
+    # Stages filtered for the three laws in simplified mode.  Law i of
+    # methods 5 and 6 composes two 1/s heads, which no simplified product
+    # holds, so it still runs as a two-stage cascade.
+    SIMPLIFIED_STAGES = {1: 3, 2: 3, 3: 3, 4: 3, 5: 4, 6: 4, 7: 3}
 
     @pytest.mark.parametrize("kappa", range(1, 8))
     @pytest.mark.parametrize("cascade", (False, True))
@@ -528,21 +529,32 @@ class TestIdentityExperimentReference:
     def test_a_shared_first_stage_is_filtered_once(self, monkeypatch, kappa, cascade, alpha):
         # In cascade mode methods 1..4 open two laws with one stage: I(alpha)
         # laws i and ii below 0.5, D(alpha) laws ii and iii above, so their
-        # six stages take five passes.  No two methods 5..7 laws share one.
-        outputs = []
+        # six stages are five filters.  No two methods 5..7 laws share one.
+        # The lanes may filter a stage in several slices; together they
+        # cover its sections once, in order.
+        slices = []
+        real = discrete._filter_slice
 
-        def counting(filt, samples, lookahead=None):
-            outputs.append(simulate_filter(filt, samples, lookahead))
-            return outputs[-1]
+        def recording(filt, lo, hi, samples, lookahead):
+            slices.append((filt, lo, hi, real(filt, lo, hi, samples, lookahead)))
+            return slices[-1][-1]
 
-        monkeypatch.setattr(discrete, "simulate_filter", counting)
+        monkeypatch.setattr(discrete, "_filter_slice", recording)
         results = identity_experiment(kappa, alpha, duration=1.0, cascade=cascade)
+        filters = []
+        for filt, *_ in slices:
+            if not any(filt is seen for seen in filters):
+                filters.append(filt)
         if cascade:
-            assert len(outputs) == (5 if kappa <= 4 else 6)
+            assert len(filters) == (5 if kappa <= 4 else 6)
         else:
-            assert len(outputs) == self.SIMPLIFIED_PASSES[kappa]
+            assert len(filters) == self.SIMPLIFIED_STAGES[kappa]
+        for filt in filters:
+            edges = sorted((lo, hi) for other, lo, hi, _ in slices if other is filt)
+            assert [lo for lo, _ in edges] == [0] + [hi for _, hi in edges[:-1]]
+            assert edges[-1][1] == len(filt.sections)
         approx = [result.approx for result in results.values()]
-        stages = [y for y in outputs if not any(y is a for a in approx)]
+        stages = [y for *_, y in slices if not any(y is a for a in approx)]
         for i, a in enumerate(approx):
             for other in approx[i + 1:] + stages:
                 assert not np.shares_memory(a, other)
@@ -551,7 +563,7 @@ class TestIdentityExperimentReference:
 def serial_identity_experiment(kappa, alpha, k, h, duration, cascade):
     """The three laws run one after another in one thread, a shared first
     stage's output kept until the last law that reads it: the reference the
-    grouped, two-thread run must reproduce bit for bit."""
+    planned, two-thread run must reproduce bit for bit."""
     spec = reference_spec(kappa, alpha, k=k)
     operands = discrete.law_operands(spec, ("i", "ii", "iii"))
     t = np.arange(int(round(duration / h)) + 1) * h
@@ -578,6 +590,89 @@ def serial_identity_experiment(kappa, alpha, k, h, duration, cascade):
             kept[head] = y
         results[name] = discrete.SimulationResult.from_signals(t, u, exact, run(rest, y))
     return results
+
+
+def experiment_plan(kappa, alpha, cascade, k=2, n=10):
+    """The stage tree and lane plan of an identity experiment at h = 1 ms:
+    the filters, their parents, each law's last stage and the plan."""
+    spec = DesignSpec(kappa, alpha, 1e-3, 1e3, n, k)
+    filters, parents, ends = discrete._stage_tree(
+        discrete.law_operands(spec, ("i", "ii", "iii")), cascade, 0.001)
+    rows = tuple(len(filt.sections) for filt in filters)
+    return filters, parents, ends, discrete._lane_plan(rows, tuple(parents))
+
+
+def source_of(piece, parents, rows):
+    """The (stage, end row) of the slice whose output a plan slice reads,
+    or None where it reads the input."""
+    stage, lo, _ = piece
+    if lo:
+        return stage, lo
+    parent = parents[stage]
+    return None if parent < 0 else (parent, rows[parent])
+
+
+def planned_makespan(plan, parents, rows):
+    """Rows until both lanes are done, each slice starting once its lane is
+    free and its source is done; fails if the lanes wait on each other."""
+    done, free, todo = {}, [0, 0], [list(lane) for lane in plan]
+    while any(todo):
+        progressed = False
+        for lane in (0, 1):
+            while todo[lane]:
+                stage, lo, hi = todo[lane][0]
+                source = source_of(todo[lane][0], parents, rows)
+                if source is not None and source not in done:
+                    break
+                free[lane] = max(free[lane], done.get(source, 0)) + hi - lo
+                done[stage, hi] = free[lane]
+                todo[lane].pop(0)
+                progressed = True
+        assert progressed, "the lanes wait on each other"
+    return max(free)
+
+
+def law_name(exact, input_signal):
+    """Which law a check is for, told by its target: u, 1 - cos or cos."""
+    return "y" if exact is input_signal else ("x" if exact[0] == 0.0 else "z")
+
+
+def pass_edges(count):
+    """Where the passes of a stage of ``count`` sections start and end, as
+    :func:`simulate_filter` cuts them."""
+    parts = np.array_split(np.arange(count), max(1, math.ceil(count / PASS)))
+    return set(np.cumsum([0] + [len(part) for part in parts]).tolist())
+
+
+class TestLanePlan:
+    @pytest.mark.parametrize("kappa", range(1, 8))
+    @pytest.mark.parametrize("cascade", (False, True))
+    def test_slices_cover_each_stage_once_within_two_passes_of_the_bound(self, kappa, cascade):
+        # No filtering: the plan is a function of the stages' row counts.
+        # A plan of whole stages may give up a few rows of balance for
+        # fewer handoffs; over methods 1..7, alpha 0.1..0.9, k 1..3 and n
+        # 1..30 the worst is 9.5 rows above the bound.
+        for alpha in (0.1, 0.3, 0.7, 0.9):
+            for k in (1, 2, 3):
+                for n in (1, 2, 3, 4, 7, 8, 9, 12, 16, 17, 30):
+                    filters, parents, _, plan = experiment_plan(kappa, alpha, cascade, k, n)
+                    rows = tuple(len(filt.sections) for filt in filters)
+                    assert discrete._lane_plan(rows, tuple(parents)) == plan
+                    for stage, count in enumerate(rows):
+                        edges = sorted((lo, hi) for lane in plan
+                                       for other, lo, hi in lane if other == stage)
+                        if count == 0:
+                            assert edges == [(0, 0)]
+                        else:
+                            assert [lo for lo, _ in edges] == [0] + [hi for _, hi in edges[:-1]]
+                            assert edges[-1][1] == count
+                            assert all(lo < hi for lo, hi in edges)
+                            assert {lo for lo, _ in edges} <= pass_edges(count)
+                    chain = []
+                    for count, parent in zip(rows, parents):
+                        chain.append(count + (chain[parent] if parent >= 0 else 0))
+                    bound = max(sum(rows) / 2, max(chain)) + 2 * PASS
+                    assert planned_makespan(plan, parents, rows) <= bound
 
 
 class LawFailure(Exception):
@@ -607,13 +702,13 @@ class TestIdentityLanes:
     @pytest.mark.parametrize("alpha", (0.3, 0.7))
     def test_earliest_failing_law_raises_after_the_helper_is_joined(
             self, monkeypatch, failing, cascade, alpha):
-        # Below 0.5 the threads run {x, y} | {z}; in cascade mode above 0.5
-        # they run {x} | {y, z}, so every failing set spans both threads or
-        # either one of them.
+        # Each law's check runs on the lane that filters its last slice, so
+        # across both branches and modes the failing sets fall on either
+        # thread or on both.
         real = discrete.SimulationResult.from_signals.__func__
 
         def failing_from_signals(cls, time, input_signal, exact, approx):
-            name = "y" if exact is input_signal else ("x" if exact[0] == 0.0 else "z")
+            name = law_name(exact, input_signal)
             if name in failing:
                 raise LawFailure(name)
             return real(cls, time, input_signal, exact, approx)
@@ -629,18 +724,19 @@ class TestIdentityLanes:
     @pytest.mark.parametrize("alpha", (0.3, 0.7))
     def test_a_failing_shared_first_stage_fails_its_groups_first_law(self, monkeypatch, alpha):
         # In cascade mode I(alpha) opens laws i and ii below 0.5, and
-        # D(alpha) laws ii and iii above.  The stage fails once; its failure
-        # is charged to x below 0.5 and to y above, and so raises before
-        # law z's own failure either way.
+        # D(alpha) laws ii and iii above.  The stage's first slice fails,
+        # once; its failure is charged to x below 0.5 and to y above, and so
+        # raises before law z's own failure either way.
         pair = design_pair(reference_spec(1, alpha))
         shared = discretize(pair.integrator if alpha < 0.5 else pair.differentiator, 0.001)
         failures = []
+        real_slice = discrete._filter_slice
 
-        def failing(filt, samples, lookahead=None):
-            if filt == shared:
+        def failing(filt, lo, hi, samples, lookahead):
+            if filt == shared and lo == 0:
                 failures.append(LawFailure("shared stage"))
                 raise failures[-1]
-            return simulate_filter(filt, samples, lookahead)
+            return real_slice(filt, lo, hi, samples, lookahead)
 
         real = discrete.SimulationResult.from_signals.__func__
 
@@ -649,13 +745,98 @@ class TestIdentityLanes:
                 raise LawFailure("z")
             return real(cls, time, input_signal, exact, approx)
 
-        monkeypatch.setattr(discrete, "simulate_filter", failing)
+        monkeypatch.setattr(discrete, "_filter_slice", failing)
         monkeypatch.setattr(discrete.SimulationResult, "from_signals", classmethod(failing_z))
         before = threading.active_count()
         with pytest.raises(LawFailure) as caught:
             identity_experiment(1, alpha, duration=0.1, cascade=True)
         assert len(failures) == 1 and caught.value is failures[0]
         assert threading.active_count() == before
+
+    # Specs searched, in order, for a slice that one lane hands to the other.
+    HANDOFF_CASES = [(kappa, alpha, cascade) for kappa in (5, 6, 7, 1, 2, 3, 4)
+                     for cascade in (True, False) for alpha in (0.3, 0.7)]
+
+    @pytest.mark.parametrize("lane, failure", ((0, LawFailure), (1, LawFailure),
+                                               (0, KeyboardInterrupt)))
+    def test_a_failing_handoff_releases_the_other_lane(self, monkeypatch, lane, failure):
+        # A slice that the other lane waits for fails on lane 0 (the calling
+        # thread) or lane 1 (the helper); the interrupt reaches only the
+        # calling thread.  Each later law off the failing path fails its
+        # own check, so only a failure charged to the earliest law on the
+        # path raises first.
+        for kappa, alpha, cascade in self.HANDOFF_CASES:
+            filters, parents, ends, plan = experiment_plan(kappa, alpha, cascade)
+            rows = [len(filt.sections) for filt in filters]
+            read_across = {source_of(piece, parents, rows) for piece in plan[1 - lane]}
+            handoffs = [piece for piece in plan[lane] if (piece[0], piece[2]) in read_across
+                        and filters.count(filters[piece[0]]) == 1]
+            if handoffs:
+                break
+        else:
+            pytest.fail(f"no lane {lane} slice is read on the other lane")
+        stage, lo, hi = handoffs[0]
+        paths = []
+        for end in ends:
+            paths.append(set())
+            while end >= 0:
+                paths[-1].add(end)
+                end = parents[end]
+        law = min(index for index, path in enumerate(paths) if stage in path)
+        failing_checks = {"xyz"[index] for index, path in enumerate(paths)
+                          if index > law and stage not in path}
+        raised = []
+        real_slice = discrete._filter_slice
+        real_check = discrete.SimulationResult.from_signals.__func__
+
+        def failing_slice(filt, first, end, samples, lookahead):
+            if filt == filters[stage] and (first, end) == (lo, hi):
+                raised.append((failure("handoff"), threading.get_ident()))
+                raise raised[-1][0]
+            return real_slice(filt, first, end, samples, lookahead)
+
+        def failing_check(cls, time, input_signal, exact, approx):
+            if law_name(exact, input_signal) in failing_checks:
+                raise LawFailure(law_name(exact, input_signal))
+            return real_check(cls, time, input_signal, exact, approx)
+
+        monkeypatch.setattr(discrete, "_filter_slice", failing_slice)
+        monkeypatch.setattr(discrete.SimulationResult, "from_signals",
+                            classmethod(failing_check))
+        caught = []
+
+        def call():
+            try:
+                identity_experiment(kappa, alpha, duration=0.1, cascade=cascade)
+            except BaseException as exc:
+                caught.append(exc)
+
+        before = threading.active_count()
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive(), "a lane waits forever"
+        assert threading.active_count() == before
+        assert len(raised) == 1 and caught == [raised[0][0]]
+        assert (raised[0][1] == caller.ident) == (lane == 0)
+
+    def test_outputs_keep_their_recorded_digest(self):
+        # The sha256 of every law's output over all methods, both modes and
+        # both branches, recorded with numpy 2.4.6 and scipy 1.17.1 when the
+        # laws still ran one after another on one thread.  Any change to
+        # the input a section sees, or its order, moves it.
+        digest = hashlib.sha256()
+        for kappa in range(1, 8):
+            for alpha in (0.2, 0.3, 0.5, 0.7, 0.9):
+                for k in (1, 2, 3):
+                    for cascade in (False, True):
+                        results = identity_experiment(kappa, alpha, n=12, k=k,
+                                                      sample_period=1e-3, duration=5.0,
+                                                      cascade=cascade)
+                        for name in discrete.EXPERIMENTS:
+                            digest.update(results[name].approx.tobytes())
+        assert digest.hexdigest() == (
+            "c2d2b55028b43bc6ee6755b242d5f65ad3b95f9b8c8a718a32e2ef7e00d0ee94")
 
     def test_concurrent_experiments_are_bitwise_the_serial_run(self):
         # Four callers, each with its helper thread, on two cores, switching
