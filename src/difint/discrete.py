@@ -22,12 +22,14 @@ laws whose cascades open with the same stage share it as a head, filtered
 over the input once, and each law's remaining stages follow it.  The
 stages are planned across two lanes, the calling thread and one helper
 thread, from their row counts alone, so the plan is the same on every run:
-each stage whole or in two halves cut at a pass boundary.  A stage that
-continues on the other lane is handed over, whole signal, through an
-event.  The compiled loop and numpy's array operations release the GIL,
-so the two threads filter in parallel.  Every section still sees the same
-input in the same order, so results are bit-identical to running the laws
-one after another.
+each stage runs as one slice, or as two cut at a pass boundary.  A slice
+puts its output signal into the input slot of every slice that reads it,
+on either lane, and sets its event once done; a reader waits for that
+event and empties its slot as it starts, so a signal is freed once its
+last reader has run.  The compiled loop and numpy's array operations
+release the GIL, so the two threads filter in parallel.  Every section
+still sees the same input in the same order, so results are bit-identical
+to running the laws one after another.
 """
 
 from __future__ import annotations
@@ -88,10 +90,13 @@ def discretize(model: FactoredModel, sample_period: float) -> DiscreteFilter:
     (|a1| < 1), so all factor sections are stable; only the accumulator
     section of a net 1/s (pole p = 0) is marginally stable, by design.
     The gain folds into the first factor section, or becomes a section of
-    its own when there is none.
+    its own when there is none.  Raises :class:`DomainError` for a sample
+    period that is not finite and > 0, or that gives a section coefficient
+    that is not finite: below about 1.1e-308 ``2/h`` overflows, and near
+    the top of the float range so can ``2/h + p``.
     """
-    if not sample_period > 0.0:
-        raise DomainError(f"sample period must be > 0, got {sample_period!r}")
+    if not 0.0 < sample_period < math.inf:
+        raise DomainError(f"sample period must be finite and > 0, got {sample_period!r}")
     h = float(sample_period)
     c = 2.0 / sample_period
     sections: list[FilterSection] = []
@@ -105,6 +110,8 @@ def discretize(model: FactoredModel, sample_period: float) -> DiscreteFilter:
         sections.append(FilterSection(model.gain, 0.0, 0.0))
     if model.s_exponent == -1:
         sections.insert(0, FilterSection(h / 2.0, h / 2.0, -1.0))
+    if not all(math.isfinite(x) for s in sections for x in (s.b0, s.b1, s.a1)):
+        raise DomainError(f"sample period {h!r} gives a section coefficient that is not finite")
     return DiscreteFilter(tuple(sections), model.s_exponent == 1, h)
 
 
@@ -377,20 +384,6 @@ def _filter_slice(filt: DiscreteFilter, lo: int, hi: int, samples, lookahead):
     return simulate_filter(part, samples, lookahead if central else None)
 
 
-class _Slice:
-    """One slice of a lane plan while it runs: what it reads, who reads its
-    output, and the event a reader on the other lane waits for.  A plain
-    class, since a dataclass costs a quarter of a millisecond at import."""
-
-    def __init__(self, stage: int, lo: int, hi: int):
-        self.stage, self.lo, self.hi = stage, lo, hi
-        self.source: _Slice | None = None
-        self.readers = 0
-        self.laws: tuple[int, ...] = ()  # laws whose last stage this slice ends
-        self.handoff: threading.Event | None = None
-        self.output: np.ndarray | None = None
-
-
 def identity_experiment(
     kappa: int,
     alpha: float,
@@ -426,29 +419,22 @@ def identity_experiment(
     spec = DesignSpec(kappa, alpha, omega_l, omega_h, n, k, epsilon)
     filters, parents, ends = _stage_tree(law_operands(spec, CONDITIONS), cascade, sample_period)
     rows = tuple(len(filt.sections) for filt in filters)
-    lanes = [[_Slice(*piece) for piece in lane] for lane in _lane_plan(rows, tuple(parents))]
+    plan = _lane_plan(rows, tuple(parents))
+    pieces = [piece for lane in plan for piece in lane]
+    lanes = (range(len(plan[0])), range(len(plan[0]), len(pieces)))
 
-    # Wire each slice to the slice whose output it reads: the stage's slice
-    # before it, else the parent's last slice, else the input.  A slice read
-    # on the other lane hands its output over through an event.
-    ending = {(piece.stage, piece.hi): (lane, piece)
-              for lane, pieces in enumerate(lanes) for piece in pieces}
-    for lane, pieces in enumerate(lanes):
-        for piece in pieces:
-            parent = parents[piece.stage]
-            if piece.lo:
-                source_lane, piece.source = ending[piece.stage, piece.lo]
-            elif parent >= 0:
-                source_lane, piece.source = ending[parent, rows[parent]]
-            else:
-                continue
-            piece.source.readers += 1
-            if source_lane != lane and piece.source.handoff is None:
-                piece.source.handoff = threading.Event()
+    # Each slice reads the output of the stage's slice before it, else of
+    # the parent's last slice, else (source -1) the input.
+    ending = {(stage, hi): index for index, (stage, _, hi) in enumerate(pieces)}
+    sources, readers, laws = [], [[] for _ in pieces], [[] for _ in pieces]
+    for index, (stage, lo, _) in enumerate(pieces):
+        parent = parents[stage]
+        source = ending[stage, lo] if lo else ending[parent, rows[parent]] if parent >= 0 else -1
+        sources.append(source)
+        if source >= 0:
+            readers[source].append(index)
     for law, stage in enumerate(ends):
-        piece = ending[stage, rows[stage]][1]
-        piece.laws += (law,)
-        piece.readers += 1
+        laws[ending[stage, rows[stage]]].append(law)
     # A failing slice is charged to the earliest law whose path holds it.
     charged = [-1] * len(filters)
     for law, stage in enumerate(ends):
@@ -462,57 +448,46 @@ def identity_experiment(
     exact = [None, u, None]
     targets = threading.Event()  # set once the calling thread has 1 - cos(t) and cos(t)
     outcomes = [None] * len(ends)
-    lock = threading.Lock()
+    # Every slice has an input slot, which its source fills and it empties
+    # as it starts, and an event, set once it is done.  A signal lives as
+    # long as a slot, or a step still running, holds it.
+    inputs = [u if source < 0 else None for source in sources]
+    done = [threading.Event() for _ in pieces]
 
-    def release(piece):
-        # One reader is done with the output; the last one drops it.
-        with lock:
-            piece.readers -= 1
-            if not piece.readers:
-                piece.output = None
-
-    def run_lane(pieces):
-        for piece in pieces:
-            source = piece.source
-            if source is not None and source.handoff is not None:
-                source.handoff.wait()
-            # A source that failed, or never ran, leaves its readers nothing.
-            signal = u if source is None else source.output
-            if signal is not None:
-                try:
-                    piece.output = _filter_slice(filters[piece.stage], piece.lo, piece.hi,
-                                                 signal, lookahead)
-                except Exception as exc:
-                    outcomes[charged[piece.stage]] = exc
-                del signal
-                if source is not None:
-                    release(source)
-            if piece.handoff is not None:
-                piece.handoff.set()
-            if piece.laws and piece.output is not None:
-                targets.wait()
-            for law in piece.laws:
-                if piece.output is not None and exact[law] is not None:
-                    try:
-                        outcomes[law] = SimulationResult.from_signals(t, u, exact[law],
-                                                                      piece.output)
-                    except Exception as exc:
-                        outcomes[law] = exc
-                    release(piece)
-
-    def open_lane(pieces):
-        # Whatever stops a lane, the other one must not wait for it forever.
-        for piece in pieces:
-            if piece.handoff is not None:
-                piece.handoff.set()
-
-    def run_helper():
+    def step(index):
+        stage, lo, hi = pieces[index]
+        if sources[index] >= 0:
+            done[sources[index]].wait()
+        signal, inputs[index] = inputs[index], None
+        if signal is None:  # its source failed, or never ran
+            return
         try:
-            run_lane(lanes[1])
-        finally:
-            open_lane(lanes[1])
+            output = _filter_slice(filters[stage], lo, hi, signal, lookahead)
+        except Exception as exc:
+            outcomes[charged[stage]] = exc
+            return
+        del signal  # before the law checks, which allocate signals of their own
+        for reader in readers[index]:
+            inputs[reader] = output
+        for law in laws[index]:
+            targets.wait()
+            if exact[law] is not None:
+                try:
+                    outcomes[law] = SimulationResult.from_signals(t, u, exact[law], output)
+                except Exception as exc:
+                    outcomes[law] = exc
 
-    helper = threading.Thread(target=run_helper)
+    def run_lane(lane):
+        try:
+            for index in lane:
+                step(index)
+                done[index].set()
+        finally:
+            # Whatever stops a lane, the other one must not wait for it forever.
+            for index in lane:
+                done[index].set()
+
+    helper = threading.Thread(target=run_lane, args=(lanes[1],))
     helper.start()
     try:
         c = np.cos(t)
@@ -520,10 +495,11 @@ def identity_experiment(
         targets.set()
         run_lane(lanes[0])
     finally:
-        # An interrupt reaches only the calling thread, and propagates as
-        # soon as the helper is joined.
+        # An interrupt reaches only the calling thread, even before its lane
+        # runs, and propagates as soon as the helper is joined.
         targets.set()
-        open_lane(lanes[0])
+        for index in lanes[0]:
+            done[index].set()
         helper.join()
     # The earliest failing law in x, y, z order raises, whichever lane ran it.
     for outcome in outcomes:

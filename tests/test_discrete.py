@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import warnings
+import weakref
 from pathlib import Path
 
 import mpmath
@@ -99,9 +100,22 @@ class TestDiscretize:
                 assert filt.sections == factors.sections
             assert filt.central_difference is (model.s_exponent == 1)
 
-    def test_rejects_bad_sample_period(self):
-        with pytest.raises(DomainError):
-            discretize(FactoredModel(1.0), 0.0)
+    @pytest.mark.parametrize("model, h", (
+        (FactoredModel(1.0), 0.0),
+        (FactoredModel(1.0), -1.0),
+        (FactoredModel(1.0), math.nan),
+        # At h = inf the accumulator would be (inf, inf, -1) and method 1's
+        # sections would have a1 = 1.0.
+        (FactoredModel(1.0, -1), math.inf),
+        (design_pair(reference_spec(1, 0.3)).integrator, math.inf),
+        # 2/h overflows, so every factor section is NaN.
+        (design_pair(reference_spec(1, 0.3)).integrator, 1e-309),
+        # 2/h + p overflows, so b0 is NaN.
+        (FactoredModel(1.0, 0, 1, ((1e308, 1.5e308),)), 1.2e-308),
+    ))
+    def test_rejects_bad_sample_period(self, model, h):
+        with pytest.raises(DomainError, match="sample period"):
+            discretize(model, h)
 
     @pytest.mark.parametrize("kappa", range(1, 8))
     @pytest.mark.parametrize("alpha", (0.2, 0.5, 0.8))
@@ -866,6 +880,57 @@ class TestIdentityLanes:
             assert list(results) == ["x", "y", "z"]
             for name in reference:
                 assert np.array_equal(results[name].approx, reference[name].approx)
+
+    def test_an_intermediate_signal_is_freed_once_its_lane_has_read_it(self, monkeypatch):
+        # Whenever a lane starts a slice, each output that ends no law and
+        # was produced and read on that lane alone, by readers that have all
+        # finished, is already gone.  Over this matrix today's plans make 28
+        # such checks.
+        tree = []
+        real_tree = discrete._stage_tree
+        real_slice = discrete._filter_slice
+
+        def recording_tree(*args):
+            tree[:] = real_tree(*args)
+            return tuple(tree)
+
+        def checked_slice(filt, lo, hi, samples, lookahead):
+            lane = 0 if threading.get_ident() == caller else 1
+            stage = next(i for i, other in enumerate(tree[0]) if other is filt)
+            for piece in freed_after[lane]:
+                if piece in outputs and freed_after[lane][piece] <= finished:
+                    assert outputs[piece]() is None, f"lane {lane} keeps slice {piece}"
+                    checks.append(piece)
+            output = real_slice(filt, lo, hi, samples, lookahead)
+            outputs[stage, lo, hi] = weakref.ref(output)
+            finished.add((stage, lo, hi))
+            return output
+
+        monkeypatch.setattr(discrete, "_stage_tree", recording_tree)
+        monkeypatch.setattr(discrete, "_filter_slice", checked_slice)
+        caller = threading.get_ident()
+        checks = []
+        for kappa in range(1, 8):
+            for cascade in (False, True):
+                for alpha in (0.3, 0.7):
+                    for k in (1, 2, 3):
+                        # Each lane's slices that end no law and are read on
+                        # that lane alone, mapped to their readers.
+                        filters, parents, ends, plan = experiment_plan(kappa, alpha, cascade, k)
+                        rows = [len(filt.sections) for filt in filters]
+                        lane_of = {piece: lane for lane in (0, 1) for piece in plan[lane]}
+                        law_ends = {(stage, rows[stage]) for stage in ends}
+                        freed_after = ({}, {})
+                        for piece, lane in lane_of.items():
+                            stage, _, hi = piece
+                            readers = {other for other in lane_of
+                                       if source_of(other, parents, rows) == (stage, hi)}
+                            if (readers and (stage, hi) not in law_ends
+                                    and all(lane_of[other] == lane for other in readers)):
+                                freed_after[lane][piece] = readers
+                        outputs, finished = {}, set()
+                        identity_experiment(kappa, alpha, k=k, duration=0.2, cascade=cascade)
+        assert checks, "no plan holds such a slice"
 
 
 def mpmath_first_order(x, b0, b1, a1):
