@@ -30,10 +30,18 @@ last reader has run.  The compiled loop and numpy's array operations
 release the GIL, so the two threads filter in parallel.  Every section
 still sees the same input in the same order, so results are bit-identical
 to running the laws one after another.
+
+The time base of an experiment, its sample times t, the input sin(t) and
+the targets cos(t) and 1 - cos(t), depends only on the sample period and
+the horizon, so it is computed once per (h, T), before the helper thread
+starts, and shared by every call and result at that (h, T).  Its arrays are
+read-only, and the last horizon's four stay in memory until a call with
+another one.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import math
 import os
@@ -195,7 +203,13 @@ def _sosfilt_kernel():
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """One identity experiment: sampled signals and unweighted error norms."""
+    """One identity experiment: sampled signals and unweighted error norms.
+
+    ``time``, ``input_signal`` and ``exact`` are the experiment's time base,
+    computed once per sample period and horizon and shared, read-only, by
+    every result at that (h, T); the last horizon's arrays stay in memory
+    until an experiment with another one runs.
+    """
 
     time: np.ndarray
     input_signal: np.ndarray
@@ -323,9 +337,10 @@ def _list_schedule(rows, parents, halves):
     lane that comes free first takes the ready unit with the longest path
     of rows still below it; a lane with no unit ready idles until one is.
     When both lanes are free at once, the one that has run fewer units
-    goes first, and the helper (lane 1) on a tie, since the calling thread
-    (lane 0) computes the targets first.  Consecutive units of one stage
-    on one lane merge into one slice.
+    goes first, and the helper (lane 1) on a tie: any fixed rule keeps the
+    plan deterministic, and this is the one the plans' timings were
+    measured with.  Consecutive units of one stage on one lane merge into
+    one slice.
 
     Returns the makespan plus ``_HANDOFF_ROWS`` per unit whose predecessor
     runs on the other lane, and the plan.
@@ -382,6 +397,31 @@ def _filter_slice(filt: DiscreteFilter, lo: int, hi: int, samples, lookahead):
     central = filt.central_difference and lo == 0
     part = DiscreteFilter(filt.sections[lo:hi], central, filt.sample_period)
     return simulate_filter(part, samples, lookahead if central else None)
+
+
+@functools.lru_cache(maxsize=1)
+def _time_base(sample_period: float, duration: float):
+    """The sample times ``t`` of an identity experiment, its input
+    ``u = sin(t)``, ``cos(t)``, ``1 - cos(t)`` and the lookahead pair of
+    ``u``, kept for the last ``(sample_period, duration)`` asked for.
+
+    The arrays are shared by every call at that horizon and by the results
+    they are part of, so they are read-only.  Raises :class:`DomainError`
+    when the horizon has more samples than can be allocated.
+    """
+    count = int(round(duration / sample_period)) + 1
+    # numpy raises MemoryError for arrays it cannot get and ValueError for
+    # sizes past its own limit.
+    try:
+        t = np.arange(count, dtype=float) * sample_period
+        u = np.sin(t)
+        c = np.cos(t)
+        one_minus_c = 1.0 - c
+    except (MemoryError, ValueError) as exc:
+        raise DomainError(f"a horizon of {count} samples is too long to allocate") from exc
+    for array in (t, u, c, one_minus_c):
+        array.flags.writeable = False
+    return t, u, c, one_minus_c, (math.sin(-sample_period), math.sin(t[-1] + sample_period))
 
 
 def identity_experiment(
@@ -441,12 +481,8 @@ def identity_experiment(
         while stage >= 0 and charged[stage] < 0:
             charged[stage], stage = law, parents[stage]
 
-    count = int(round(duration / sample_period)) + 1
-    t = np.arange(count, dtype=float) * sample_period
-    u = np.sin(t)
-    lookahead = (math.sin(-sample_period), math.sin(t[-1] + sample_period))
-    exact = [None, u, None]
-    targets = threading.Event()  # set once the calling thread has 1 - cos(t) and cos(t)
+    t, u, c, one_minus_c, lookahead = _time_base(sample_period, duration)
+    exact = (one_minus_c, u, c)
     outcomes = [None] * len(ends)
     # Every slice has an input slot, which its source fills and it empties
     # as it starts, and an event, set once it is done.  A signal lives as
@@ -470,12 +506,10 @@ def identity_experiment(
         for reader in readers[index]:
             inputs[reader] = output
         for law in laws[index]:
-            targets.wait()
-            if exact[law] is not None:
-                try:
-                    outcomes[law] = SimulationResult.from_signals(t, u, exact[law], output)
-                except Exception as exc:
-                    outcomes[law] = exc
+            try:
+                outcomes[law] = SimulationResult.from_signals(t, u, exact[law], output)
+            except Exception as exc:
+                outcomes[law] = exc
 
     def run_lane(lane):
         try:
@@ -490,14 +524,10 @@ def identity_experiment(
     helper = threading.Thread(target=run_lane, args=(lanes[1],))
     helper.start()
     try:
-        c = np.cos(t)
-        exact[0], exact[2] = 1.0 - c, c
-        targets.set()
         run_lane(lanes[0])
     finally:
         # An interrupt reaches only the calling thread, even before its lane
         # runs, and propagates as soon as the helper is joined.
-        targets.set()
         for index in lanes[0]:
             done[index].set()
         helper.join()

@@ -370,6 +370,15 @@ class TestSimulateCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: sample period and duration must be finite")
 
+    @pytest.mark.parametrize("argv", (
+        ("simulate", "--method", "1", "--alpha", "0.3", "--T", "1e14"),
+        ("table", "--which", "4", "--T", "1e14"),
+    ))
+    def test_a_horizon_too_long_to_allocate_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: a horizon of 100000000000000001 samples is too long to allocate\n"
+
     def test_all_experiments_in_a_fresh_process(self):
         # The laws' two lanes make the first two filter calls of the process
         # at about the same time, so both load the compiled kernel at once.

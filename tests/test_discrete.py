@@ -478,6 +478,77 @@ class TestIdentityExperiment:
         with pytest.raises(DomainError, match="sample period and duration"):
             identity_experiment(1, 0.4, sample_period=sample_period, duration=duration)
 
+    # Sizes numpy refuses outright: 711 PiB of samples, and a count past its
+    # array size limit.
+    @pytest.mark.parametrize("duration, count", ((1e14, "100000000000000001"),
+                                                 (1e20, "99999999999999991611393")))
+    def test_rejects_a_horizon_too_long_to_allocate(self, duration, count):
+        with pytest.raises(DomainError, match=f"a horizon of {count} samples is too long"):
+            identity_experiment(1, 0.4, duration=duration)
+
+
+# Runs one experiment in a fresh interpreter, whose time base cache is
+# empty, and saves every signal of every law.
+_COLD_EXPERIMENT_PROBE = """
+import sys
+import numpy as np
+from difint import identity_experiment
+
+results = identity_experiment(3, 0.7, k=2, duration=float(sys.argv[1]), cascade=True)
+np.savez(sys.argv[2], **{f"{name}_{field}": getattr(res, field)
+                         for name, res in results.items() for field in sys.argv[3:]})
+"""
+
+SIGNAL_FIELDS = ("time", "input_signal", "exact", "approx", "error")
+
+
+class TestTimeBase:
+    def test_time_base_is_read_only(self):
+        res = identity_experiment(1, 0.3, duration=0.1)
+        t, u, c, one_minus_c, _ = discrete._time_base(0.001, 0.1)
+        assert not any(array.flags.writeable for array in (t, u, c, one_minus_c))
+        with pytest.raises(ValueError, match="read-only"):
+            res["x"].time[0] = 1.0
+        assert res["x"].time[0] == 0.0
+
+    def test_calls_at_one_horizon_share_it(self):
+        first = identity_experiment(1, 0.3, duration=0.1)
+        second = identity_experiment(5, 0.7, duration=0.1, cascade=True)
+        for name in discrete.EXPERIMENTS:
+            for field in ("time", "input_signal", "exact"):
+                assert getattr(second[name], field) is getattr(first[name], field)
+        assert first["y"].exact is first["y"].input_signal
+
+    def test_interleaved_horizons_are_bitwise_a_cold_run(self, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        cold = {}
+        for duration in (50.0, 2.0):
+            path = tmp_path / f"cold-{duration}.npz"
+            subprocess.run([sys.executable, "-c", _COLD_EXPERIMENT_PROBE, str(duration),
+                            str(path), *SIGNAL_FIELDS],
+                           env=env, capture_output=True, timeout=120, check=True)
+            with np.load(path) as saved:
+                cold[duration] = dict(saved)
+        for duration in (50.0, 2.0, 50.0):
+            results = identity_experiment(3, 0.7, k=2, duration=duration, cascade=True)
+            for name, res in results.items():
+                for field in SIGNAL_FIELDS:
+                    assert np.array_equal(getattr(res, field), cold[duration][f"{name}_{field}"])
+
+    @pytest.mark.parametrize("sample_period, duration", (
+        (0.001, 1e14), (0.001, math.inf), (0.001, 0.0), (1e-309, 1e-305),
+    ))
+    def test_a_rejected_horizon_leaves_the_next_call_alone(self, sample_period, duration):
+        want = identity_experiment(5, 0.3, duration=0.1)
+        with pytest.raises(DomainError):
+            identity_experiment(5, 0.3, sample_period=sample_period, duration=duration)
+        got = identity_experiment(5, 0.3, duration=0.1)
+        for name in discrete.EXPERIMENTS:
+            assert got[name].time is want[name].time
+            assert np.array_equal(got[name].approx, want[name].approx)
+            assert got[name].two_norm == want[name].two_norm
+
 
 def reference_run_composite(first, second, u, h, lookahead, force_cascade):
     """The composite runner as written before it treated the simplified

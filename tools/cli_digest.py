@@ -26,10 +26,10 @@ placed at 1e-200, 1e-170 and 1e160, a ``check`` of method 5 on a
 one-decade band at 3e-217 whose operand product leaves the float range,
 offsets on either side of the admissible interval, then methods 3/4 with
 the offset omitted where ``check`` and ``simulate`` allow it, infinite
-horizons, a band whose ratio overflows, and ``pfe`` for methods 1..4 at
-n = 40 and 60 and k = 3 and 4, where repeated-pole expansions used to
-overflow, and ``check`` and ``design`` on the subnormal band
-1e-320..1e-310, tables 4 and 5 on bands at 1e200 and 1e-250 whose
+horizons and horizons too long to allocate, a band whose ratio overflows,
+and ``pfe`` for methods 1..4 at n = 40 and 60 and k = 3 and 4, where
+repeated-pole expansions used to overflow, and ``check`` and ``design`` on
+the subnormal band 1e-320..1e-310, tables 4 and 5 on bands at 1e200 and 1e-250 whose
 time-domain errors square past the float range, and method 4 designed and
 checked at the tiny orders 1e-300 and 1e-20, and simulated and tabled at
 1e-20, whose complement order rounds to 1.0, and ``bode`` and ``check``
@@ -191,6 +191,8 @@ def _calls() -> list[str]:
     calls += [
         "simulate -m 1 -a 0.3 --T inf",
         "table --which 4 --T inf",
+        "simulate -m 1 -a 0.3 --T 1e14",
+        "table --which 4 --T 1e14",
         "table --which 2 --wl 1e-300 --wh 1e300",
     ]
     for method in range(1, 5):
