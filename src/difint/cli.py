@@ -9,7 +9,8 @@ iterable of chunks, which :func:`main` writes in order to standard output or
 the ``--output`` file.  CSV is formatted in blocks of at most ``_BLOCK_ROWS``
 rows as it is written, so beyond the result arrays memory does not grow with
 the number of output rows.  A command that fails raises before any text is
-written: it prints nothing and creates no ``--output`` file.
+written: it prints nothing and creates no ``--output`` file.  An ``--output``
+path that cannot be opened exits 2 with a one-line error.
 """
 
 from __future__ import annotations
@@ -24,14 +25,12 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-from .design import METHODS, OFFSET_METHODS, DesignSpec, design_pair
-from .discrete import DURATION, EXPERIMENTS, SAMPLE_PERIOD, identity_experiment
+# Each command imports the modules it needs beyond these, so a call loads
+# only those.
+from .design import (CONDITIONS, DIFFERENTIATOR, DURATION, EXPERIMENTS, INTEGRATOR, METHODS,
+                     OFFSET_METHODS, SAMPLE_PERIOD, SWEEP_COUNT, DesignSpec, design_pair)
 from .errors import DomainError, EpsilonRangeError, NotRealizableError
 from .factored import log_response
-from .frequency import (DIFFERENTIATOR, INTEGRATOR, SWEEP_COUNT, exact_response, make_grid,
-                        sweep_table)
-from .identities import CONDITIONS, associativity_table, check_identity
-from .realization import export_netlist, synthesize_rc, to_partial_fractions
 
 _TABLE_SWEEP_ALPHAS = [a / 10.0 for a in range(1, 10)]
 _MATRIX_ALPHAS = [0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.8, 0.9]
@@ -230,6 +229,8 @@ def cmd_design(args) -> Iterable[str]:
 
 
 def cmd_bode(args) -> Iterable[str]:
+    from .frequency import exact_response, make_grid
+
     spec, kind, model = _designed(args)
     grid = make_grid(spec.omega_l, spec.omega_h, args.points)
     mag_model, phase_model = log_response(model, grid)
@@ -251,6 +252,8 @@ def _parse_alphas(text: str) -> list[float]:
 def cmd_table(args) -> Iterable[str]:
     p = args.precision
     if args.which == 1:
+        from .identities import associativity_table
+
         alphas = _parse_alphas(args.alphas) if args.alphas else _MATRIX_ALPHAS
         matrix = associativity_table(alphas, args.wl, args.wh, args.n, args.k)
         lines = ["method  i  ii  iii"]
@@ -259,6 +262,8 @@ def cmd_table(args) -> Iterable[str]:
             lines.append(f"{kappa}       {marks[0]}  {marks[1]}   {marks[2]}")
         return ["\n".join(lines) + "\n"]
     if args.which in (2, 3):
+        from .frequency import sweep_table
+
         alphas = _parse_alphas(args.alphas) if args.alphas else _TABLE_SWEEP_ALPHAS
         kind = INTEGRATOR if args.which == 2 else DIFFERENTIATOR
         rows = []
@@ -269,6 +274,8 @@ def cmd_table(args) -> Iterable[str]:
                          row.phase_norm_inf, row.phase_norm_two])
         header = ["method", "mag_inf_db", "mag_two_db", "phase_inf_deg", "phase_two_deg"]
         return _csv(header, list(zip(*rows)), p)
+    from .discrete import identity_experiment
+
     alpha = args.alpha if args.alpha is not None else (0.4 if args.which == 4 else 0.5)
     rows = []
     for kappa in METHODS:
@@ -281,6 +288,8 @@ def cmd_table(args) -> Iterable[str]:
 
 
 def cmd_check(args) -> Iterable[str]:
+    from .identities import check_identity
+
     spec = _spec_from_args(args)
     conditions = CONDITIONS if args.condition == "all" else (args.condition,)
     p = args.precision
@@ -300,6 +309,8 @@ def cmd_check(args) -> Iterable[str]:
 
 
 def cmd_simulate(args) -> Iterable[str]:
+    from .discrete import identity_experiment
+
     spec = _spec_from_args(args)
     results = identity_experiment(spec.kappa, spec.alpha, spec.omega_l, spec.omega_h,
                                   spec.n, spec.k, spec.epsilon,
@@ -319,6 +330,8 @@ def cmd_simulate(args) -> Iterable[str]:
 
 
 def cmd_pfe(args) -> Iterable[str]:
+    from .realization import to_partial_fractions
+
     _, _, model = _designed(args)
     pf = to_partial_fractions(model)
     p = args.precision
@@ -335,6 +348,8 @@ def cmd_pfe(args) -> Iterable[str]:
 
 
 def cmd_circuit(args) -> Iterable[str]:
+    from .realization import export_netlist, synthesize_rc, to_partial_fractions
+
     spec, _, model = _designed(args)
     if model.multiplicity != 1:
         # Checked before expanding: no repeated-pole model is an RC ladder
@@ -394,6 +409,9 @@ def main(argv=None) -> int:
         # and has all the text it wanted.  Standard output goes to the null
         # device so that the interpreter's final flush does not fail too.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as exc:  # a directory, or a file in a missing one
+        print(f"error: cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     return 0
 
 

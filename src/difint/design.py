@@ -51,6 +51,20 @@ __all__ = [
 # method takes one.
 OFFSET_METHODS = (3, 4)
 
+# Settings of the other modules that the command-line parser reads.  They
+# are declared here, in a module every command loads, and the modules that
+# use them import them from here.
+INTEGRATOR = "integrator"  # the two kinds of frequency.exact_response
+DIFFERENTIATOR = "differentiator"
+SWEEP_COUNT = 10000  # grid points of a frequency.sweep_table order
+CONDITIONS = ("i", "ii", "iii")  # the composition laws of identities.check_identity
+# The identity experiments of discrete.identity_experiment, named after the
+# signals of laws "i", "ii" and "iii" in that order, and their default
+# sample period and horizon (s).
+EXPERIMENTS = ("x", "y", "z")
+SAMPLE_PERIOD = 0.001
+DURATION = 10.0
+
 
 def check_band(omega_l: float, omega_h: float) -> None:
     """Reject a band unless ``0 < omega_l < omega_h``, ``omega_h`` is finite

@@ -52,10 +52,10 @@ from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFin
 
 import numpy as np
 
-from .design import DesignSpec
+from .design import CONDITIONS, DURATION, EXPERIMENTS, SAMPLE_PERIOD, DesignSpec
 from .errors import DomainError, ShapeError
 from .factored import FactoredModel, multiply_and_simplify
-from .identities import CONDITIONS, law_operands
+from .identities import law_operands
 
 __all__ = [
     "DiscreteFilter",
@@ -65,14 +65,6 @@ __all__ = [
     "identity_experiment",
     "simulate_filter",
 ]
-
-# The identity experiments, named after the signals of laws "i", "ii" and
-# "iii" in that order.
-EXPERIMENTS = ("x", "y", "z")
-
-# Sample period and horizon (s) of an identity experiment unless given.
-SAMPLE_PERIOD = 0.001
-DURATION = 10.0
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import DesignSpec, check_band, design_pair
+from .design import DIFFERENTIATOR, INTEGRATOR, SWEEP_COUNT, DesignSpec, check_band, design_pair
 from .errors import DomainError
 from .factored import FactoredModel, checked_omegas, is_count, log_response
 
@@ -21,12 +21,6 @@ __all__ = [
     "make_grid",
     "sweep_table",
 ]
-
-INTEGRATOR = "integrator"
-DIFFERENTIATOR = "differentiator"
-
-# Points of the log grid on which a sweep measures each order's error.
-SWEEP_COUNT = 10000
 
 
 def make_grid(omega_l: float, omega_h: float, count: int) -> np.ndarray:

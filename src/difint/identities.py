@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import METHODS, DesignSpec, design_pair
+from .design import CONDITIONS, METHODS, DesignSpec, design_pair
 from .errors import ShapeError
 from .factored import FactoredModel, complex_from_log, frequency_response, multiply_and_simplify
 from .frequency import make_grid
@@ -34,8 +34,6 @@ __all__ = [
     "associativity_table",
     "check_identity",
 ]
-
-CONDITIONS = ("i", "ii", "iii")
 
 _TARGET_S_EXPONENT = {"i": -1, "ii": 0, "iii": 1}
 

@@ -529,6 +529,14 @@ class TestCliBehavior:
         assert code == expected and out == "" and err
         assert not target.exists()
 
+    @pytest.mark.parametrize("name", ["", "missing/out.csv"], ids=["directory", "no-parent"])
+    def test_unwritable_output_path_exits_2(self, capsys, tmp_path, name):
+        target = tmp_path / name
+        code, out, err = run_cli(capsys, "--output", str(target), "design", "-m", "1", "-a", "0.3")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_output_file_holds_the_printed_bytes(self, capsys, tmp_path):
         argv = ("simulate", "-m", "2", "-a", "0.4", "--experiment", "all")
         _, printed, _ = run_cli(capsys, *argv)
@@ -674,3 +682,69 @@ class TestImportCost:
             assert "scipy.signal._sosfilt" in report["after"], argv
             assert "scipy.signal" not in report["after"], argv
             assert report["rows"] == rows
+
+
+# Runs the ``difint`` command line as ``python -m difint.cli`` does, under
+# ``-X importtime``, and reports its exit code and the difint modules loaded.
+_MODULE_PROBE = """
+import json, runpy, sys
+try:
+    runpy.run_module("difint.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "difint")]),
+      file=sys.stderr)
+"""
+_BASE = ("design", "errors", "factored")  # what the parser and every command load
+
+
+def _difint_modules(*argv, code=_MODULE_PROBE):
+    """Exit code, stdout, sys.modules' difint modules and the difint modules
+    that ``-X importtime`` reports, of ``code`` in a fresh interpreter."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-c", code, *argv],
+                          env=dict(os.environ, PYTHONPATH=src, COLUMNS="80"),
+                          capture_output=True, text=True, timeout=120)
+    *timings, report = proc.stderr.splitlines()
+    imported = sorted(line.rpartition("|")[2].strip() for line in timings
+                      if line.rpartition("|")[2].strip().split(".")[0] == "difint")
+    exit_code, loaded = json.loads(report)
+    return exit_code, proc.stdout, loaded, imported
+
+
+class TestModulesLoaded:
+    """Each command loads only the difint modules it uses."""
+
+    @pytest.mark.parametrize("argv, code, extra", [
+        (["design", "-m", "1", "-a", "0.3"], 0, ()),
+        (["bode", "-m", "9", "-a", "0.3"], 2, ()),
+        (["bode", "-m", "1", "-a", "0.3", "--points", "10"], 0, ("frequency",)),
+        (["check", "-m", "1", "-a", "0.3"], 0, ("frequency", "identities")),
+        (["table", "--which", "1", "--alphas", "0.3"], 0, ("frequency", "identities")),
+        (["pfe", "-m", "1", "-a", "0.3"], 0, ("realization",)),
+        (["simulate", "-m", "1", "-a", "0.3", "--T", "0.01"], 0,
+         ("discrete", "frequency", "identities")),
+    ], ids=["design", "rejected", "bode", "check", "table-1", "pfe", "simulate"])
+    def test_command_loads_only_its_modules(self, argv, code, extra):
+        exit_code, _, loaded, imported = _difint_modules(*argv)
+        expected = sorted(["difint", *(f"difint.{name}" for name in (*_BASE, *extra))])
+        assert exit_code == code
+        assert loaded == imported == expected
+
+    def test_help_loads_only_the_parser_modules_and_keeps_its_text(self, monkeypatch):
+        from difint.cli import build_parser
+
+        exit_code, out, loaded, imported = _difint_modules("-h")
+        monkeypatch.setenv("COLUMNS", "80")
+        assert exit_code == 0 and out == build_parser().format_help()
+        assert loaded == imported == ["difint", *(f"difint.{name}" for name in _BASE)]
+
+    @pytest.mark.parametrize("statement, expected", [
+        ("import difint", ["difint"]),
+        ("from difint import design", ["difint", *(f"difint.{name}" for name in _BASE)]),
+    ])
+    def test_importing_the_package_loads_no_other_module(self, statement, expected):
+        probe = (f"import json, sys\n{statement}\nprint(json.dumps([0, sorted("
+                 "m for m in sys.modules if m.split('.')[0] == 'difint')]), file=sys.stderr)")
+        _, _, loaded, imported = _difint_modules(code=probe)
+        assert loaded == imported == expected
