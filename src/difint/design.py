@@ -57,7 +57,7 @@ OFFSET_METHODS = (3, 4)
 INTEGRATOR = "integrator"  # the two kinds of frequency.exact_response
 DIFFERENTIATOR = "differentiator"
 SWEEP_COUNT = 10000  # grid points of a frequency.sweep_table order
-CONDITIONS = ("i", "ii", "iii")  # the composition laws of identities.check_identity
+CONDITIONS = ("i", "ii", "iii")  # the composition laws of law_operands and check_identity
 # The identity experiments of discrete.identity_experiment, named after the
 # signals of laws "i", "ii" and "iii" in that order, and their default
 # sample period and horizon (s).
@@ -227,7 +227,12 @@ def _checked_epsilon(spec: DesignSpec) -> float:
 
 
 def _matched_gain(zeros, poles, k: int, omega_m: float, power: float) -> float:
-    """Gain that pins the model magnitude to omega_m**power at the band center."""
+    """Gain that pins the model magnitude to omega_m**power at the band center.
+
+    Raises :class:`DomainError` when the gain, or its reciprocal, which is
+    the gain of the differentiator of methods 1..4 and 7, is 0 or not
+    finite.
+    """
     gain = omega_m**power
     for z, p in zip(zeros, poles):
         try:
@@ -237,6 +242,11 @@ def _matched_gain(zeros, poles, k: int, omega_m: float, power: float) -> float:
                 f"matched gain cannot be represented: a band-center factor ratio "
                 f"to the power k={k} overflows"
             ) from None
+    if not (0.0 < gain < math.inf and 1.0 / gain < math.inf):
+        raise DomainError(
+            f"matched gain cannot be represented: at k={k} the gain or its reciprocal "
+            f"leaves the float range"
+        )
     return gain
 
 
@@ -367,3 +377,19 @@ def design_pair(spec: DesignSpec) -> DesignedPair:
     integrator = design_integrator(spec)
     own = _DESIGNERS[spec.kappa][1]
     return DesignedPair(integrator, reciprocal(integrator) if own is None else own(spec))
+
+
+def law_operands(spec: DesignSpec, conditions) -> list[tuple[FactoredModel, FactoredModel]]:
+    """The two operators whose product each law in ``conditions`` is about,
+    in the order given.  ``spec`` is designed once, and its complement only
+    when law "i" or "iii", which read it, is among ``conditions``."""
+    for condition in conditions:
+        if condition not in CONDITIONS:
+            raise ValueError(f"condition must be one of {CONDITIONS}, got {condition!r}")
+    pair = design_pair(spec)
+    operands = {"ii": (pair.differentiator, pair.integrator)}
+    if "i" in conditions or "iii" in conditions:
+        complement = design_pair(spec.complement())
+        operands["i"] = (pair.integrator, complement.integrator)
+        operands["iii"] = (pair.differentiator, complement.differentiator)
+    return [operands[condition] for condition in conditions]

@@ -22,7 +22,10 @@ laws whose cascades open with the same stage share it as a head, filtered
 over the input once, and each law's remaining stages follow it.  The
 stages are planned across two lanes, the calling thread and one helper
 thread, from their row counts alone, so the plan is the same on every run:
-each stage runs as one slice, or as two cut at a pass boundary.  A slice
+each stage of two or more passes is cut into two halves at a pass
+boundary, which may run on either lane.  Over the 56 ops of the
+time-domain benchmark's seed-1 pool the busier lane filters 3206
+section-rows, for an even split of 3172.5, with 136 handoffs.  A slice
 puts its output signal into the input slot of every slice that reads it,
 on either lane, and sets its event once done; a reader waits for that
 event and empties its slot as it starts, so a signal is freed once its
@@ -52,10 +55,9 @@ from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFin
 
 import numpy as np
 
-from .design import CONDITIONS, DURATION, EXPERIMENTS, SAMPLE_PERIOD, DesignSpec
+from .design import CONDITIONS, DURATION, EXPERIMENTS, SAMPLE_PERIOD, DesignSpec, law_operands
 from .errors import DomainError, ShapeError
 from .factored import FactoredModel, multiply_and_simplify
-from .identities import law_operands
 
 __all__ = [
     "DiscreteFilter",
@@ -289,74 +291,48 @@ def _stage_tree(operands, force_cascade, sample_period):
     return filters, parents, ends
 
 
-# Handing a signal from one lane to the other costs about this many rows of
-# filtering: the reading thread waits for the writing one and pulls the
-# signal over from the other core's cache.  Measured over the time-domain
-# benchmark pool (2-vCPU Xeon), against whole laws on each thread: planned
-# in single passes, the busier thread filters 20 % fewer rows but needs ~9
-# handoffs an op, and the pool ran 6 % slower; planned as here, at 3 or 5
-# rows a handoff, it ran 14 % faster.
-_HANDOFF_ROWS = 3
-
-
 def _lane_plan(rows: tuple[int, ...],
                parents: tuple[int, ...]) -> tuple[tuple[tuple[int, int, int], ...], ...]:
     """Split the filter passes of a forest of stages between two lanes.
 
     Stage i has ``rows[i]`` sections and reads the output of stage
     ``parents[i]`` (-1 for a head, which reads the input); a parent comes
-    before its children.  The plan is drawn twice, once with every stage
-    whole and once with every stage of two or more passes in two halves
-    cut at a pass boundary, and the one whose makespan plus
-    ``_HANDOFF_ROWS`` per handoff is smaller wins, whole stages on a tie.
+    before its children.  A stage is cut at a pass boundary into two units,
+    the first and the second half of the passes :func:`simulate_filter`
+    runs it in (near-equal ones of at most ``_PASS_SECTIONS`` rows); a
+    stage of one pass is one unit, and one without sections one empty unit.
+    A unit follows the stage's unit before it, and a stage's first unit its
+    parent's last.  In a greedy list schedule, weighting each unit by its
+    rows, the lane that comes free first takes the ready unit with the
+    longest path of rows still below it; a lane with no unit ready idles
+    until one is.  When both lanes are free at once, the one that has run
+    fewer units goes first, and the helper (lane 1) on a tie: any fixed
+    rule keeps the plan deterministic, and this is the one the plans'
+    timings were measured with.  Consecutive units of one stage on one lane
+    merge into one slice.
 
     Returns each lane's slices ``(stage, first row, end row)`` in run
     order.  Every wait of a slice is on a slice scheduled before it, so two
     lanes that run their slices in this order cannot deadlock.
     """
-    whole, halved = (_list_schedule(rows, parents, halves) for halves in (False, True))
-    return min(whole, halved, key=lambda schedule: schedule[0])[1]
-
-
-def _list_schedule(rows, parents, halves):
-    """A greedy list schedule of the stages' units on two lanes, and its cost.
-
-    A unit is a whole stage, or with ``halves`` the first or the second
-    half of the passes :func:`simulate_filter` runs it in (near-equal ones
-    of at most ``_PASS_SECTIONS`` rows); a stage without sections is one
-    empty unit.  A unit follows the stage's unit before it, and a stage's
-    first unit its parent's last.  Weighting each unit by its rows, the
-    lane that comes free first takes the ready unit with the longest path
-    of rows still below it; a lane with no unit ready idles until one is.
-    When both lanes are free at once, the one that has run fewer units
-    goes first, and the helper (lane 1) on a tie: any fixed rule keeps the
-    plan deterministic, and this is the one the plans' timings were
-    measured with.  Consecutive units of one stage on one lane merge into
-    one slice.
-
-    Returns the makespan plus ``_HANDOFF_ROWS`` per unit whose predecessor
-    runs on the other lane, and the plan.
-    """
-    units, weights, follows, last = [], [], [], []
+    units, follows, last = [], [], []
     for stage, (count, parent) in enumerate(zip(rows, parents)):
         before = last[parent] if parent >= 0 else -1
         passes = -(-count // _PASS_SECTIONS) or 1
         size, extra = divmod(count, passes)
-        cuts = (0, -(-passes // 2), passes) if halves and passes > 1 else (0, passes)
-        edges = [cut * size + min(cut, extra) for cut in cuts]
+        edges = [cut * size + min(cut, extra) for cut in sorted({0, -(-passes // 2), passes})]
         for lo, hi in zip(edges, edges[1:]):
             units.append((stage, lo, hi))
-            weights.append(hi - lo)
             follows.append(before)
             before = len(units) - 1
         last.append(before)
+    weights = [hi - lo for _, lo, hi in units]
     path = weights[:]  # rows from the start of each unit to the end of its longest chain
     for u in reversed(range(len(units))):
         q = follows[u]
         if q >= 0:
             path[q] = max(path[q], weights[q] + path[u])
     finish = [None] * len(units)
-    lane_of = [0] * len(units)
     free = [0, 0]
     lanes = ([], [])
     while None in finish:
@@ -367,11 +343,9 @@ def _list_schedule(rows, parents, halves):
         if ready:
             u = max(ready, key=lambda u: (path[u], -u))
             free[lane] = finish[u] = now + weights[u]
-            lane_of[u] = lane
             lanes[lane].append(u)
         else:
             free[lane] = min(f for f in finish if f is not None and f > now)
-    handoffs = sum(q >= 0 and lane_of[q] != lane_of[u] for u, q in enumerate(follows))
     plan = []
     for lane in lanes:
         slices = []
@@ -380,7 +354,7 @@ def _list_schedule(rows, parents, halves):
                 lo = slices.pop()[1]
             slices.append((stage, lo, hi))
         plan.append(tuple(slices))
-    return max(free) + _HANDOFF_ROWS * handoffs, tuple(plan)
+    return tuple(plan)
 
 
 def _filter_slice(filt: DiscreteFilter, lo: int, hi: int, samples, lookahead):
@@ -431,7 +405,7 @@ def identity_experiment(
     """Simulate the three composition laws on u(t) = sin(t).
 
     Returns results keyed by the ``EXPERIMENTS`` "x", "y" and "z", for laws
-    "i", "ii" and "iii" of :func:`difint.identities.law_operands`:
+    "i", "ii" and "iii" of :func:`difint.design.law_operands`:
 
         x = I(alpha) I(1-alpha)[u] -> 1 - cos(t)
         y = D(alpha) I(alpha)[u]   -> sin(t)

@@ -4,9 +4,10 @@ Condition "i":   I(alpha) * I(1 - alpha) = 1/s
 Condition "ii":  D(alpha) * I(alpha)     = 1
 Condition "iii": D(alpha) * D(1 - alpha) = s
 
-:func:`law_operands` is the one place that says which two designed
-operators each law composes, and designs just those; the verdicts here and
-the time-domain experiments of :mod:`difint.discrete` take them from it.
+:func:`difint.design.law_operands` is the one place that says which two
+designed operators each law composes, and designs just those; the verdicts
+here and the time-domain experiments of :mod:`difint.discrete` take them
+from it.
 
 A condition passes structurally when composing the two designed operators
 and cancelling leaves exactly the target s power, no residual factors and a
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import CONDITIONS, METHODS, DesignSpec, design_pair
+from .design import CONDITIONS, METHODS, DesignSpec, law_operands
 from .errors import ShapeError
 from .factored import FactoredModel, complex_from_log, frequency_response, multiply_and_simplify
 from .frequency import make_grid
@@ -53,22 +54,6 @@ class IdentityVerdict:
     numeric_max_deviation: float
     simplified: FactoredModel | None
     failure_note: str = ""
-
-
-def law_operands(spec: DesignSpec, conditions) -> list[tuple[FactoredModel, FactoredModel]]:
-    """The two operators whose product each law in ``conditions`` is about,
-    in the order given.  ``spec`` is designed once, and its complement only
-    when law "i" or "iii", which read it, is among ``conditions``."""
-    for condition in conditions:
-        if condition not in CONDITIONS:
-            raise ValueError(f"condition must be one of {CONDITIONS}, got {condition!r}")
-    pair = design_pair(spec)
-    operands = {"ii": (pair.differentiator, pair.integrator)}
-    if "i" in conditions or "iii" in conditions:
-        complement = design_pair(spec.complement())
-        operands["i"] = (pair.integrator, complement.integrator)
-        operands["iii"] = (pair.differentiator, complement.differentiator)
-    return [operands[condition] for condition in conditions]
 
 
 def _verdict(condition: str, first: FactoredModel, second: FactoredModel, grid) -> IdentityVerdict:

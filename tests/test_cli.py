@@ -120,9 +120,10 @@ class TestDesignCommand:
         assert err.startswith("error: band edge omega_l must be at least")
 
     @pytest.mark.parametrize("command", ("design", "bode", "pfe", "circuit", "check"))
-    def test_unrepresentable_matched_gain_exits_2(self, capsys, command):
+    @pytest.mark.parametrize("alpha", ("0.3", "0.7"))
+    def test_unrepresentable_matched_gain_exits_2(self, capsys, command, alpha):
         code, out, err = run_cli(
-            capsys, command, "--method", "2", "--alpha", "0.7",
+            capsys, command, "--method", "2", "--alpha", alpha,
             "--wl", "1e-154", "--wh", "1e154", "--n", "1", "--k", "8",
         )
         assert code == 2 and out == ""
@@ -722,9 +723,9 @@ class TestModulesLoaded:
         (["check", "-m", "1", "-a", "0.3"], 0, ("frequency", "identities")),
         (["table", "--which", "1", "--alphas", "0.3"], 0, ("frequency", "identities")),
         (["pfe", "-m", "1", "-a", "0.3"], 0, ("realization",)),
-        (["simulate", "-m", "1", "-a", "0.3", "--T", "0.01"], 0,
-         ("discrete", "frequency", "identities")),
-    ], ids=["design", "rejected", "bode", "check", "table-1", "pfe", "simulate"])
+        (["simulate", "-m", "1", "-a", "0.3", "--T", "0.01"], 0, ("discrete",)),
+        (["table", "--which", "4", "--T", "0.01"], 0, ("discrete",)),
+    ], ids=["design", "rejected", "bode", "check", "table-1", "pfe", "simulate", "table-4"])
     def test_command_loads_only_its_modules(self, argv, code, extra):
         exit_code, _, loaded, imported = _difint_modules(*argv)
         expected = sorted(["difint", *(f"difint.{name}" for name in (*_BASE, *extra))])

@@ -70,10 +70,12 @@ class TestDesignSpec:
     @pytest.mark.parametrize("method", (2, 4))
     @pytest.mark.parametrize("band", ((1e-154, 1e154), (1e-300, 1e7)))
     @pytest.mark.parametrize("k", (4, 8))
-    def test_unrepresentable_matched_gain_is_domain_error(self, method, band, k):
+    @pytest.mark.parametrize("alpha", (0.3, 0.7))
+    def test_unrepresentable_matched_gain_is_domain_error(self, method, band, k, alpha):
         # One section spans the whole band, so the band-center factor ratio
-        # is ~1e150 and its k-th power leaves the float range.
-        spec = DesignSpec(method, 0.7, *band, n=1, k=k)
+        # is ~1e150, or ~1e-150 on the low branch (alpha 0.3), and its k-th
+        # power leaves the float range: it overflows, or underflows to 0.
+        spec = DesignSpec(method, alpha, *band, n=1, k=k)
         with pytest.raises(DomainError, match="matched gain cannot be represented"):
             design_pair(spec)
 

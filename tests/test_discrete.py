@@ -29,6 +29,7 @@ from difint import (
     simulate_filter,
 )
 from difint import discrete
+from difint.design import EXPERIMENTS
 from difint.discrete import DiscreteFilter, FilterSection
 
 
@@ -414,6 +415,17 @@ class TestCascadeEquivalence:
         np.testing.assert_allclose(combined, staged, atol=1e-12)
 
 
+# ROADMAP item 5, open: above alpha = 0.5, law ii in cascade mode misses
+# sin(t) by -h/2 from the first sample on.
+CASCADE_LAW_II_DEFECT = pytest.mark.xfail(
+    strict=True,
+    reason="above 0.5 law ii's two stages assume different pasts for the input: "
+           "D(alpha) runs first and takes a central difference with the analytic "
+           "lookahead sin(-h), so its output starts at 1, while I(alpha)'s "
+           "trapezoid accumulator starts from a zero past and adds h/2 in its "
+           "first step; the output misses sin(t) by -h/2 from the first sample")
+
+
 class TestIdentityExperiment:
     def test_piecewise_methods_hit_discretization_floor(self):
         results = identity_experiment(1, 0.4)
@@ -454,13 +466,7 @@ class TestIdentityExperiment:
         assert res.two_norm == pytest.approx(math.sqrt(np.sum(res.error**2)))
 
     @pytest.mark.parametrize("kappa", (1, 2, 3, 4))
-    @pytest.mark.parametrize("alpha", (0.3, pytest.param(0.7, marks=pytest.mark.xfail(
-        strict=True,
-        reason="above 0.5 law ii's two stages assume different pasts for the input: "
-               "D(alpha) runs first and takes a central difference with the analytic "
-               "lookahead sin(-h), so its output starts at 1, while I(alpha)'s "
-               "trapezoid accumulator starts from a zero past and adds h/2 in its "
-               "first step; the output misses sin(t) by -h/2 from the first sample"))))
+    @pytest.mark.parametrize("alpha", (0.3, pytest.param(0.7, marks=CASCADE_LAW_II_DEFECT)))
     def test_cascade_mode_inverse_law_hits_discretization_floor(self, kappa, alpha):
         # Measured: 1.6e-12 at 0.3, a constant -5.0e-4 at 0.7 (h = 1e-3).
         results = identity_experiment(kappa, alpha, sample_period=1e-3, cascade=True)
@@ -732,11 +738,12 @@ def pass_edges(count):
 class TestLanePlan:
     @pytest.mark.parametrize("kappa", range(1, 8))
     @pytest.mark.parametrize("cascade", (False, True))
-    def test_slices_cover_each_stage_once_within_two_passes_of_the_bound(self, kappa, cascade):
+    def test_slices_cover_each_stage_once_within_a_pass_of_the_bound(self, kappa, cascade):
         # No filtering: the plan is a function of the stages' row counts.
-        # A plan of whole stages may give up a few rows of balance for
-        # fewer handoffs; over methods 1..7, alpha 0.1..0.9, k 1..3 and n
-        # 1..30 the worst is 9.5 rows above the bound.
+        # Cutting every stage of two or more passes in halves keeps the
+        # makespan close to the bound: over methods 1..7, alpha 0.1..0.9 in
+        # steps of 0.1, k 1..3 and n 1..30 the worst is 6 rows above it,
+        # and 4.5 on the grid below.
         for alpha in (0.1, 0.3, 0.7, 0.9):
             for k in (1, 2, 3):
                 for n in (1, 2, 3, 4, 7, 8, 9, 12, 16, 17, 30):
@@ -756,7 +763,7 @@ class TestLanePlan:
                     chain = []
                     for count, parent in zip(rows, parents):
                         chain.append(count + (chain[parent] if parent >= 0 else 0))
-                    bound = max(sum(rows) / 2, max(chain)) + 2 * PASS
+                    bound = max(sum(rows) / 2, max(chain)) + PASS
                     assert planned_makespan(plan, parents, rows) <= bound
 
 
@@ -1136,6 +1143,42 @@ class TestTimeDomainOracle:
                 want = as_floats(y)
                 miss = np.max(np.abs(results[name].approx - want)) / np.max(np.abs(want))
                 assert miss < 1e-12, (case, name)
+
+
+# Sample periods of the order-of-accuracy test, each half the one before,
+# on a 2 s horizon.  Measured over methods 1..4, alpha 0.3 and 0.7, k 1..3
+# and both modes: laws i and iii read p within 2.5e-5 of 2, with errors
+# from 1.9e-6 down to 1.2e-7; law ii, wherever it holds, stays at or below
+# 2.6e-12, and so does every error under the floor.
+ORDER_PERIODS = (0.004, 0.002, 0.001)
+ORDER_BAND = 1e-3
+ROUNDING_FLOOR = 1e-11
+
+
+@functools.lru_cache(maxsize=None)
+def law_errors(kappa, alpha, k, cascade):
+    """Each law's inf-norm error at each of ``ORDER_PERIODS``, by experiment."""
+    runs = [identity_experiment(kappa, alpha, k=k, sample_period=h, duration=2.0,
+                                cascade=cascade) for h in ORDER_PERIODS]
+    return {name: [run[name].inf_norm for run in runs] for name in EXPERIMENTS}
+
+
+class TestObservedOrder:
+    # The bilinear map is second order, so for methods 1..4, whose laws
+    # hold structurally, each law's error falls 4x as h halves,
+    # p = log2(e(h) / e(h/2)) = 2, or it sits at the rounding floor.
+    @pytest.mark.parametrize("kappa, alpha, k, cascade, law", [
+        pytest.param(kappa, alpha, k, cascade, law,
+                     marks=CASCADE_LAW_II_DEFECT if cascade and alpha > 0.5 and law == "y" else ())
+        for kappa in (1, 2, 3, 4) for alpha in (0.3, 0.7) for k in (1, 2, 3)
+        for cascade in (False, True) for law in EXPERIMENTS])
+    def test_law_error_is_second_order_or_at_rounding(self, kappa, alpha, k, cascade, law):
+        errors = law_errors(kappa, alpha, k, cascade)[law]
+        if errors[-1] > ROUNDING_FLOOR:
+            orders = [math.log2(e / half) for e, half in zip(errors, errors[1:])]
+            assert all(abs(p - 2.0) <= ORDER_BAND for p in orders), orders
+        else:
+            assert max(errors) <= ROUNDING_FLOOR, errors
 
 
 class TestSimulationResultNorms:

@@ -16,7 +16,7 @@ from difint import (
     make_grid,
     multiply_and_simplify,
 )
-from difint import identities
+from difint import design, identities
 
 # A law that passes structurally deviates by less than this from its
 # target, two-plus orders above the roundoff of 20-factor products and far
@@ -107,14 +107,15 @@ class TestCheckIdentity:
 
 
 def counted_designs(monkeypatch):
-    """The specs that ``identities.design_pair`` is called with from now on."""
+    """The specs that ``design.design_pair`` is called with from now on,
+    which is how ``law_operands`` designs."""
     designs = []
 
     def counting_design(spec):
         designs.append(spec)
         return design_pair(spec)
 
-    monkeypatch.setattr(identities, "design_pair", counting_design)
+    monkeypatch.setattr(design, "design_pair", counting_design)
     return designs
 
 

@@ -37,7 +37,9 @@ at n = k = 1 on the bands 1e-100..1e100 and 1e-150..1e150, and tables 1
 and 2 on the first, on which one factor's corners lie up to 1e300 apart,
 and tables 4 and 5 at n = 60 and k = 3, whose cascades run up to 181
 sections, and table 1 and ``check`` of methods 2 and 4 on a band below
-1e308 whose law operands leave the float range; every call runs at ``--precision 9`` and 17.  The ``--output``
+1e308 whose law operands leave the float range, and ``design`` of methods
+2 and 4 at n = 1 and k = 103, whose matched gain's reciprocal overflows;
+every call runs at ``--precision 9`` and 17.  The ``--output``
 calls are a 10k-point ``bode``, a many-block ``simulate --experiment all``
 and one call per error exit code (2, 3, 4).
 
@@ -120,6 +122,12 @@ HUGE_OPERAND_CALLS = [
     f"check -m 2 -a 0.7 {HUGE_OPERAND_BAND}",
     f"check -m 4 -a 0.7 {HUGE_OPERAND_BAND} --eps-special",
 ]
+
+# At order 0.3, n = 1 and k = 103 on the default band the integrator's
+# matched gain is so small that its reciprocal, the differentiator's gain,
+# overflows.
+TINY_GAIN_CALLS = ["design -m 2 -a 0.3 --n 1 --k 103",
+                   "design -m 4 -a 0.3 --n 1 --k 103 --eps-special"]
 
 
 def _offsets(method: int, k: int) -> list[str]:
@@ -211,6 +219,7 @@ def _calls() -> list[str]:
     calls += [f"table --which {which} --n 1 --k 1 --wl 1e-100 --wh 1e100" for which in (1, 2)]
     calls += [f"table --which {which} --n 60 --k 3 --T 2" for which in (4, 5)]
     calls += HUGE_OPERAND_CALLS
+    calls += TINY_GAIN_CALLS
     return calls
 
 
