@@ -215,6 +215,8 @@ def multiply_and_simplify(a: FactoredModel, b: FactoredModel) -> FactoredModel:
     Raises ``ShapeError`` when the multiplicities differ or the net s power
     leaves {-1, 0, +1}; an out-of-range s power is how a failed composition
     law shows up structurally, so it is deliberately not generalized away.
+    Raises ``DomainError`` when the product of the gains underflows to 0 or
+    overflows.
     """
     if a.multiplicity != b.multiplicity:
         raise ShapeError(
@@ -223,6 +225,9 @@ def multiply_and_simplify(a: FactoredModel, b: FactoredModel) -> FactoredModel:
     s_exponent = a.s_exponent + b.s_exponent
     if s_exponent not in (-1, 0, 1):
         raise ShapeError(f"net s power {s_exponent} is outside {{-1, 0, +1}}")
+    gain = a.gain * b.gain
+    if not 0.0 < gain < math.inf:
+        raise DomainError(f"the product's gain {a.gain!r} * {b.gain!r} cannot be represented")
 
     za, pa = list(a.zeros), list(a.poles)
     zb, pb = list(b.zeros), list(b.poles)
@@ -238,7 +243,7 @@ def multiply_and_simplify(a: FactoredModel, b: FactoredModel) -> FactoredModel:
         + [p for i, p in enumerate(pb) if i not in pb_used]
     )
     return FactoredModel(
-        gain=a.gain * b.gain,
+        gain=gain,
         s_exponent=s_exponent,
         multiplicity=a.multiplicity,
         factors=tuple(zip(zeros, poles)),

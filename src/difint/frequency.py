@@ -14,7 +14,6 @@ from .factored import FactoredModel, checked_omegas, is_count, log_response
 __all__ = [
     "DIFFERENTIATOR",
     "INTEGRATOR",
-    "ErrorReport",
     "SweepRow",
     "error_series",
     "exact_response",
@@ -54,46 +53,22 @@ def exact_response(alpha: float, kind: str, omegas) -> tuple[np.ndarray, np.ndar
     return 20.0 * a * np.log10(w), np.full(w.shape, 90.0 * a)
 
 
-@dataclass(frozen=True)
-class ErrorReport:
-    """Pointwise dB/degree error series over a grid plus their norms.
-
-    Norms are the plain discrete max and root-sum-square over the grid
-    samples (no frequency weighting).
-    """
-
-    magnitude_error_db: np.ndarray
-    phase_error_deg: np.ndarray
-    mag_norm_inf: float
-    mag_norm_two: float
-    phase_norm_inf: float
-    phase_norm_two: float
-
-    @classmethod
-    def from_series(cls, magnitude_error_db, phase_error_deg) -> "ErrorReport":
-        em = np.asarray(magnitude_error_db, dtype=float)
-        ep = np.asarray(phase_error_deg, dtype=float)
-        return cls(
-            magnitude_error_db=em,
-            phase_error_deg=ep,
-            mag_norm_inf=float(np.max(np.abs(em))),
-            mag_norm_two=float(math.sqrt(np.sum(em * em))),
-            phase_norm_inf=float(np.max(np.abs(ep))),
-            phase_norm_two=float(math.sqrt(np.sum(ep * ep))),
-        )
-
-
-def error_series(model: FactoredModel, alpha: float, kind: str, grid) -> ErrorReport:
-    """Exact-minus-model magnitude (dB) and phase (deg) series over ``grid``."""
+def error_series(model: FactoredModel, alpha: float, kind: str,
+                 grid) -> tuple[np.ndarray, np.ndarray]:
+    """Exact-minus-model ``(magnitude_error_db, phase_error_deg)`` over ``grid``."""
     grid = np.asarray(grid, dtype=float)
     exact_mag, exact_phase = exact_response(alpha, kind, grid)
     mag_db, phase_deg = log_response(model, grid)
-    return ErrorReport.from_series(exact_mag - mag_db, exact_phase - phase_deg)
+    return exact_mag - mag_db, exact_phase - phase_deg
 
 
 @dataclass(frozen=True)
 class SweepRow:
-    """Worst-case norms across an order sweep (one benchmark table row)."""
+    """Worst-case norms across an order sweep (one benchmark table row).
+
+    Each norm is the plain discrete max or root-sum-square of one order's
+    error series over the grid samples (no frequency weighting).
+    """
 
     mag_norm_inf: float
     mag_norm_two: float
@@ -122,15 +97,11 @@ def sweep_table(
     if not alphas:
         raise DomainError("order sweep must not be empty")
     grid = make_grid(omega_l, omega_h, count)
-    rows = []
+    norms = []
     for alpha in alphas:
-        spec = DesignSpec(kappa, alpha, omega_l, omega_h, n, k)
-        pair = design_pair(spec)
+        pair = design_pair(DesignSpec(kappa, alpha, omega_l, omega_h, n, k))
         model = pair.integrator if kind == INTEGRATOR else pair.differentiator
-        rows.append(error_series(model, alpha, kind, grid))
-    return SweepRow(
-        mag_norm_inf=max(r.mag_norm_inf for r in rows),
-        mag_norm_two=max(r.mag_norm_two for r in rows),
-        phase_norm_inf=max(r.phase_norm_inf for r in rows),
-        phase_norm_two=max(r.phase_norm_two for r in rows),
-    )
+        em, ep = error_series(model, alpha, kind, grid)
+        norms.append((np.max(np.abs(em)), math.sqrt(np.sum(em * em)),
+                      np.max(np.abs(ep)), math.sqrt(np.sum(ep * ep))))
+    return SweepRow(*(float(max(column)) for column in zip(*norms)))

@@ -64,9 +64,16 @@ def _verdict(condition: str, first: FactoredModel, second: FactoredModel, grid) 
     are summed and the target's ``20*e*log10(w)`` dB and ``90*e`` degrees
     subtracted, so it stays finite where the product itself would not.  A
     composition whose net s power cannot be represented counts as a
-    structural failure, not an error.
+    structural failure, not an error; one whose gain cannot raises
+    :func:`multiply_and_simplify`'s ``DomainError``.
     """
     exponent = _TARGET_S_EXPONENT[condition]
+    # Simplified first, so that a product whose gain cannot be represented
+    # raises before its deviation, which overflows, is formed.
+    try:
+        simplified = multiply_and_simplify(first, second)
+    except ShapeError as exc:
+        simplified, note = None, str(exc)
     # Only the log parts are read.  The complex values rebuilt beside them
     # overflow where an operand's magnitude leaves the float range, which
     # would warn on a verdict that is sound.
@@ -76,11 +83,8 @@ def _verdict(condition: str, first: FactoredModel, second: FactoredModel, grid) 
     excess_db = first_db + second_db - 20.0 * exponent * np.log10(grid)
     excess_deg = first_deg + second_deg - 90.0 * exponent
     deviation = float(np.max(np.abs(complex_from_log(excess_db, excess_deg) - 1.0)))
-
-    try:
-        simplified = multiply_and_simplify(first, second)
-    except ShapeError as exc:
-        return IdentityVerdict(condition, False, deviation, None, str(exc))
+    if simplified is None:
+        return IdentityVerdict(condition, False, deviation, None, note)
 
     structural = (
         simplified.s_exponent == exponent

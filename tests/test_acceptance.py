@@ -147,8 +147,8 @@ def _concatenated_mag_two(kappa):
     total = 0.0
     for alpha in SWEEP_ALPHAS:
         model = design_pair(reference_spec(kappa, alpha)).integrator
-        rep = error_series(model, alpha, INTEGRATOR, grid)
-        total += float(np.sum(rep.magnitude_error_db**2))
+        magnitude_error_db, _ = error_series(model, alpha, INTEGRATOR, grid)
+        total += float(np.sum(magnitude_error_db**2))
     return math.sqrt(total)
 
 

@@ -228,6 +228,17 @@ class TestCheckCommand:
         assert (code, out) == (2, "")
         assert err == "error: order 1e-20 has no complement order: 1 - alpha rounds to 1.0\n"
 
+    @pytest.mark.parametrize("command", ("check", "simulate"))
+    @pytest.mark.parametrize("method", ("2", "4"))
+    def test_law_product_gain_out_of_float_range_exits_2(self, capsys, command, method):
+        # Each law product's gain is 1e-308 * 1e-308 or 1e308 * 1e308 here.
+        code, out, err = run_cli(
+            capsys, command, "-m", method, "-a", "0.5", "--wl", "1e-154", "--wh", "1e154",
+            "--n", "1", "--k", "2", *(("--eps-special",) if method == "4" else ()),
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: the product's gain 1e-308 * 1e-308 cannot be represented\n"
+
     def test_inverse_law_at_a_tiny_order_needs_no_complement(self, capsys):
         code, out, _ = run_cli(capsys, "check", "-m", "4", "-a", "1e-20", "--condition", "ii")
         assert code == 0 and json.loads(out)["structural_pass"] is True
@@ -521,6 +532,8 @@ class TestCliBehavior:
         (("bode", "-m", "9", "-a", "0.4"), 2),
         (("design", "-m", "1", "-a", "1.2"), 2),
         (("simulate", "-m", "1", "-a", "0.3", "--T", "inf"), 2),
+        (("table", "--which", "1", "--alphas", "0.3,x"), 2),
+        (("table", "--which", "2", "--alphas", "abc"), 2),
         (("design", "-m", "3", "-a", "0.3", "--eps", "5"), 3),
         (("circuit", "-m", "1", "-a", "0.3", "--k", "2"), 4),
     ])
@@ -591,12 +604,12 @@ class TestCliBehavior:
         printed_em = np.array([float(r[5]) for r in rows])
         printed_ep = np.array([float(r[6]) for r in rows])
         model = design_integrator(DesignSpec(1, 0.4))
-        report = error_series(model, 0.4, INTEGRATOR, make_grid(1e-3, 1e3, 501))
+        em, ep = error_series(model, 0.4, INTEGRATOR, make_grid(1e-3, 1e3, 501))
         for printed, exact in (
-            (np.max(np.abs(printed_em)), report.mag_norm_inf),
-            (np.sqrt(np.sum(printed_em**2)), report.mag_norm_two),
-            (np.max(np.abs(printed_ep)), report.phase_norm_inf),
-            (np.sqrt(np.sum(printed_ep**2)), report.phase_norm_two),
+            (np.max(np.abs(printed_em)), np.max(np.abs(em))),
+            (np.sqrt(np.sum(printed_em**2)), np.sqrt(np.sum(em**2))),
+            (np.max(np.abs(printed_ep)), np.max(np.abs(ep))),
+            (np.sqrt(np.sum(printed_ep**2)), np.sqrt(np.sum(ep**2))),
         ):
             ulp_at_9 = 10.0 ** (math.floor(math.log10(abs(exact))) - 8)
             assert abs(printed - exact) <= ulp_at_9

@@ -1,6 +1,7 @@
 """Byte-identity of the command line: ``tools/cli_digest.py`` run in this
-process must reproduce ``tools/cli_digest.txt`` line for line, and every
-call in it that exits 0 must give a clean, finite answer."""
+process must reproduce ``tools/cli_digest.txt`` line for line, no call in
+it may warn, and every call in it that exits 0 must give a clean, finite
+answer."""
 
 import difflib
 import importlib.util
@@ -20,6 +21,9 @@ TOOLS = Path(__file__).resolve().parents[1] / "tools"
 NONFINITE = re.compile("|".join(rf"{word[0]}(?<![\w.]{word[0]}){word[1:]}(?![\w.])"
                                 for word in ("nan", "inf", "NaN", "Infinity")))
 
+# A warning as the digest writes it to stderr: ``Category: message``.
+WARNING = re.compile(r"^\w*Warning: ", re.M)
+
 
 def load_digest():
     spec = importlib.util.spec_from_file_location("cli_digest", TOOLS / "cli_digest.py")
@@ -30,12 +34,14 @@ def load_digest():
 
 @pytest.fixture(scope="module")
 def digest():
-    """Each call's digest line, and what is wrong with it if it exited 0
-    with stderr or with a non-finite number in its output ("" if nothing);
-    one pass over the calls serves both tests."""
+    """Each call's digest line, and what is wrong with it if it warned, or
+    exited 0 with stderr or with a non-finite number in its output (""
+    if nothing); one pass over the calls serves both tests."""
     results = []
     for line, code, err, text in load_digest().outcomes():
         faults = []
+        if WARNING.search(err):
+            faults.append("warning")
         if code == 0 and err:
             faults.append("stderr")
         if code == 0 and NONFINITE.search(text):
@@ -54,6 +60,6 @@ def test_cli_output_matches_the_recorded_digest(digest):
          "tools/cli_digest.py > tools/cli_digest.txt", *differing])
 
 
-def test_calls_that_exit_0_write_no_stderr_and_only_finite_numbers(digest):
+def test_calls_warn_never_and_exit_0_with_no_stderr_and_only_finite_numbers(digest):
     broken = [f"{fault}: {line}" for line, fault in digest if fault]
-    assert not broken, "\n".join(["calls that exit 0 with a fault:", *broken])
+    assert not broken, "\n".join(["calls with a fault:", *broken])

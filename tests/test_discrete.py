@@ -1163,6 +1163,17 @@ def law_errors(kappa, alpha, k, cascade):
     return {name: [run[name].inf_norm for run in runs] for name in EXPERIMENTS}
 
 
+# The laws table 1 marks False at the defaults, by method (experiment x is
+# law i, y law ii and z law iii).  Measured at alpha 0.3 and 0.7, k = 2 and
+# both modes over ORDER_PERIODS: errors from 4.4e-4 (method 5, law i) up to
+# 1.0 (law iii), the models' own law error, and p from -9.1e-4 to 0.334
+# (method 6, law ii, 4 -> 2 ms); every 2 -> 1 ms step reads |p| <= 2.7e-4.
+# The floor sits 4x below the smallest error and the band far from p = 1.
+BROKEN_LAWS = {5: "xyz", 6: "xyz", 7: "xz"}
+NO_ORDER_BAND = 0.5
+MODEL_ERROR_FLOOR = 1e-4
+
+
 class TestObservedOrder:
     # The bilinear map is second order, so for methods 1..4, whose laws
     # hold structurally, each law's error falls 4x as h halves,
@@ -1179,6 +1190,17 @@ class TestObservedOrder:
             assert all(abs(p - 2.0) <= ORDER_BAND for p in orders), orders
         else:
             assert max(errors) <= ROUNDING_FLOOR, errors
+
+    # A baseline's broken law keeps its model's error however small h gets.
+    @pytest.mark.parametrize("kappa, law", [(kappa, law) for kappa, laws in BROKEN_LAWS.items()
+                                            for law in laws])
+    @pytest.mark.parametrize("alpha", (0.3, 0.7))
+    @pytest.mark.parametrize("cascade", (False, True))
+    def test_broken_law_error_does_not_converge(self, kappa, law, alpha, cascade):
+        errors = law_errors(kappa, alpha, DesignSpec.k, cascade)[law]
+        orders = [math.log2(e / half) for e, half in zip(errors, errors[1:])]
+        assert min(errors) >= MODEL_ERROR_FLOOR, errors
+        assert all(abs(p) <= NO_ORDER_BAND for p in orders), orders
 
 
 class TestSimulationResultNorms:

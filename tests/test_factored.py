@@ -344,6 +344,19 @@ class TestMultiplyAndSimplify:
         with pytest.raises(ShapeError):
             multiply_and_simplify(a, b)
 
+    @pytest.mark.parametrize("gains", ((1e-200, 1e-200), (1e200, 1e200), (1e-308, 1e-308)))
+    def test_unrepresentable_product_gain_is_a_domain_error(self, gains):
+        a = FactoredModel(gains[0], 0, 1, ((2.0, 1.0),))
+        b = FactoredModel(gains[1], 0, 1, ((8.0, 4.0),))
+        with pytest.raises(DomainError, match="product's gain .* cannot be represented"):
+            multiply_and_simplify(a, b)
+
+    def test_shape_error_takes_precedence_over_product_gain(self):
+        a = FactoredModel(1e-200, -1, 1, ())
+        b = FactoredModel(1e-200, -1, 1, ())
+        with pytest.raises(ShapeError):
+            multiply_and_simplify(a, b)
+
     def test_commutative(self):
         pair = design_pair(reference_spec(5, 0.3))
         left = multiply_and_simplify(pair.differentiator, pair.integrator)

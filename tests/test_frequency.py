@@ -14,6 +14,7 @@ from difint import (
     design_integrator,
     error_series,
     exact_response,
+    log_response,
     make_grid,
     reciprocal,
     sweep_table,
@@ -106,33 +107,40 @@ class TestErrorSeries:
     def test_reciprocal_antisymmetry(self):
         model = design_integrator(reference_spec(1, 0.4))
         grid = make_grid(1e-3, 1e3, 501)
-        forward = error_series(model, 0.4, INTEGRATOR, grid)
-        mirrored = error_series(reciprocal(model), 0.4, DIFFERENTIATOR, grid)
-        np.testing.assert_allclose(
-            mirrored.magnitude_error_db, -forward.magnitude_error_db, atol=1e-11
-        )
-        assert mirrored.mag_norm_inf == pytest.approx(forward.mag_norm_inf, rel=1e-10)
-        assert mirrored.phase_norm_two == pytest.approx(forward.phase_norm_two, rel=1e-10)
+        forward_mag, forward_phase = error_series(model, 0.4, INTEGRATOR, grid)
+        mirrored_mag, mirrored_phase = error_series(reciprocal(model), 0.4, DIFFERENTIATOR, grid)
+        np.testing.assert_allclose(mirrored_mag, -forward_mag, atol=1e-11)
+        assert np.max(np.abs(mirrored_mag)) == pytest.approx(np.max(np.abs(forward_mag)), rel=1e-10)
+        assert np.sqrt(np.sum(mirrored_phase**2)) == pytest.approx(
+            np.sqrt(np.sum(forward_phase**2)), rel=1e-10)
 
     @pytest.mark.parametrize("kappa", (1, 2, 3, 4))
     def test_zero_error_at_band_center(self, kappa):
         model = design_integrator(reference_spec(kappa, 0.3))
         grid = make_grid(1e-3, 1e3, 101)  # odd count puts a sample at the center
-        report = error_series(model, 0.3, INTEGRATOR, grid)
-        assert abs(report.magnitude_error_db[50]) < 1e-10
+        magnitude_error_db, _ = error_series(model, 0.3, INTEGRATOR, grid)
+        assert abs(magnitude_error_db[50]) < 1e-10
 
     @pytest.mark.parametrize("kappa", (1, 2, 3, 4, 5, 6, 7))
     def test_phase_error_bounded_by_quadrant(self, kappa):
         model = design_integrator(reference_spec(kappa, 0.6))
         grid = make_grid(1e-3, 1e3, 400)
-        report = error_series(model, 0.6, INTEGRATOR, grid)
-        assert report.phase_norm_inf < 90.0
+        _, phase_error_deg = error_series(model, 0.6, INTEGRATOR, grid)
+        assert np.max(np.abs(phase_error_deg)) < 90.0
+
+    def test_returns_exact_minus_model_pair(self):
+        model = design_integrator(reference_spec(2, 0.5))
+        grid = make_grid(1e-3, 1e3, 64)
+        exact_mag, exact_phase = exact_response(0.5, INTEGRATOR, grid)
+        mag_db, phase_deg = log_response(model, grid)
+        magnitude_error_db, phase_error_deg = error_series(model, 0.5, INTEGRATOR, grid)
+        np.testing.assert_array_equal(magnitude_error_db, exact_mag - mag_db)
+        np.testing.assert_array_equal(phase_error_deg, exact_phase - phase_deg)
 
     def test_inf_norm_never_exceeds_two_norm(self):
-        model = design_integrator(reference_spec(2, 0.8))
-        report = error_series(model, 0.8, INTEGRATOR, make_grid(1e-3, 1e3, 64))
-        assert report.mag_norm_inf <= report.mag_norm_two
-        assert report.phase_norm_inf <= report.phase_norm_two
+        row = sweep_table(2, INTEGRATOR, [0.8], count=64)
+        assert row.mag_norm_inf <= row.mag_norm_two
+        assert row.phase_norm_inf <= row.phase_norm_two
 
 
 class TestSweepTable:
@@ -185,9 +193,10 @@ class TestSweepTable:
         mags, phases = [], []
         for n in (5, 10, 20):
             model = design_integrator(DesignSpec(1, 0.3, 1e-3, 1e3, n, 2))
-            mags.append(error_series(model, 0.3, INTEGRATOR, interior).mag_norm_inf)
-            full = error_series(model, 0.3, INTEGRATOR, make_grid(1e-3, 1e3, 4000))
-            phases.append(full.phase_norm_inf)
+            magnitude_error_db, _ = error_series(model, 0.3, INTEGRATOR, interior)
+            mags.append(np.max(np.abs(magnitude_error_db)))
+            _, phase_error_deg = error_series(model, 0.3, INTEGRATOR, make_grid(1e-3, 1e3, 4000))
+            phases.append(np.max(np.abs(phase_error_deg)))
         assert mags[0] > mags[1] > mags[2]
         assert phases[0] > phases[1] > phases[2]
 

@@ -38,16 +38,18 @@ and 2 on the first, on which one factor's corners lie up to 1e300 apart,
 and tables 4 and 5 at n = 60 and k = 3, whose cascades run up to 181
 sections, and table 1 and ``check`` of methods 2 and 4 on a band below
 1e308 whose law operands leave the float range, and ``design`` of methods
-2 and 4 at n = 1 and k = 103, whose matched gain's reciprocal overflows;
-every call runs at ``--precision 9`` and 17.  The ``--output``
+2 and 4 at n = 1 and k = 103, whose matched gain's reciprocal overflows,
+and ``check`` and ``simulate`` of methods 2 and 4 at order 0.5, n = 1 and
+k = 2 on the band 1e-154..1e154, whose law products' gains leave the
+float range; every call runs at ``--precision 9`` and 17.  The ``--output``
 calls are a 10k-point ``bode``, a many-block ``simulate --experiment all``
 and one call per error exit code (2, 3, 4).
 
 ``cli_digest.txt`` next to this script is the expected output;
 ``tests/test_cli_digest.py`` holds the tree to it, and in the same pass
-requires every call that exits 0 to write nothing to stderr and no number
-written as ``nan`` or ``inf``.  A change that moves
-output on purpose regenerates it with
+requires that no call warns, and that every call that exits 0 writes
+nothing to stderr and no number written as ``nan`` or ``inf``.  A change
+that moves output on purpose regenerates it with
 
     PYTHONPATH=src python tools/cli_digest.py > tools/cli_digest.txt
 """
@@ -128,6 +130,13 @@ HUGE_OPERAND_CALLS = [
 # overflows.
 TINY_GAIN_CALLS = ["design -m 2 -a 0.3 --n 1 --k 103",
                    "design -m 4 -a 0.3 --n 1 --k 103 --eps-special"]
+
+# At order 0.5, n = 1 and k = 2 on the band 1e-154..1e154 the gain of each
+# law product underflows to 0 or overflows, which is rejected.
+PRODUCT_GAIN_ARGS = "-a 0.5 --wl 1e-154 --wh 1e154 --n 1 --k 2"
+PRODUCT_GAIN_CALLS = [f"{command} -m {method} {PRODUCT_GAIN_ARGS}{special}"
+                      for method, special in ((2, ""), (4, " --eps-special"))
+                      for command in ("check", "simulate")]
 
 
 def _offsets(method: int, k: int) -> list[str]:
@@ -220,6 +229,7 @@ def _calls() -> list[str]:
     calls += [f"table --which {which} --n 60 --k 3 --T 2" for which in (4, 5)]
     calls += HUGE_OPERAND_CALLS
     calls += TINY_GAIN_CALLS
+    calls += PRODUCT_GAIN_CALLS
     return calls
 
 
