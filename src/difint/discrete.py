@@ -148,8 +148,9 @@ def simulate_filter(filt: DiscreteFilter, samples, lookahead: tuple[float, float
     # and results are bit-identical to scipy.signal.sosfilt.
     kernel = _sosfilt_kernel()
     y = u[np.newaxis].copy()
-    for rows_of_pass in np.array_split(rows, -(-len(rows) // _PASS_SECTIONS)):
-        kernel(rows_of_pass, y, np.zeros((1, len(rows_of_pass), 2)))
+    edges = _pass_edges(len(rows))
+    for lo, hi in zip(edges, edges[1:]):
+        kernel(rows[lo:hi], y, np.zeros((1, hi - lo, 2)))
     return y[0]
 
 
@@ -162,6 +163,16 @@ def simulate_filter(filt: DiscreteFilter, samples, lookahead: tuple[float, float
 # into passes of near-equal size, since a trailing pass of one row loses
 # time (9 sections: 0.91 ms in slices of 8, 0.76 ms in passes of 5 and 4).
 _PASS_SECTIONS = 8
+
+
+def _pass_edges(count: int) -> list[int]:
+    """The row edges of the passes that filter ``count`` sections: the
+    fewest passes of at most ``_PASS_SECTIONS`` rows, the first ones a row
+    longer where they cannot all be equal, as ``np.array_split`` cuts them.
+    No sections is one empty pass, ``[0, 0]``."""
+    passes = -(-count // _PASS_SECTIONS) or 1
+    size, extra = divmod(count, passes)
+    return [cut * size + min(cut, extra) for cut in range(passes + 1)]
 
 
 _SOSFILT = "scipy.signal._sosfilt"
@@ -251,17 +262,18 @@ class SimulationResult:
 def _cascade(first, second, force_cascade) -> tuple[FactoredModel, ...]:
     """The stages, in run order, that apply the operator product first*second.
 
-    The product is simplified into one stage whenever its net s power is
-    representable (this is what recovers the exact cancellations);
-    otherwise, or on request, the operands are discretized separately and
-    cascaded, which is the same map because the bilinear substitution is a
-    homomorphism on rational functions.  A cascaded operand carrying a bare
-    s factor runs first so its lookahead refers to the analytic input.
+    The product is simplified into one stage whenever it is representable
+    (this is what recovers the exact cancellations); when its net s power
+    (``ShapeError``) or its gain (``DomainError``) is not, or on request,
+    the operands are discretized separately and cascaded, which is the same
+    map because the bilinear substitution is a homomorphism on rational
+    functions.  A cascaded operand carrying a bare s factor runs first so
+    its lookahead refers to the analytic input.
     """
     if not force_cascade:
         try:
             return (multiply_and_simplify(first, second),)
-        except ShapeError:
+        except (ShapeError, DomainError):
             pass
     return tuple(sorted([second, first], key=lambda m: -m.s_exponent))
 
@@ -318,9 +330,9 @@ def _lane_plan(rows: tuple[int, ...],
     units, follows, last = [], [], []
     for stage, (count, parent) in enumerate(zip(rows, parents)):
         before = last[parent] if parent >= 0 else -1
-        passes = -(-count // _PASS_SECTIONS) or 1
-        size, extra = divmod(count, passes)
-        edges = [cut * size + min(cut, extra) for cut in sorted({0, -(-passes // 2), passes})]
+        pass_edges = _pass_edges(count)
+        # cut after the first ceil(passes / 2) passes; one pass stays whole
+        edges = [pass_edges[i] for i in sorted({0, len(pass_edges) // 2, len(pass_edges) - 1})]
         for lo, hi in zip(edges, edges[1:]):
             units.append((stage, lo, hi))
             follows.append(before)

@@ -14,14 +14,17 @@ steps are the cover-up products.
 Coincident poles, or an expansion that still comes out with a non-finite
 coefficient, raise ``ConditioningError``.
 
-A summation form whose residues are all simple and positive is the
-driving-point impedance of a series chain: a resistor for the direct term, a
-capacitor for the 1/s term and one parallel RC section per pole.
+A summation form with finite terms, positive poles and simple positive
+residues is the driving-point impedance of a series chain, held as one
+``RcNetwork`` record that mirrors the form: a resistor for the direct term,
+a capacitor for the 1/s term and one parallel RC section per pole, in that
+node order.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,12 +33,9 @@ from .errors import ConditioningError, DomainError, NotRealizableError
 from .factored import FactoredModel
 
 __all__ = [
-    "ParallelRC",
     "PartialFractionForm",
     "PartialFractionTerm",
     "RcNetwork",
-    "SeriesCapacitor",
-    "SeriesResistor",
     "evaluate_partial_fractions",
     "export_netlist",
     "network_impedance",
@@ -169,27 +169,31 @@ def evaluate_partial_fractions(pf: PartialFractionForm, s_values) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SeriesResistor:
-    resistance: float
-
-
-@dataclass(frozen=True)
-class SeriesCapacitor:
-    capacitance: float
-
-
-@dataclass(frozen=True)
-class ParallelRC:
-    resistance: float
-    capacitance: float
-
-
-@dataclass(frozen=True)
 class RcNetwork:
-    """Series chain of elements whose driving-point impedance realizes a
-    simple-pole summation form."""
+    """Series RC chain whose driving-point impedance realizes a simple-pole
+    summation form: a series resistor (``resistance``, 0.0 when there is
+    none), a series capacitor (``capacitance``, None when there is none) and
+    one parallel RC ``(resistance, capacitance)`` section per pole, in that
+    node order.  Raises ``DomainError`` for a value that is not finite and
+    positive; only the series resistance may be 0.0.
+    """
 
-    elements: tuple[SeriesResistor | SeriesCapacitor | ParallelRC, ...]
+    resistance: float = 0.0
+    capacitance: float | None = None
+    sections: tuple[tuple[float, float], ...] = ()
+
+    def __post_init__(self):
+        values = [] if self.capacitance is None else [self.capacitance]
+        values += [v for section in self.sections for v in section]
+        # Written so that NaN fails every comparison.
+        bad = [v for v in values if not 0.0 < v < math.inf]
+        if not 0.0 <= self.resistance < math.inf:
+            bad.insert(0, self.resistance)
+        if bad:
+            raise DomainError(
+                f"RC element values must be finite and positive (a series resistance "
+                f"may be 0.0), got {bad[0]!r}"
+            )
 
 
 def synthesize_rc(pf: PartialFractionForm) -> RcNetwork:
@@ -197,43 +201,41 @@ def synthesize_rc(pf: PartialFractionForm) -> RcNetwork:
 
     r/(s + p) is exactly the impedance of a parallel RC with R = r/p and
     C = 1/r; the direct term is a series resistor and the 1/s term a series
-    capacitor.  Requires simple poles and nonnegative direct/origin terms
-    with strictly positive residues, i.e. an RC driving-point impedance.
+    capacitor.  Requires simple poles and finite terms: nonnegative
+    direct/origin terms, positive poles and positive residues, i.e. an RC
+    driving-point impedance; otherwise raises ``NotRealizableError``.
     """
     if any(len(term.residues) != 1 for term in pf.terms):
         raise NotRealizableError(
             "repeated poles have no single-section RC realization (k > 1 not synthesizable)"
         )
-    if pf.direct < 0.0 or pf.origin_residue < 0.0:
+    # Every comparison is written so that NaN fails it.
+    if not (0.0 <= pf.direct < math.inf and 0.0 <= pf.origin_residue < math.inf):
         raise NotRealizableError(
-            f"negative series term (direct={pf.direct!r}, origin={pf.origin_residue!r})"
+            f"series terms must be finite and nonnegative "
+            f"(direct={pf.direct!r}, origin={pf.origin_residue!r})"
         )
-    elements: list[SeriesResistor | SeriesCapacitor | ParallelRC] = []
-    if pf.direct > 0.0:
-        elements.append(SeriesResistor(pf.direct))
-    if pf.origin_residue > 0.0:
-        elements.append(SeriesCapacitor(1.0 / pf.origin_residue))
     for term in pf.terms:
-        residue = term.residues[0]
-        if residue <= 0.0:
+        if not (0.0 < term.pole < math.inf and 0.0 < term.residues[0] < math.inf):
             raise NotRealizableError(
-                f"residue {residue!r} at pole {term.pole!r} is not positive"
+                f"residue {term.residues[0]!r} at pole {term.pole!r}: "
+                "both must be finite and positive"
             )
-        elements.append(ParallelRC(resistance=residue / term.pole, capacitance=1.0 / residue))
-    return RcNetwork(tuple(elements))
+    return RcNetwork(
+        pf.direct,
+        1.0 / pf.origin_residue if pf.origin_residue else None,
+        tuple((term.residues[0] / term.pole, 1.0 / term.residues[0]) for term in pf.terms),
+    )
 
 
 def network_impedance(network: RcNetwork, omegas) -> np.ndarray:
     """Driving-point impedance of the series chain at s = j*omega."""
     s = 1j * np.asarray(omegas, dtype=float)
-    z = np.zeros(s.shape, dtype=complex)
-    for element in network.elements:
-        if isinstance(element, SeriesResistor):
-            z = z + element.resistance
-        elif isinstance(element, SeriesCapacitor):
-            z = z + 1.0 / (s * element.capacitance)
-        else:
-            z = z + element.resistance / (1.0 + s * element.resistance * element.capacitance)
+    z = np.zeros(s.shape, dtype=complex) + network.resistance
+    if network.capacitance is not None:
+        z = z + 1.0 / (s * network.capacitance)
+    for resistance, capacitance in network.sections:
+        z = z + resistance / (1.0 + s * resistance * capacitance)
     return z
 
 
@@ -259,16 +261,14 @@ def export_netlist(network: RcNetwork, format: str = "spice", meta=None, precisi
     if format not in ("spice", "json"):
         raise DomainError(f"format must be 'spice' or 'json', got {format!r}")
     lines = ["* series rc chain, driving-point impedance between node 1 and 0"]
+    parts = [("resistor", (("R", network.resistance),))] if network.resistance else []
+    if network.capacitance is not None:
+        parts.append(("capacitor", (("C", network.capacitance),)))
+    parts += [("parallel_rc", (("R", r), ("C", c))) for r, c in network.sections]
     entries = []
     counts = {"R": 0, "C": 0}
-    for node_a, element in enumerate(network.elements, start=1):
-        node_b = 0 if node_a == len(network.elements) else node_a + 1
-        if isinstance(element, SeriesResistor):
-            kind, values = "resistor", (("R", element.resistance),)
-        elif isinstance(element, SeriesCapacitor):
-            kind, values = "capacitor", (("C", element.capacitance),)
-        else:
-            kind, values = "parallel_rc", (("R", element.resistance), ("C", element.capacitance))
+    for node_a, (kind, values) in enumerate(parts, start=1):
+        node_b = 0 if node_a == len(parts) else node_a + 1
         entry = {"kind": kind, "nodes": [node_a, node_b]}
         for symbol, value in values:
             counts[symbol] += 1

@@ -228,16 +228,28 @@ class TestCheckCommand:
         assert (code, out) == (2, "")
         assert err == "error: order 1e-20 has no complement order: 1 - alpha rounds to 1.0\n"
 
-    @pytest.mark.parametrize("command", ("check", "simulate"))
     @pytest.mark.parametrize("method", ("2", "4"))
-    def test_law_product_gain_out_of_float_range_exits_2(self, capsys, command, method):
+    def test_law_product_gain_out_of_float_range_exits_2(self, capsys, method):
         # Each law product's gain is 1e-308 * 1e-308 or 1e308 * 1e308 here.
         code, out, err = run_cli(
-            capsys, command, "-m", method, "-a", "0.5", "--wl", "1e-154", "--wh", "1e154",
+            capsys, "check", "-m", method, "-a", "0.5", "--wl", "1e-154", "--wh", "1e154",
             "--n", "1", "--k", "2", *(("--eps-special",) if method == "4" else ()),
         )
         assert (code, out) == (2, "")
         assert err == "error: the product's gain 1e-308 * 1e-308 cannot be represented\n"
+
+    @pytest.mark.parametrize("method", ("2", "4"))
+    def test_simulate_cascades_a_law_whose_product_gain_is_out_of_float_range(
+            self, capsys, method):
+        # The laws of the call above run as the operand cascade instead.
+        code, out, err = run_cli(
+            capsys, "simulate", "-m", method, "-a", "0.5", "--wl", "1e-154", "--wh", "1e154",
+            "--n", "1", "--k", "2", *(("--eps-special",) if method == "4" else ()),
+        )
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert {row[0] for row in rows} == {"x", "y", "z"}
+        assert all(math.isfinite(float(value)) for row in rows for value in row[1:])
 
     def test_inverse_law_at_a_tiny_order_needs_no_complement(self, capsys):
         code, out, _ = run_cli(capsys, "check", "-m", "4", "-a", "1e-20", "--condition", "ii")

@@ -350,6 +350,12 @@ class TestKernelPasses:
         assert sum(rows_per_call) == sections
         assert max(rows_per_call) - min(rows_per_call) <= 1  # split evenly
 
+    def test_pass_edges_are_array_split_edges(self):
+        # One empty pass at count 0, as np.array_split gives one empty part.
+        for count in range(401):
+            parts = np.array_split(np.arange(count), max(1, math.ceil(count / PASS)))
+            assert discrete._pass_edges(count) == np.cumsum([0] + [len(p) for p in parts]).tolist()
+
 
 # Runs in a fresh interpreter: the kernel loaded alone and scipy.signal must
 # share one extension module, and give the same bits, in either import order.
@@ -455,6 +461,17 @@ class TestIdentityExperiment:
         assert results["x"].inf_norm <= 1e-4
         assert results["y"].inf_norm <= 1e-4
         assert results["z"].inf_norm <= 1e-4
+
+    @pytest.mark.parametrize("kappa", (2, 4))
+    def test_unrepresentable_product_gain_runs_the_operand_cascade(self, kappa):
+        # The gains of law i's and law iii's products are 1e-308 * 1e-308 and
+        # 1e308 * 1e308 here; law ii's product is representable.
+        args = (kappa, 0.5, 1e-154, 1e154, 1, 2)
+        simplified = identity_experiment(*args)
+        cascaded = identity_experiment(*args, cascade=True)
+        for name in ("x", "z"):
+            assert np.array_equal(simplified[name].approx, cascaded[name].approx)
+            assert simplified[name].two_norm == cascaded[name].two_norm
 
     def test_result_shapes_and_norms(self):
         results = identity_experiment(2, 0.3, sample_period=0.01, duration=2.0)

@@ -15,12 +15,9 @@ from difint import (
     DomainError,
     FactoredModel,
     NotRealizableError,
-    ParallelRC,
     PartialFractionForm,
     PartialFractionTerm,
     RcNetwork,
-    SeriesCapacitor,
-    SeriesResistor,
     design_integrator,
     design_pair,
     evaluate_partial_fractions,
@@ -32,6 +29,8 @@ from difint import (
     to_partial_fractions,
 )
 from difint import realization
+
+NAN = float("nan")
 
 
 def solve_residues_by_sampling(model):
@@ -385,24 +384,21 @@ def test_residues_match_mpmath_taylor_expansion(kappa, alpha, n, k, integrator):
 class TestRcSynthesis:
     def test_single_section_values(self):
         pf = PartialFractionForm(0.0, 0.0, (PartialFractionTerm(1.0, (4.0,)),))
-        network = synthesize_rc(pf)
-        assert network.elements == (ParallelRC(resistance=4.0, capacitance=0.25),)
+        assert synthesize_rc(pf) == RcNetwork(sections=((4.0, 0.25),))
 
     def test_origin_term_becomes_series_capacitor(self):
         pf = PartialFractionForm(0.0, 2.0, ())
-        network = synthesize_rc(pf)
-        assert network.elements == (SeriesCapacitor(0.5),)
+        assert synthesize_rc(pf) == RcNetwork(capacitance=0.5)
 
     def test_direct_term_becomes_series_resistor(self):
         pf = PartialFractionForm(3.0, 0.0, ())
-        assert synthesize_rc(pf).elements == (SeriesResistor(3.0),)
+        assert synthesize_rc(pf) == RcNetwork(resistance=3.0)
 
     def test_designed_ladder_is_positive_and_faithful(self):
         model = design_integrator(reference_spec(2, 0.3, k=1))
         network = synthesize_rc(to_partial_fractions(model))
-        sections = [e for e in network.elements if isinstance(e, ParallelRC)]
-        assert len(sections) == 10
-        assert all(s.resistance > 0 and s.capacitance > 0 for s in sections)
+        assert len(network.sections) == 10
+        assert all(r > 0 and c > 0 for r, c in network.sections)
         grid = make_grid(1e-3, 1e3, 100)
         np.testing.assert_allclose(
             network_impedance(network, grid),
@@ -419,21 +415,95 @@ class TestRcSynthesis:
         assert all(term.residues[0] > 0.0 for term in pf.terms)
         network = synthesize_rc(pf)
         # one series element (resistor below 0.5, capacitor above) + n sections
-        assert len(network.elements) == 11
+        assert (network.resistance > 0.0) != (network.capacitance is not None)
+        assert len(network.sections) == 10
 
     def test_rejects_negative_residue(self):
         pf = PartialFractionForm(0.0, 0.0, (PartialFractionTerm(1.0, (-1.0,)),))
         with pytest.raises(NotRealizableError):
             synthesize_rc(pf)
 
-    def test_rejects_negative_series_terms(self):
+    @pytest.mark.parametrize("direct, origin", ((-1.0, 0.0), (0.0, -1.0)))
+    def test_rejects_negative_series_terms(self, direct, origin):
         with pytest.raises(NotRealizableError):
-            synthesize_rc(PartialFractionForm(-1.0, 0.0, ()))
+            synthesize_rc(PartialFractionForm(direct, origin, ()))
+
+    # Each of these gave an empty network, an element that export_netlist
+    # failed on, or a negative resistor, before terms were checked.
+    @pytest.mark.parametrize("pf", (
+        PartialFractionForm(NAN, 0.0, ()),
+        PartialFractionForm(1.0, NAN, ()),
+        PartialFractionForm(0.0, 0.0, (PartialFractionTerm(1.0, (NAN,)),)),
+        PartialFractionForm(0.0, 0.0, (PartialFractionTerm(NAN, (1.0,)),)),
+        PartialFractionForm(np.inf, 0.0, ()),
+        PartialFractionForm(0.0, 0.0, (PartialFractionTerm(-1.0, (1.0,)),)),
+    ), ids=("nan-direct", "nan-origin", "nan-residue", "nan-pole", "inf-direct", "negative-pole"))
+    def test_rejects_terms_that_are_not_finite_or_not_positive(self, pf):
+        with pytest.raises(NotRealizableError):
+            synthesize_rc(pf)
 
     def test_rejects_repeated_poles(self):
         pf = PartialFractionForm(1.0, 0.0, (PartialFractionTerm(1.0, (2.0, 1.0)),))
         with pytest.raises(NotRealizableError):
             synthesize_rc(pf)
+
+
+class TestRcNetworkRecord:
+    @pytest.mark.parametrize("fields", (
+        {"resistance": -1.0}, {"resistance": np.inf}, {"resistance": NAN},
+        {"capacitance": 0.0}, {"capacitance": -1.0}, {"capacitance": np.inf},
+        {"capacitance": NAN}, {"sections": ((0.0, 1.0),)}, {"sections": ((1.0, -1.0),)},
+        {"sections": ((np.inf, 1.0),)}, {"sections": ((1.0, 1.0), (1.0, NAN))},
+    ), ids=repr)
+    def test_value_not_finite_and_positive_is_domain_error(self, fields):
+        with pytest.raises(DomainError):
+            RcNetwork(**fields)
+
+    def test_series_resistance_may_be_zero(self):
+        assert RcNetwork(0.0, 1.0, ((1.0, 1.0),)).resistance == 0.0
+
+    def test_element_values_overflowing_in_synthesis_are_domain_error(self):
+        # pole and residue are finite, but R = residue / pole overflows
+        pf = PartialFractionForm(0.0, 0.0, (PartialFractionTerm(1e-300, (1e300,)),))
+        with pytest.raises(DomainError):
+            synthesize_rc(pf)
+
+
+# No designed model has both a series R and a series C.
+FULL_CHAIN = RcNetwork(2.0, 0.5, ((4.0, 0.25), (1.0, 3.0)))
+
+FULL_CHAIN_SPICE = """\
+* series rc chain, driving-point impedance between node 1 and 0
+R1 1 2 2.000000000e0
+C1 2 3 5.000000000e-1
+R2 3 4 4.000000000e0
+C2 3 4 2.500000000e-1
+R3 4 0 1.000000000e0
+C3 4 0 3.000000000e0
+* design: unspecified
+"""
+
+FULL_CHAIN_ELEMENTS = [
+    {"kind": "resistor", "nodes": [1, 2], "R": 2.0},
+    {"kind": "capacitor", "nodes": [2, 3], "C": 0.5},
+    {"kind": "parallel_rc", "nodes": [3, 4], "R": 4.0, "C": 0.25},
+    {"kind": "parallel_rc", "nodes": [4, 0], "R": 1.0, "C": 3.0},
+]
+
+
+class TestFullChain:
+    def test_spice_text(self):
+        assert export_netlist(FULL_CHAIN, "spice") == FULL_CHAIN_SPICE
+
+    def test_json_text(self):
+        expected = json.dumps({"elements": FULL_CHAIN_ELEMENTS, "meta": {}}, indent=2) + "\n"
+        assert export_netlist(FULL_CHAIN, "json") == expected
+
+    def test_impedance_is_the_closed_form_sum(self):
+        omegas = make_grid(1e-3, 1e3, 57)
+        s = 1j * omegas
+        expected = 2.0 + 1.0 / (0.5 * s) + 4.0 / (1.0 + s) + 1.0 / (1.0 + 3.0 * s)
+        np.testing.assert_allclose(network_impedance(FULL_CHAIN, omegas), expected, rtol=1e-14)
 
 
 def parse_spice(text):
@@ -464,14 +534,14 @@ def impedance_from_groups(groups, omegas):
 
 class TestNetlistExport:
     def test_single_section_lines(self):
-        network = RcNetwork((ParallelRC(4.0, 0.25),))
+        network = RcNetwork(sections=((4.0, 0.25),))
         text = export_netlist(network, "spice")
         lines = text.splitlines()
         assert "R1 1 0 4.000000000e0" in lines
         assert "C1 1 0 2.500000000e-1" in lines
 
     def test_empty_network_is_header_and_meta_only(self):
-        text = export_netlist(RcNetwork(()), "spice", meta={"n": 0})
+        text = export_netlist(RcNetwork(), "spice", meta={"n": 0})
         lines = text.splitlines()
         assert len(lines) == 2
         assert lines[0].startswith("*") and lines[1].startswith("*")
@@ -489,7 +559,7 @@ class TestNetlistExport:
         assert seen == set(range(12))  # chain nodes 1..11 plus ground 0
 
     def test_bare_ten_section_chain(self):
-        network = RcNetwork(tuple(ParallelRC(float(i), 1.0 / i) for i in range(1, 11)))
+        network = RcNetwork(sections=tuple((float(i), 1.0 / i) for i in range(1, 11)))
         text = export_netlist(network, "spice")
         element_lines = [l for l in text.splitlines() if not l.startswith("*")]
         assert len(element_lines) == 20
@@ -507,7 +577,7 @@ class TestNetlistExport:
         )
 
     def test_json_document(self):
-        network = RcNetwork((SeriesResistor(2.0), ParallelRC(4.0, 0.25)))
+        network = RcNetwork(2.0, sections=((4.0, 0.25),))
         doc = json.loads(export_netlist(network, "json", meta={"method": 1}))
         assert doc["meta"] == {"method": 1}
         assert doc["elements"][0] == {"kind": "resistor", "nodes": [1, 2], "R": 2.0}
@@ -516,4 +586,4 @@ class TestNetlistExport:
 
     def test_rejects_unknown_format(self):
         with pytest.raises(DomainError):
-            export_netlist(RcNetwork(()), "verilog")
+            export_netlist(RcNetwork(), "verilog")

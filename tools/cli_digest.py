@@ -131,8 +131,9 @@ HUGE_OPERAND_CALLS = [
 TINY_GAIN_CALLS = ["design -m 2 -a 0.3 --n 1 --k 103",
                    "design -m 4 -a 0.3 --n 1 --k 103 --eps-special"]
 
-# At order 0.5, n = 1 and k = 2 on the band 1e-154..1e154 the gain of each
-# law product underflows to 0 or overflows, which is rejected.
+# At order 0.5, n = 1 and k = 2 on the band 1e-154..1e154 the gain of two
+# law products underflows to 0 or overflows: ``check`` rejects them, and
+# ``simulate`` runs those laws as the cascade of their operands.
 PRODUCT_GAIN_ARGS = "-a 0.5 --wl 1e-154 --wh 1e154 --n 1 --k 2"
 PRODUCT_GAIN_CALLS = [f"{command} -m {method} {PRODUCT_GAIN_ARGS}{special}"
                       for method, special in ((2, ""), (4, " --eps-special"))
