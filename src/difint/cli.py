@@ -155,7 +155,9 @@ def _fmt(value: float, precision: int) -> str:
 
 
 def _jnum(value: float, precision: int) -> float:
-    return float(_fmt(value, precision))
+    # A value next to the float maximum can round past it at few digits.
+    rounded = float(_fmt(value, precision))
+    return rounded if abs(rounded) <= sys.float_info.max else float(value)
 
 
 def _csv(header: list[str], columns, precision: int) -> Iterator[str]:
@@ -254,7 +256,7 @@ def cmd_table(args) -> Iterable[str]:
     if args.which == 1:
         from .identities import associativity_table
 
-        alphas = _parse_alphas(args.alphas) if args.alphas else _MATRIX_ALPHAS
+        alphas = _parse_alphas(args.alphas) if args.alphas is not None else _MATRIX_ALPHAS
         matrix = associativity_table(alphas, args.wl, args.wh, args.n, args.k)
         lines = ["method  i  ii  iii"]
         for kappa, passes in zip(METHODS, matrix):
@@ -264,7 +266,7 @@ def cmd_table(args) -> Iterable[str]:
     if args.which in (2, 3):
         from .frequency import sweep_table
 
-        alphas = _parse_alphas(args.alphas) if args.alphas else _TABLE_SWEEP_ALPHAS
+        alphas = _parse_alphas(args.alphas) if args.alphas is not None else _TABLE_SWEEP_ALPHAS
         kind = INTEGRATOR if args.which == 2 else DIFFERENTIATOR
         rows = []
         for kappa in METHODS:

@@ -290,12 +290,15 @@ def _piecewise_integrator(spec: DesignSpec) -> FactoredModel:
     if spec.kappa in OFFSET_METHODS:
         _checked_epsilon(spec)
     k = spec.k
-    if spec.branch is Branch.LOW_ORDER:
-        zeros, poles = _low_branch_corners(spec, spec.kappa, k)
-        power, s_exponent = -spec.alpha, 0
-    else:
-        poles, zeros = _low_branch_corners(spec.complement(), spec.kappa, k)
-        power, s_exponent = 1.0 - spec.alpha, -1
+    try:
+        if spec.branch is Branch.LOW_ORDER:
+            zeros, poles = _low_branch_corners(spec, spec.kappa, k)
+            power, s_exponent = -spec.alpha, 0
+        else:
+            poles, zeros = _low_branch_corners(spec.complement(), spec.kappa, k)
+            power, s_exponent = 1.0 - spec.alpha, -1
+    except OverflowError:  # a power of ten of methods 3 and 4 past the float maximum
+        raise DomainError(f"a corner of method {spec.kappa} leaves the float range") from None
     gain = _matched_gain(zeros, poles, k, spec.omega_m, power)
     return FactoredModel(gain, s_exponent, k, tuple(zip(zeros, poles)))
 

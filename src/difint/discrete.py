@@ -1,11 +1,13 @@
 """Bilinear discretization and time-domain identity experiments.
 
 Each first-order factor maps through the trapezoidal substitution
-s <- (2/h)(q - 1)/(q + 1) to a strictly stable digital section.  A net 1/s
-is the factor 1/(s + p) at p = 0, so it maps the same way, to the trapezoid
-accumulator section (h/2, h/2, -1) that leads the cascade.  A net s becomes
-a central difference taken before the cascade, which needs one sample of
-analytic input lookahead, so it is an offline device by construction.
+s <- (2/h)(q - 1)/(q + 1) to a strictly stable digital section, held as the
+float triple ``(b0, b1, a1)`` of y[t] = b0*u[t] + b1*u[t-1] - a1*y[t-1].
+A net 1/s is the factor 1/(s + p) at p = 0, so it maps the same way, to the
+trapezoid accumulator section (h/2, h/2, -1) that leads the cascade.  A net
+s becomes a central difference taken before the cascade, which needs one
+sample of analytic input lookahead, so it is an offline device by
+construction.
 
 The cascade runs through scipy's compiled second-order-section loop, with
 one row per first-order section, in passes of at most eight rows that each
@@ -61,7 +63,6 @@ from .factored import FactoredModel, multiply_and_simplify
 
 __all__ = [
     "DiscreteFilter",
-    "FilterSection",
     "SimulationResult",
     "discretize",
     "identity_experiment",
@@ -70,17 +71,12 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class FilterSection:
-    """First-order recurrence y[t] = b0*u[t] + b1*u[t-1] - a1*y[t-1]."""
-
-    b0: float
-    b1: float
-    a1: float
-
-
-@dataclass(frozen=True)
 class DiscreteFilter:
-    sections: tuple[FilterSection, ...]
+    """A cascade of first-order sections, each a ``(b0, b1, a1)`` triple
+    for the recurrence y[t] = b0*u[t] + b1*u[t-1] - a1*y[t-1], after an
+    optional central difference."""
+
+    sections: tuple[tuple[float, float, float], ...]
     central_difference: bool
     sample_period: float
 
@@ -101,18 +97,17 @@ def discretize(model: FactoredModel, sample_period: float) -> DiscreteFilter:
         raise DomainError(f"sample period must be finite and > 0, got {sample_period!r}")
     h = float(sample_period)
     c = 2.0 / sample_period
-    sections: list[FilterSection] = []
+    sections = []
     for z, p in model.factors:
-        section = FilterSection((c + z) / (c + p), (z - c) / (c + p), (p - c) / (c + p))
-        sections.extend([section] * model.multiplicity)
+        sections += [((c + z) / (c + p), (z - c) / (c + p), (p - c) / (c + p))] * model.multiplicity
     if sections:
-        first = sections[0]
-        sections[0] = FilterSection(first.b0 * model.gain, first.b1 * model.gain, first.a1)
+        b0, b1, a1 = sections[0]
+        sections[0] = (b0 * model.gain, b1 * model.gain, a1)
     elif model.gain != 1.0:
-        sections.append(FilterSection(model.gain, 0.0, 0.0))
+        sections.append((model.gain, 0.0, 0.0))
     if model.s_exponent == -1:
-        sections.insert(0, FilterSection(h / 2.0, h / 2.0, -1.0))
-    if not all(math.isfinite(x) for s in sections for x in (s.b0, s.b1, s.a1)):
+        sections.insert(0, (h / 2.0, h / 2.0, -1.0))
+    if not all(math.isfinite(x) for section in sections for x in section):
         raise DomainError(f"sample period {h!r} gives a section coefficient that is not finite")
     return DiscreteFilter(tuple(sections), model.s_exponent == 1, h)
 
@@ -137,7 +132,7 @@ def simulate_filter(filt: DiscreteFilter, samples, lookahead: tuple[float, float
         raise ValueError("lookahead is only meaningful with a central difference")
     if not filt.sections:
         return u.copy()
-    rows = np.array([[s.b0, s.b1, 0.0, 1.0, s.a1, 0.0] for s in filt.sections])
+    rows = np.array([(b0, b1, 0.0, 1.0, a1, 0.0) for b0, b1, a1 in filt.sections])
     # With a zero second-order tail each row computes exactly the
     # first-order recurrence; pairing sections into biquads would
     # reassociate it and change results in the last digits.  The kernel

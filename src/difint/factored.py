@@ -119,7 +119,10 @@ def log_response(model: FactoredModel, omegas) -> tuple[np.ndarray, np.ndarray]:
     magnitude is the ``log10`` of the quotient of two ``hypot`` terms,
     which neither overflows nor underflows; only a factor whose corners lie
     more than ``_QUOTIENT_RANGE`` apart takes the difference of the two
-    terms' logs instead, which loses digits to cancellation."""
+    terms' logs instead, which loses digits to cancellation.  Where a
+    frequency or corner exceeds 4e307, both hypot routes take their terms
+    of all of them scaled by 0.25, so that none overflows up to the float
+    maximum."""
     w = checked_omegas(omegas)
     k = model.multiplicity
     term, other = np.empty(w.shape), np.empty(w.shape)
@@ -129,6 +132,10 @@ def log_response(model: FactoredModel, omegas) -> tuple[np.ndarray, np.ndarray]:
         mag_db = mag_db + 20.0 * model.s_exponent * np.log10(w)
         phase = phase + model.s_exponent * (math.pi / 2.0)
     w2 = w * w if _squares_in_range(w, model.factors) else None
+    # A hypot of two terms of ~1.3e308 or more overflows; scaling by a power
+    # of two leaves each quotient of two normal hypot terms unchanged.
+    top = w2 is None and max((w.max(initial=0.0), *model.zeros, *model.poles)) > 4e307
+    hw, scale = (w * 0.25, 0.25) if top else (w, 1.0)
     for z, p in model.factors:
         if w2 is not None:
             np.add(w2, z * z, out=term)
@@ -137,13 +144,13 @@ def log_response(model: FactoredModel, omegas) -> tuple[np.ndarray, np.ndarray]:
             np.log10(term, out=term)
             term *= 10.0 * k
         elif p <= z * _QUOTIENT_RANGE and z <= p * _QUOTIENT_RANGE:
-            np.hypot(w, z, out=term)
-            term /= np.hypot(w, p, out=other)
+            np.hypot(hw, z * scale, out=term)
+            term /= np.hypot(hw, p * scale, out=other)
             np.log10(term, out=term)
             term *= 20.0 * k
         else:
-            np.log10(np.hypot(w, z, out=term), out=term)
-            np.log10(np.hypot(w, p, out=other), out=other)
+            np.log10(np.hypot(hw, z * scale, out=term), out=term)
+            np.log10(np.hypot(hw, p * scale, out=other), out=other)
             term -= other
             term *= 20.0 * k
         mag_db += term

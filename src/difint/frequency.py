@@ -28,7 +28,10 @@ def make_grid(omega_l: float, omega_h: float, count: int) -> np.ndarray:
         raise DomainError(f"grid needs an integer count of at least 2 points, got {count!r}")
     check_band(omega_l, omega_h)
     ratio = omega_h / omega_l
-    points = omega_l * ratio ** (np.arange(count) / (count - 1))
+    # Next to the float maximum the last point, and on a band a few ulps
+    # wide interior ones too, can round past it; none may pass omega_h.
+    with np.errstate(over="ignore"):
+        points = np.minimum(omega_l * ratio ** (np.arange(count) / (count - 1)), omega_h)
     points[0] = omega_l
     points[-1] = omega_h
     return points

@@ -129,6 +129,22 @@ class TestDesignCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: matched gain cannot be represented")
 
+    def test_json_number_rounded_past_the_float_maximum_keeps_all_digits(self, capsys):
+        # At two digits the band edge 1.7976931348623157e308 rounds to
+        # 1.8e308, which reads back as inf and would print as Infinity.
+        code, out, err = run_cli(
+            capsys, "--precision", "2", "design", "-m", "2", "-a", "0.5", "--wl", "1",
+            "--wh", repr(sys.float_info.max), "--n", "4", "--k", "1", "--format", "json",
+        )
+        assert (code, err) == (0, "")
+
+        def reject(constant):
+            raise ValueError(f"non-finite JSON constant {constant}")
+
+        doc = json.loads(out, parse_constant=reject)
+        assert doc["omega_h"] == doc["zeros"][-1] == sys.float_info.max
+        assert doc["poles"][1] == 1.2e88  # every other number keeps two digits
+
     def test_special_offset_accepted(self, capsys):
         code, out, _ = run_cli(
             capsys, "design", "--method", "4", "--alpha", "0.4",
@@ -183,6 +199,11 @@ class TestTableCommand:
         assert len(rows) == 7
         assert all(math.isfinite(float(cell)) for row in rows for cell in row)
         assert max(float(cell) for row in rows for cell in row) > 1e198
+
+    @pytest.mark.parametrize("which", ("1", "2", "3"))
+    def test_explicit_empty_sweep_exits_2(self, capsys, which):
+        code, out, err = run_cli(capsys, "table", "--which", which, "--alphas", "")
+        assert (code, out, err) == (2, "", "error: order sweep must not be empty\n")
 
     @pytest.mark.parametrize("which", ("1", "2", "3"))
     def test_band_with_overflowing_ratio_exits_2(self, capsys, which):
@@ -330,6 +351,35 @@ class TestShiftedBands:
             assert math.isfinite(verdict["numeric_max_deviation"])
             if verdict["structural_pass"]:
                 assert verdict["numeric_max_deviation"] < 1e-12
+
+
+class TestTopOfTheFloatRange:
+    """Bands up to the float maximum, on which two hypot terms of a
+    frequency and a corner would overflow unless log_response scales them."""
+
+    @pytest.mark.parametrize("call", (
+        "bode -m 1 -a 0.3 --wl 1e306 --wh 1.7e308 --points 3",
+        "bode -m 2 -a 0.9 --wl 1e300 --wh 1.5e308 --n 3 --k 2 --kind diff --points 3",
+        "check -m 1 -a 0.5 --wl 1e297 --wh 1.5e308 --n 17 --k 1 --condition ii",
+        "table --which 1 --wl 1e265 --wh 1.5e308 --n 2 --k 1",
+        "table --which 2 --wl 1e300 --wh 1.7e308 --points 5",
+    ))
+    def test_output_is_finite_with_no_warning(self, capsys, call):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, *call.split())
+        assert (code, err, caught) == (0, "", [])
+        if call.startswith("check"):
+
+            def reject(constant):
+                raise ValueError(f"non-finite JSON constant {constant}")
+
+            assert math.isfinite(json.loads(out, parse_constant=reject)["numeric_max_deviation"])
+        elif call.startswith("table --which 1"):
+            assert out.splitlines()[0] == "method  i  ii  iii"
+        else:
+            rows = [line.split(",") for line in out.splitlines()[1:]]
+            assert rows and all(math.isfinite(float(cell)) for row in rows for cell in row)
 
 
 def one_shot_csv(header, columns, precision):

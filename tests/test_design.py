@@ -79,6 +79,15 @@ class TestDesignSpec:
         with pytest.raises(DomainError, match="matched gain cannot be represented"):
             design_pair(spec)
 
+    def test_corner_past_the_float_maximum_is_domain_error(self):
+        # Method 4's special offset at order 0.01, on a band up to the float
+        # maximum, puts a power of ten of the complement order's design
+        # just past it, where ``10.0 ** x`` raises OverflowError.
+        band = (1.0, sys.float_info.max)
+        epsilon = special_epsilon(DesignSpec(4, 0.01, *band, n=1, k=1))
+        with pytest.raises(DomainError, match="a corner of method 4 leaves the float range"):
+            design_pair(DesignSpec(4, 0.99, *band, n=1, k=1, epsilon=epsilon))
+
     def test_rejects_bad_counts(self):
         with pytest.raises(DomainError):
             DesignSpec(1, 0.5, n=0)

@@ -30,7 +30,7 @@ from difint import (
 )
 from difint import discrete
 from difint.design import EXPERIMENTS
-from difint.discrete import DiscreteFilter, FilterSection
+from difint.discrete import DiscreteFilter
 
 
 def reference_simulate(filt, samples, lookahead=None):
@@ -45,8 +45,8 @@ def reference_simulate(filt, samples, lookahead=None):
         y = (extended[2:] - extended[:-2]) / (2.0 * filt.sample_period)
     else:
         y = u.copy()
-    for section in filt.sections:
-        y = lfilter([section.b0, section.b1], [1.0, section.a1], y)
+    for b0, b1, a1 in filt.sections:
+        y = lfilter([b0, b1], [1.0, a1], y)
     return y
 
 
@@ -66,10 +66,10 @@ def assert_bitwise_reference(model, h=0.001, counts=(1, 2, 1000, 10000)):
 class TestDiscretize:
     def test_section_coefficients_are_exact_rationals(self):
         filt = discretize(FactoredModel(1.0, 0, 1, ((1.0, 2.0),)), 0.001)
-        section = filt.sections[0]
-        assert section.b0 == pytest.approx(2001.0 / 2002.0, rel=1e-15)
-        assert section.b1 == pytest.approx(-1999.0 / 2002.0, rel=1e-15)
-        assert section.a1 == pytest.approx(-1998.0 / 2002.0, rel=1e-15)
+        b0, b1, a1 = filt.sections[0]
+        assert b0 == pytest.approx(2001.0 / 2002.0, rel=1e-15)
+        assert b1 == pytest.approx(-1999.0 / 2002.0, rel=1e-15)
+        assert a1 == pytest.approx(-1998.0 / 2002.0, rel=1e-15)
         assert filt.central_difference is False
 
     def test_multiplicity_repeats_sections(self):
@@ -77,11 +77,11 @@ class TestDiscretize:
         assert len(filt.sections) == 4
 
     def test_net_s_powers(self):
-        accumulator = FilterSection(0.05, 0.05, -1.0)  # Tustin map of 1/(s + 0)
+        accumulator = (0.05, 0.05, -1.0)  # Tustin map of 1/(s + 0)
         assert discretize(FactoredModel(1.0, -1), 0.1) == DiscreteFilter((accumulator,), False, 0.1)
         assert discretize(FactoredModel(1.0, 1), 0.1) == DiscreteFilter((), True, 0.1)
         assert discretize(FactoredModel(1.0, 0), 0.1) == DiscreteFilter((), False, 0.1)
-        static_gain = FilterSection(2.0, 0.0, 0.0)
+        static_gain = (2.0, 0.0, 0.0)
         assert discretize(FactoredModel(2.0, 0), 0.1) == DiscreteFilter((static_gain,), False, 0.1)
 
     @pytest.mark.parametrize("kappa", range(1, 8))
@@ -96,7 +96,7 @@ class TestDiscretize:
             filt = discretize(model, h)
             factors = discretize(FactoredModel(model.gain, 0, model.multiplicity, model.factors), h)
             if model.s_exponent == -1:
-                assert filt.sections == (FilterSection(h / 2.0, h / 2.0, -1.0),) + factors.sections
+                assert filt.sections == ((h / 2.0, h / 2.0, -1.0),) + factors.sections
             else:
                 assert filt.sections == factors.sections
             assert filt.central_difference is (model.s_exponent == 1)
@@ -126,9 +126,9 @@ class TestDiscretize:
             sections = discretize(model, 0.001).sections
             if model.s_exponent == -1:
                 # Only the leading accumulator of 1/s sits on the unit circle.
-                assert sections[0].a1 == -1.0
+                assert sections[0][2] == -1.0
                 sections = sections[1:]
-            assert all(abs(s.a1) < 1.0 for s in sections)
+            assert all(abs(a1) < 1.0 for _, _, a1 in sections)
 
 
 class TestSimulateFilter:
@@ -231,7 +231,7 @@ def public_sosfilt(filt, samples, lookahead=None):
     from scipy.signal import sosfilt
 
     u = np.asarray(samples, dtype=float)
-    rows = [[s.b0, s.b1, 0.0, 1.0, s.a1, 0.0] for s in filt.sections]
+    rows = [[b0, b1, 0.0, 1.0, a1, 0.0] for b0, b1, a1 in filt.sections]
     if filt.central_difference:
         pre, post = lookahead
         extended = np.concatenate(([pre], u, [post]))
@@ -243,7 +243,7 @@ def with_head(sections, head, h):
     """``sections`` as a filter with the given head: none, the accumulator
     section of 1/s in front, or a central difference."""
     if head == "accumulator":
-        sections = (FilterSection(h / 2.0, h / 2.0, -1.0),) + sections
+        sections = ((h / 2.0, h / 2.0, -1.0),) + sections
     return DiscreteFilter(sections, head == "central_difference", h)
 
 
@@ -251,7 +251,7 @@ def random_cascade(rng, head):
     """A seeded stable cascade of 1..130 sections and an input of 1..60k
     samples, some of them signed zeros."""
     sections = tuple(
-        FilterSection(float(rng.normal()), float(rng.normal()), float(rng.uniform(-0.999, 0.999)))
+        (float(rng.normal()), float(rng.normal()), float(rng.uniform(-0.999, 0.999)))
         for _ in range(int(rng.integers(1, 131)))
     )
     count = int(rng.integers(1, 60_001))
@@ -283,7 +283,7 @@ class TestCompiledKernel:
     @pytest.mark.parametrize("sections, count", [(1, 1), (130, 1), (1, 60_000), (130, 60_000)])
     def test_extreme_sizes_are_bitwise_public_sosfilt(self, head, sections, count):
         rng = np.random.default_rng(sections + count)
-        section = FilterSection(0.3, -0.2, -0.95)
+        section = (0.3, -0.2, -0.95)
         filt = with_head((section,) * sections, head, 0.001)
         u = rng.normal(size=count)
         lookahead = (0.1, -0.1) if head == "central_difference" else None
@@ -314,7 +314,7 @@ def edge_cascade(head, sections):
     rng = np.random.default_rng([sections, HEADS.index(head)])
     h = 0.001
     body = tuple(
-        FilterSection(float(rng.normal()), float(rng.normal()), float(rng.uniform(-0.99, 0.99)))
+        (float(rng.normal()), float(rng.normal()), float(rng.uniform(-0.99, 0.99)))
         for _ in range(sections - (head == "accumulator"))
     )
     u = rng.normal(size=5000)
@@ -362,10 +362,10 @@ class TestKernelPasses:
 _IMPORT_ORDER_PROBE = """
 import hashlib, json, sys
 import numpy as np
-from difint.discrete import DiscreteFilter, FilterSection, simulate_filter
+from difint.discrete import DiscreteFilter, simulate_filter
 
-accumulator = FilterSection(0.005, 0.005, -1.0)
-filt = DiscreteFilter((accumulator,) + (FilterSection(0.7, -0.4, -0.9),) * 12, False, 0.01)
+accumulator = (0.005, 0.005, -1.0)
+filt = DiscreteFilter((accumulator,) + ((0.7, -0.4, -0.9),) * 12, False, 0.01)
 u = np.sin(np.arange(5000) * 0.01)
 rows = np.array([[0.005, 0.005, 0.0, 1.0, -1.0, 0.0]] + [[0.7, -0.4, 0.0, 1.0, -0.9, 0.0]] * 12)
 
@@ -1255,9 +1255,9 @@ class TestSimulationResultNorms:
 _FIRST_LOAD_RACE_PROBE = """
 import threading
 import numpy as np
-from difint.discrete import DiscreteFilter, FilterSection, simulate_filter
+from difint.discrete import DiscreteFilter, simulate_filter
 
-filt = DiscreteFilter((FilterSection(0.7, -0.4, -0.9),) * 3, False, 0.01)
+filt = DiscreteFilter(((0.7, -0.4, -0.9),) * 3, False, 0.01)
 barrier = threading.Barrier(2)
 errors = []
 

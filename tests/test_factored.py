@@ -219,12 +219,18 @@ class TestBandPlacement:
         (2, 0.3, (1e-154, 1e154), 1, 1),
         (4, 0.7, (1e-300, 1e7), 1, 1),
         (2, 0.3, (1e-100, 1e100), 1, 1),  # in range, but corners 1e200 apart
+        # Up to the float maximum, where the hypot routes scale by 0.25.
+        (1, 0.3, (1e306, 1.7e308), 8, 2),
+        (2, 0.7, (1e290, 1.5e308), 8, 1),
+        (7, 0.3, (1e200, 1.79e308), 8, 2),
     ))
     def test_matches_mpmath_off_the_squared_range(self, kappa, alpha, band, n, k):
         # Measured worst case over methods 1..7, orders 0.3 and 0.7, both
         # kinds and 40 points on each of these bands: 1.8e-12 dB and 8.5e-14
         # degrees, on magnitudes of up to ~3000 dB (6.8e-12 dB while the
-        # hypot route subtracted two logs).
+        # hypot route subtracted two logs).  On the three bands up to the
+        # float maximum, over methods 1, 2, 5, 6 and 7, k 1..2 and n = 8:
+        # 2.7e-12 dB and 7.1e-14 degrees.
         grid = make_grid(*band, 9)
         pair = design_pair(DesignSpec(kappa, alpha, *band, n=n, k=k))
         for model in (pair.integrator, pair.differentiator):

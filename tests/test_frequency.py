@@ -63,6 +63,16 @@ class TestMakeGrid:
         assert grid[0] == sys.float_info.min and grid[-1] == 1.0
         assert np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0.0)
 
+    @pytest.mark.parametrize("low", (9.723530853358486, 1e300, 1.7976931348623e308))
+    def test_accepts_the_float_maximum_as_upper_edge(self, low):
+        # omega_l * ratio rounds past the float maximum, and on the last
+        # band, 1.2e-14 relative wide, so do 12 interior points: no overflow
+        # warning (an error under this suite's filter), no inf point, and
+        # the edges are kept exactly.
+        grid = make_grid(low, sys.float_info.max, 1000)
+        assert grid[0] == low and grid[-1] == sys.float_info.max
+        assert np.all(np.isfinite(grid)) and np.all(np.diff(grid) >= 0.0)
+
     @pytest.mark.parametrize("count", (2.5, 3.0, True, "3"))
     def test_rejects_non_integral_count(self, count):
         with pytest.raises(DomainError):

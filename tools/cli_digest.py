@@ -41,7 +41,9 @@ sections, and table 1 and ``check`` of methods 2 and 4 on a band below
 2 and 4 at n = 1 and k = 103, whose matched gain's reciprocal overflows,
 and ``check`` and ``simulate`` of methods 2 and 4 at order 0.5, n = 1 and
 k = 2 on the band 1e-154..1e154, whose law products' gains leave the
-float range; every call runs at ``--precision 9`` and 17.  The ``--output``
+float range, and ``bode``, ``check`` and tables 1 and 2 on bands up to
+the float maximum, and tables 1 and 2 given an empty order sweep; every
+call runs at ``--precision 9`` and 17.  The ``--output``
 calls are a 10k-point ``bode``, a many-block ``simulate --experiment all``
 and one call per error exit code (2, 3, 4).
 
@@ -139,6 +141,19 @@ PRODUCT_GAIN_CALLS = [f"{command} -m {method} {PRODUCT_GAIN_ARGS}{special}"
                       for method, special in ((2, ""), (4, " --eps-special"))
                       for command in ("check", "simulate")]
 
+# Bands up to the float maximum, on which two hypot terms of a frequency
+# and a corner would overflow unless log_response scales them down.
+TOP_OF_RANGE_CALLS = [
+    "bode -m 1 -a 0.3 --wl 1e306 --wh 1.7e308 --points 3",
+    "bode -m 2 -a 0.9 --wl 1e300 --wh 1.5e308 --n 3 --k 2 --kind diff --points 3",
+    "check -m 1 -a 0.5 --wl 1e297 --wh 1.5e308 --n 17 --k 1 --condition ii",
+    "table --which 1 --wl 1e265 --wh 1.5e308 --n 2 --k 1",
+    "table --which 2 --wl 1e300 --wh 1.7e308 --points 5",
+]
+
+# An explicit empty order sweep, which is rejected, not read as the default.
+EMPTY_SWEEP_CALLS = ["table --which 1 --alphas ''", "table --which 2 --alphas ''"]
+
 
 def _offsets(method: int, k: int) -> list[str]:
     if method not in OFFSET_METHODS:
@@ -231,6 +246,8 @@ def _calls() -> list[str]:
     calls += HUGE_OPERAND_CALLS
     calls += TINY_GAIN_CALLS
     calls += PRODUCT_GAIN_CALLS
+    calls += TOP_OF_RANGE_CALLS
+    calls += EMPTY_SWEEP_CALLS
     return calls
 
 
