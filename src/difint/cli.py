@@ -35,6 +35,9 @@ from .factored import log_response
 _TABLE_SWEEP_ALPHAS = [a / 10.0 for a in range(1, 10)]
 _MATRIX_ALPHAS = [0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.8, 0.9]
 _BLOCK_ROWS = 4096  # CSV rows formatted and written per chunk
+# The most significant digits of a double's exact decimal form: no larger
+# --precision prints another digit.
+_MAX_PRECISION = 767
 _KINDS = {"int": INTEGRATOR, "diff": DIFFERENTIATOR}  # by --kind
 # Exit codes of the errors a command raises; any other ValueError exits 2.
 _EXIT_CODES = {EpsilonRangeError: 3, NotRealizableError: 4}
@@ -151,13 +154,15 @@ def _designed(args):
 
 
 def _fmt(value: float, precision: int) -> str:
-    return format(float(value) + 0.0, f".{precision}g")  # +0.0 folds away -0
+    value = float(value) + 0.0  # +0.0 folds away -0
+    text = format(value, f".{precision}g")
+    # A value next to the float maximum can round past it at few digits;
+    # it keeps 17, which read back as itself.
+    return text if abs(float(text)) <= sys.float_info.max else format(value, ".17g")
 
 
 def _jnum(value: float, precision: int) -> float:
-    # A value next to the float maximum can round past it at few digits.
-    rounded = float(_fmt(value, precision))
-    return rounded if abs(rounded) <= sys.float_info.max else float(value)
+    return float(_fmt(value, precision))
 
 
 def _csv(header: list[str], columns, precision: int) -> Iterator[str]:
@@ -175,18 +180,26 @@ def _csv_rows(columns, precision: int, prefix: str = "") -> Iterator[str]:
     Each row starts with the literal ``prefix``.  Each block of a numeric
     column is converted to Python floats once and each row is rendered by
     one ``%`` template, which prints numbers exactly as :func:`_fmt` does.
+    Only a value of at least 1e308 can round past the float maximum, so
+    only a block of a column that holds one is printed cell by cell through
+    :func:`_fmt`.
     """
     numeric = [not (len(column) and isinstance(column[0], str)) for column in columns]
-    row = prefix.replace("%", "%%") + ",".join(
-        f"%.{precision}g" if is_number else "%s" for is_number in numeric)
     count = min((len(column) for column in columns), default=0)
     for start in range(0, count, _BLOCK_ROWS):
         block = slice(start, start + _BLOCK_ROWS)
-        cells = [
-            (np.asarray(column[block], dtype=float) + 0.0).tolist()  # +0.0 folds away -0
-            if is_number else column[block]
-            for column, is_number in zip(columns, numeric)
-        ]
+        cells, specs = [], []
+        for column, is_number in zip(columns, numeric):
+            values, spec = column[block], "%s"
+            if is_number:
+                values = np.asarray(values, dtype=float) + 0.0  # +0.0 folds away -0
+                if np.any(abs(values) >= 1e308):
+                    values = [_fmt(value, precision) for value in values.tolist()]
+                else:
+                    values, spec = values.tolist(), f"%.{precision}g"
+            cells.append(values)
+            specs.append(spec)
+        row = prefix.replace("%", "%%") + ",".join(specs)
         yield "\n".join(row % values for values in zip(*cells)) + "\n"
 
 
@@ -207,7 +220,7 @@ def cmd_design(args) -> Iterable[str]:
         payload = {
             "method": spec.kappa,
             "kind": kind,
-            "branch": spec.branch.value,
+            "branch": spec.branch,
             "alpha": _jnum(spec.alpha, p),
             "omega_l": _jnum(spec.omega_l, p),
             "omega_h": _jnum(spec.omega_h, p),
@@ -218,7 +231,7 @@ def cmd_design(args) -> Iterable[str]:
         payload.update(_model_json(model, p))
         return [json.dumps(payload, indent=2) + "\n"]
     lines = [
-        f"method={spec.kappa} kind={kind} branch={spec.branch.value}",
+        f"method={spec.kappa} kind={kind} branch={spec.branch}",
         f"alpha={_fmt(spec.alpha, p)} omega_l={_fmt(spec.omega_l, p)} "
         f"omega_h={_fmt(spec.omega_h, p)} n={spec.n} k={model.multiplicity}"
         + ("" if spec.epsilon is None else f" epsilon={_fmt(spec.epsilon, p)}"),
@@ -397,6 +410,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.precision < 0:
             parser.error(f"argument --precision: must be >= 0, got {args.precision}")
+        if args.precision > _MAX_PRECISION:
+            parser.error(f"argument --precision: must be <= {_MAX_PRECISION}, "
+                         f"got {args.precision}")
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

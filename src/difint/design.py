@@ -27,10 +27,10 @@ swapped) sit on method 1's low-branch grid at k = 1.
 
 from __future__ import annotations
 
-import enum
 import math
 import sys
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .errors import DomainError, EpsilonRangeError
 from .factored import FactoredModel, is_count, reciprocal
@@ -38,7 +38,6 @@ from .factored import FactoredModel, is_count, reciprocal
 __all__ = [
     "METHODS",
     "OFFSET_METHODS",
-    "Branch",
     "DesignSpec",
     "DesignedPair",
     "design_integrator",
@@ -84,13 +83,6 @@ def check_band(omega_l: float, omega_h: float) -> None:
             f"band edge omega_l must be at least {sys.float_info.min!r} "
             f"(the smallest normal float), got {omega_l!r}"
         )
-
-
-class Branch(enum.Enum):
-    """Which side of the alpha = 0.5 structure switch a design sits on."""
-
-    LOW_ORDER = "low"  # 0 < alpha <= 0.5: biproper factor chain
-    HIGH_ORDER = "high"  # 0.5 < alpha < 1: 1/s times a factor chain
 
 
 @dataclass(frozen=True)
@@ -164,12 +156,14 @@ class DesignSpec:
         return self.alpha if self.alpha <= 0.5 else 1.0 - self.alpha
 
     @property
-    def branch(self) -> Branch:
-        return Branch.LOW_ORDER if self.alpha <= 0.5 else Branch.HIGH_ORDER
+    def branch(self) -> str:
+        """Which side of the alpha = 0.5 structure switch the design sits
+        on: ``"low"`` up to 0.5, a biproper factor chain, and ``"high"``
+        above, 1/s times a factor chain."""
+        return "low" if self.alpha <= 0.5 else "high"
 
 
-@dataclass(frozen=True)
-class DesignedPair:
+class DesignedPair(NamedTuple):
     """An integrator approximant and its companion differentiator."""
 
     integrator: FactoredModel
@@ -291,7 +285,7 @@ def _piecewise_integrator(spec: DesignSpec) -> FactoredModel:
         _checked_epsilon(spec)
     k = spec.k
     try:
-        if spec.branch is Branch.LOW_ORDER:
+        if spec.branch == "low":
             zeros, poles = _low_branch_corners(spec, spec.kappa, k)
             power, s_exponent = -spec.alpha, 0
         else:

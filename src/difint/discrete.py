@@ -52,8 +52,8 @@ import math
 import os
 import sys
 import threading
-from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,8 +70,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DiscreteFilter:
+class DiscreteFilter(NamedTuple):
     """A cascade of first-order sections, each a ``(b0, b1, a1)`` triple
     for the recurrence y[t] = b0*u[t] + b1*u[t-1] - a1*y[t-1], after an
     optional central difference."""
@@ -201,8 +200,7 @@ def _sosfilt_kernel():
     return module._sosfilt
 
 
-@dataclass(frozen=True)
-class SimulationResult:
+class SimulationResult(NamedTuple):
     """One identity experiment: sampled signals and unweighted error norms.
 
     ``time``, ``input_signal`` and ``exact`` are the experiment's time base,

@@ -23,15 +23,23 @@ __all__ = [
 
 
 def make_grid(omega_l: float, omega_h: float, count: int) -> np.ndarray:
-    """Log-uniform frequency grid spanning [omega_l, omega_h] inclusive."""
+    """Log-uniform frequency grid spanning [omega_l, omega_h] inclusive.
+
+    Raises :class:`DomainError` for a count of more points than can be
+    allocated."""
     if not is_count(count) or count < 2:
         raise DomainError(f"grid needs an integer count of at least 2 points, got {count!r}")
     check_band(omega_l, omega_h)
     ratio = omega_h / omega_l
     # Next to the float maximum the last point, and on a band a few ulps
     # wide interior ones too, can round past it; none may pass omega_h.
-    with np.errstate(over="ignore"):
-        points = np.minimum(omega_l * ratio ** (np.arange(count) / (count - 1)), omega_h)
+    # numpy raises MemoryError for arrays it cannot get and ValueError for
+    # sizes past its own limit.
+    try:
+        with np.errstate(over="ignore"):
+            points = np.minimum(omega_l * ratio ** (np.arange(count) / (count - 1)), omega_h)
+    except (MemoryError, ValueError) as exc:
+        raise DomainError(f"a grid of {count} points is too long to allocate") from exc
     points[0] = omega_l
     points[-1] = omega_h
     return points

@@ -19,12 +19,12 @@ complex product, so a band far from 1 rad/s cannot overflow it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .design import CONDITIONS, METHODS, DesignSpec, law_operands
-from .errors import ShapeError
+from .errors import DomainError, ShapeError
 from .factored import FactoredModel, complex_from_log, frequency_response, multiply_and_simplify
 from .frequency import make_grid
 
@@ -47,8 +47,7 @@ GAIN_TOL = 1e-10
 GRID_COUNT = 1000
 
 
-@dataclass(frozen=True)
-class IdentityVerdict:
+class IdentityVerdict(NamedTuple):
     condition: str
     structural_pass: bool
     numeric_max_deviation: float
@@ -129,10 +128,10 @@ def associativity_table(
     """
     alphas = [float(a) for a in alphas]
     if not alphas:
-        raise ValueError("order sweep must not be empty")
+        raise DomainError("order sweep must not be empty")
     for a in alphas:
         if not (0.0 < a < 1.0) or a == 0.5:
-            raise ValueError(f"orders must lie in (0, 0.5) or (0.5, 1), got {a!r}")
+            raise DomainError(f"orders must lie in (0, 0.5) or (0.5, 1), got {a!r}")
     table = np.ones((len(METHODS), len(CONDITIONS)), dtype=bool)
     grid = make_grid(omega_l, omega_h, GRID_COUNT)
     for row, kappa in enumerate(METHODS):

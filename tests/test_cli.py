@@ -14,6 +14,7 @@ import pytest
 
 from difint import identity_experiment
 from difint.cli import _BLOCK_ROWS, _csv, _fmt, main
+from test_cli_digest import NUMBER
 
 EXPECTED_MATRIX_TEXT = (
     "method  i  ii  iii\n"
@@ -129,21 +130,20 @@ class TestDesignCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: matched gain cannot be represented")
 
-    def test_json_number_rounded_past_the_float_maximum_keeps_all_digits(self, capsys):
-        # At two digits the band edge 1.7976931348623157e308 rounds to
-        # 1.8e308, which reads back as inf and would print as Infinity.
-        code, out, err = run_cli(
-            capsys, "--precision", "2", "design", "-m", "2", "-a", "0.5", "--wl", "1",
-            "--wh", repr(sys.float_info.max), "--n", "4", "--k", "1", "--format", "json",
-        )
+    # At few digits the band edge 1.7976931348623157e308 rounds to 2e308 or
+    # 1.8e308, which reads back as inf, and in JSON would print as Infinity.
+    @pytest.mark.parametrize("call", (
+        "--precision 0 design -m 2 -a 0.1 --wl 1 --wh {top} --n 9 --k 5 --kind diff",
+        "--precision 2 design -m 2 -a 0.5 --wl 1 --wh {top} --n 4 --k 1 --format json",
+        "--precision 3 bode -m 1 -a 0.3 --wl 1e300 --wh {top} --points 3",
+        "--precision 0 circuit -m 1 -a 0.3 --k 1 --wl 1e300 --wh {top}",
+    ))
+    def test_number_rounded_past_the_float_maximum_keeps_17_digits(self, capsys, call):
+        code, out, err = run_cli(capsys, *call.format(top=repr(sys.float_info.max)).split())
         assert (code, err) == (0, "")
-
-        def reject(constant):
-            raise ValueError(f"non-finite JSON constant {constant}")
-
-        doc = json.loads(out, parse_constant=reject)
-        assert doc["omega_h"] == doc["zeros"][-1] == sys.float_info.max
-        assert doc["poles"][1] == 1.2e88  # every other number keeps two digits
+        numbers = [float(number) for number in NUMBER.findall(out)]
+        assert all(math.isfinite(number) for number in numbers)
+        assert sys.float_info.max in numbers
 
     def test_special_offset_accepted(self, capsys):
         code, out, _ = run_cli(
@@ -411,6 +411,16 @@ class TestCsv:
         ]
         assert text == "\n".join(expected) + "\n"
 
+    @pytest.mark.parametrize("precision", [0, 3, 9, 17])
+    def test_blocks_below_and_past_1e308_print_as_fmt(self, precision):
+        # The first block holds no value of 1e308 or more and is printed by
+        # the row template, the second holds some and is printed cell by cell.
+        values = np.full(_BLOCK_ROWS + 4, 1.5)
+        values[:6] = [-0.0, 1.0 / 3.0, -2.5e-300, 1e300, float("nan"), 5e-324]
+        values[-4:] = [sys.float_info.max, -1.75e308, float("inf"), 0.25]
+        text = "".join(_csv(["value"], [values], precision))
+        assert text == "value\n" + "".join(f"{_fmt(v, precision)}\n" for v in values)
+
     def test_no_rows_prints_the_header(self):
         assert "".join(_csv(["a", "b"], [[], np.array([])], 9)) == "a,b\n"
 
@@ -575,6 +585,15 @@ class TestCircuitCommand:
 
 
 class TestCliBehavior:
+    # numpy refuses both counts outright: the first needs about 711 PiB,
+    # the second is past its own size limit.
+    @pytest.mark.parametrize("count", ("100000000000000000", "100000000000000000000"))
+    @pytest.mark.parametrize("command", ("bode -m 1 -a 0.3", "table --which 2"))
+    def test_a_grid_too_long_to_allocate_exits_2(self, capsys, command, count):
+        code, out, err = run_cli(capsys, *command.split(), "--points", count)
+        assert (code, out) == (2, "")
+        assert err == f"error: a grid of {count} points is too long to allocate\n"
+
     def test_byte_identical_reruns(self, capsys):
         argv = ("table", "--which", "2", "--points", "500")
         _, first, _ = run_cli(capsys, *argv)
@@ -642,6 +661,28 @@ class TestCliBehavior:
         code, out, err = run_cli(capsys, "--precision", "-1", "bode", "-m", "1", "-a", "0.4")
         assert code == 2 and out == ""
         assert "--precision: must be >= 0" in err
+
+    PRECISION_CALLS = ("bode -m 1 -a 0.3 --points 3", "simulate -m 1 -a 0.3 --T 0.01",
+                       "table --which 2 --points 3")
+
+    @pytest.mark.parametrize("call", PRECISION_CALLS)
+    @pytest.mark.parametrize("to_file", (False, True), ids=("stdout", "file"))
+    def test_precision_past_the_digits_of_a_double_is_invalid(self, capsys, tmp_path, call,
+                                                              to_file):
+        target = tmp_path / "out.csv"
+        output = ("--output", str(target)) if to_file else ()
+        code, out, err = run_cli(capsys, *output, "--precision", str(10**10), *call.split())
+        assert (code, out) == (2, "")
+        assert err.endswith("error: argument --precision: must be <= 767, got 10000000000\n")
+        assert not target.exists()
+
+    @pytest.mark.parametrize("call", PRECISION_CALLS)
+    def test_precision_767_prints_every_digit(self, capsys, call):
+        code, out, err = run_cli(capsys, "--precision", "767", *call.split())
+        assert (code, err) == (0, "")
+        _, full, _ = run_cli(capsys, "--precision", "17", *call.split())
+        # Every number reads back as the one printed at 17 digits.
+        assert [float(x) for x in NUMBER.findall(out)] == [float(x) for x in NUMBER.findall(full)]
 
     def test_precision_flag_controls_digits(self, capsys):
         code, out, _ = run_cli(

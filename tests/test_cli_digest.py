@@ -21,6 +21,12 @@ TOOLS = Path(__file__).resolve().parents[1] / "tools"
 NONFINITE = re.compile("|".join(rf"{word[0]}(?<![\w.]{word[0]}){word[1:]}(?![\w.])"
                                 for word in ("nan", "inf", "NaN", "Infinity")))
 
+# A number as the command line writes it, the non-finite words included,
+# with neither a word character nor a dot on either side, so that names
+# such as ``R1`` and ``mag_inf_db`` do not match.
+NUMBER = re.compile(r"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+                    r"|nan|inf|NaN|Infinity)(?![\w.])")
+
 # A warning as the digest writes it to stderr: ``Category: message``.
 WARNING = re.compile(r"^\w*Warning: ", re.M)
 

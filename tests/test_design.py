@@ -9,7 +9,6 @@ import pytest
 
 from conftest import reference_spec
 from difint import (
-    Branch,
     DesignSpec,
     DomainError,
     EpsilonRangeError,
@@ -110,9 +109,9 @@ class TestDesignSpec:
         assert spec.omega_m == pytest.approx(1.0)
         assert spec.nu == pytest.approx(0.3)
         assert DesignSpec(1, 0.8).nu == pytest.approx(0.2)
-        assert spec.branch is Branch.LOW_ORDER
-        assert DesignSpec(1, 0.5).branch is Branch.LOW_ORDER
-        assert DesignSpec(1, 0.51).branch is Branch.HIGH_ORDER
+        assert spec.branch == "low"
+        assert DesignSpec(1, 0.5).branch == "low"
+        assert DesignSpec(1, 0.51).branch == "high"
 
     @pytest.mark.parametrize("alpha", (1e-300, 1e-20, 1e-10, 0.1, 0.25, 0.3, 0.5))
     def test_folded_order_is_exact(self, alpha):

@@ -81,6 +81,13 @@ class TestMakeGrid:
     def test_accepts_numpy_integer_count(self):
         np.testing.assert_array_equal(make_grid(1.0, 10.0, np.int64(5)), make_grid(1.0, 10.0, 5))
 
+    # numpy refuses both counts outright: the first needs about 711 PiB,
+    # the second is past its own size limit.
+    @pytest.mark.parametrize("count", (10**17, 10**20))
+    def test_rejects_a_count_too_long_to_allocate(self, count):
+        with pytest.raises(DomainError, match=f"^a grid of {count} points is too long to allocate$"):
+            make_grid(1.0, 10.0, count)
+
 
 class TestExactResponse:
     def test_half_order_integrator_at_one(self):

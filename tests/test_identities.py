@@ -153,12 +153,13 @@ class TestAssociativityTable:
         assert len(products) == 4 * 24 + 3 + 3 + (3 + 7)
 
     def test_rejects_empty_sweep(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match="^order sweep must not be empty$"):
             associativity_table([])
 
-    def test_rejects_singular_order(self):
-        with pytest.raises(ValueError):
-            associativity_table([0.3, 0.5])
+    @pytest.mark.parametrize("alpha", (0.5, 0.0, 1.0, -0.5))
+    def test_rejects_singular_order(self, alpha):
+        with pytest.raises(DomainError, match=r"^orders must lie in \(0, 0.5\) or \(0.5, 1\)"):
+            associativity_table([0.3, alpha])
 
 
 class TestLawOperands:

@@ -42,7 +42,8 @@ sections, and table 1 and ``check`` of methods 2 and 4 on a band below
 and ``check`` and ``simulate`` of methods 2 and 4 at order 0.5, n = 1 and
 k = 2 on the band 1e-154..1e154, whose law products' gains leave the
 float range, and ``bode``, ``check`` and tables 1 and 2 on bands up to
-the float maximum, and tables 1 and 2 given an empty order sweep; every
+the float maximum, and tables 1 and 2 given an empty order sweep, and
+``bode`` and table 2 on a grid of 1e17 points, too long to allocate; every
 call runs at ``--precision 9`` and 17.  The ``--output``
 calls are a 10k-point ``bode``, a many-block ``simulate --experiment all``
 and one call per error exit code (2, 3, 4).
@@ -154,6 +155,10 @@ TOP_OF_RANGE_CALLS = [
 # An explicit empty order sweep, which is rejected, not read as the default.
 EMPTY_SWEEP_CALLS = ["table --which 1 --alphas ''", "table --which 2 --alphas ''"]
 
+# A frequency grid that numpy refuses outright (about 711 PiB), which is rejected.
+HUGE_GRID_CALLS = ["bode -m 1 -a 0.3 --points 100000000000000000",
+                   "table --which 2 --points 100000000000000000"]
+
 
 def _offsets(method: int, k: int) -> list[str]:
     if method not in OFFSET_METHODS:
@@ -248,6 +253,7 @@ def _calls() -> list[str]:
     calls += PRODUCT_GAIN_CALLS
     calls += TOP_OF_RANGE_CALLS
     calls += EMPTY_SWEEP_CALLS
+    calls += HUGE_GRID_CALLS
     return calls
 
 
