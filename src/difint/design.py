@@ -85,6 +85,13 @@ def check_band(omega_l: float, omega_h: float) -> None:
         )
 
 
+# Both ends get an ulp-scale allowance: nu(alpha) and nu(1 - alpha) differ
+# in their last bits, so an offset admissible at one order must stay
+# admissible at the complement order, which the composition laws design.
+# The exclusive lower end moves down by it, the inclusive upper end up.
+_EPSILON_SLACK = 1e-12
+
+
 @dataclass(frozen=True)
 class DesignSpec:
     """Complete input to a designer.
@@ -92,9 +99,10 @@ class DesignSpec:
     ``kappa`` selects the method (1..4 piecewise designs, 5..7 benchmark
     baselines).  ``epsilon`` (dB) is taken by the ``OFFSET_METHODS`` 3 and
     4 only, and an offset on any other method is a :class:`DomainError`.
-    It must lie in the interval returned by :func:`epsilon_bounds`;
-    designing checks it.  An omitted offset of method 3 or 4 is the special
-    one of :func:`special_epsilon`, filled in at construction.  The band, ``n``
+    An omitted offset of method 3 or 4 is the special one of
+    :func:`special_epsilon`, filled in at construction, and the offset must
+    lie in the interval returned by :func:`epsilon_bounds`, which
+    construction checks: :class:`EpsilonRangeError`.  The band, ``n``
     and ``k`` default to the reference setting of the benchmark tables,
     which the sweeps, the law matrix and the command line read from here.
     """
@@ -122,8 +130,14 @@ class DesignSpec:
                 raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "k", int(self.k))
-        if self.kappa in OFFSET_METHODS and self.epsilon is None:
-            object.__setattr__(self, "epsilon", special_epsilon(self))
+        if self.kappa in OFFSET_METHODS:
+            if self.epsilon is None:
+                object.__setattr__(self, "epsilon", special_epsilon(self))
+            lower, upper = epsilon_bounds(self)
+            # Written as "not inside" so that a NaN offset, which fails every
+            # comparison, is rejected too.
+            if not lower * (1.0 - _EPSILON_SLACK) < self.epsilon <= upper * (1.0 + _EPSILON_SLACK):
+                raise EpsilonRangeError(self.epsilon, lower, upper)
 
     def complement(self) -> "DesignSpec":
         """This spec at the complement order ``1 - alpha``; every other
@@ -173,7 +187,7 @@ class DesignedPair(NamedTuple):
 def epsilon_bounds(spec: DesignSpec) -> tuple[float, float]:
     """Nominal ``(lower, upper]`` interval for the ripple offset (dB).
 
-    The check widens both ends by the relative ``_EPSILON_SLACK``, so
+    A spec's check widens both ends by the relative ``_EPSILON_SLACK``, so
     ``lower`` itself is admitted and only offsets at or below
     ``lower * (1 - 1e-12)`` or above ``upper * (1 + 1e-12)`` are rejected.
     Only methods 3 and 4 take an offset; anything else is a usage error.
@@ -201,23 +215,6 @@ def special_epsilon(spec: DesignSpec) -> float:
         return epsilon_bounds(spec)[1]
     nu, k, n = spec.nu, spec.k, spec.n
     return 10.0 * nu * (k - nu) / (k * n) * math.log10(spec.omega_h / spec.omega_l)
-
-
-# Both ends get an ulp-scale allowance: nu(alpha) and nu(1 - alpha) differ
-# in their last bits, so an offset admissible at one order must stay
-# admissible at the complement order, which the composition laws design.
-# The exclusive lower end moves down by it, the inclusive upper end up.
-_EPSILON_SLACK = 1e-12
-
-
-def _checked_epsilon(spec: DesignSpec) -> float:
-    lower, upper = epsilon_bounds(spec)
-    eps = spec.epsilon
-    # Written as "not inside" so that a NaN offset, which fails every
-    # comparison, is rejected too.
-    if not lower * (1.0 - _EPSILON_SLACK) < eps <= upper * (1.0 + _EPSILON_SLACK):
-        raise EpsilonRangeError(eps, lower, upper)
-    return eps
 
 
 def _matched_gain(zeros, poles, k: int, omega_m: float, power: float) -> float:
@@ -249,7 +246,8 @@ def _low_branch_corners(spec: DesignSpec, kappa: int, k: int):
     multiplicity ``k``, as ``(zeros, poles)``; the pole of each pair leads
     its zero.
 
-    Methods 3 and 4 read ``spec.epsilon``, which the caller has checked.
+    Methods 3 and 4 read ``spec.epsilon``, which the spec checked when it
+    was built.
     Method 1 at k = 1 is the single-band grid of Oustaloup et al. (IEEE
     TCAS-I 47(1), 2000) that the baselines 5 and 7 use at any order.
     """
@@ -278,11 +276,7 @@ def _low_branch_corners(spec: DesignSpec, kappa: int, k: int):
 def _piecewise_integrator(spec: DesignSpec) -> FactoredModel:
     """Methods 1..4.  The high branch is the low branch of
     ``spec.complement()`` with zeros and poles swapped, so
-    I(alpha) * I(1 - alpha) cancels to 1/s by construction.  The offset of
-    methods 3 and 4 is checked against the requested spec, so its
-    admissible interval never depends on the branch arithmetic."""
-    if spec.kappa in OFFSET_METHODS:
-        _checked_epsilon(spec)
+    I(alpha) * I(1 - alpha) cancels to 1/s by construction."""
     k = spec.k
     try:
         if spec.branch == "low":

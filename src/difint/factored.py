@@ -81,10 +81,11 @@ class FactoredModel:
 
 
 def checked_omegas(omegas) -> np.ndarray:
-    """``omegas`` as a float array, all of whose frequencies must be > 0."""
+    """``omegas`` as a float array, all of whose frequencies must be finite
+    and > 0."""
     w = np.asarray(omegas, dtype=float)
-    if not np.all(w > 0.0):
-        raise DomainError("all frequencies must be > 0")
+    if not np.all((w > 0.0) & (w < math.inf)):
+        raise DomainError("all frequencies must be finite and > 0")
     return w
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError, DomainError, NotRealizableError
-from .factored import FactoredModel
+from .factored import FactoredModel, checked_omegas
 
 __all__ = [
     "PartialFractionForm",
@@ -229,8 +229,9 @@ def synthesize_rc(pf: PartialFractionForm) -> RcNetwork:
 
 
 def network_impedance(network: RcNetwork, omegas) -> np.ndarray:
-    """Driving-point impedance of the series chain at s = j*omega."""
-    s = 1j * np.asarray(omegas, dtype=float)
+    """Driving-point impedance of the series chain at s = j*omega, at
+    frequencies that must be finite and > 0."""
+    s = 1j * checked_omegas(omegas)
     z = np.zeros(s.shape, dtype=complex) + network.resistance
     if network.capacitance is not None:
         z = z + 1.0 / (s * network.capacitance)

@@ -6,6 +6,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import reference_spec
 from difint import (
@@ -27,7 +29,7 @@ from difint import (
     special_epsilon,
     sweep_table,
 )
-from difint.design import OFFSET_METHODS, _checked_epsilon
+from difint.design import OFFSET_METHODS
 
 PIECEWISE = (1, 2, 3, 4)
 
@@ -140,8 +142,13 @@ class TestDesignSpec:
             assert spec.epsilon == special_epsilon(spec)
             assert spec == DesignSpec(kappa, 0.4, n=12, k=3, epsilon=special_epsilon(spec))
             assert spec.complement().epsilon == spec.epsilon
-            assert DesignSpec(kappa, 0.4, epsilon=1.0).epsilon == 1.0
-            assert math.isnan(DesignSpec(kappa, 0.4, epsilon=math.nan).epsilon)
+            assert DesignSpec(kappa, 0.4, epsilon=1.9).epsilon == 1.9
+            # An offset outside the admissible interval, NaN included, is
+            # rejected where the spec is built.
+            with pytest.raises(EpsilonRangeError):
+                DesignSpec(kappa, 0.4, epsilon=1.0)
+            with pytest.raises(EpsilonRangeError):
+                DesignSpec(kappa, 0.4, epsilon=math.nan)
         for kappa in (1, 2, 5, 6, 7):
             assert DesignSpec(kappa, 0.4).epsilon is None
 
@@ -159,9 +166,11 @@ class TestDesignSpec:
 
     @pytest.mark.parametrize("alpha", (0.3, 0.5, 0.7, 1e-9, 1.0 - 1e-9))
     def test_complement_changes_only_the_order(self, alpha):
+        # An explicit offset in the middle of this order's interval.
+        epsilon = sum(epsilon_bounds(DesignSpec(4, alpha))) / 2.0
         for spec in (DesignSpec(1, alpha, 0.02, 7e3, n=7, k=3),
                      DesignSpec(3, alpha, n=12, k=1),
-                     DesignSpec(4, alpha, epsilon=1.5)):
+                     DesignSpec(4, alpha, epsilon=epsilon)):
             complement = spec.complement()
             assert complement.alpha == 1.0 - spec.alpha
             for field in fields(DesignSpec):
@@ -257,9 +266,8 @@ class TestEpsilonBounds:
             special_epsilon(DesignSpec(7, 0.4))
 
     def test_out_of_range_offset_reports_interval(self):
-        spec = DesignSpec(3, 0.4, epsilon=5.0)
         with pytest.raises(EpsilonRangeError) as err:
-            design_integrator(spec)
+            DesignSpec(3, 0.4, epsilon=5.0)
         assert err.value.lower == pytest.approx(1.8113207547169811, rel=1e-12)
         assert err.value.upper == pytest.approx(2.0, rel=1e-12)
 
@@ -267,7 +275,7 @@ class TestEpsilonBounds:
     @pytest.mark.parametrize("epsilon", (math.nan, math.inf, -math.inf))
     def test_non_finite_offset_is_out_of_range(self, kappa, epsilon):
         with pytest.raises(EpsilonRangeError):
-            design_integrator(DesignSpec(kappa, 0.4, epsilon=epsilon))
+            DesignSpec(kappa, 0.4, epsilon=epsilon)
 
     def test_half_open_interval_ends(self):
         # Both ends carry the 1e-12 relative slack: the exclusive lower end
@@ -278,7 +286,7 @@ class TestEpsilonBounds:
             design_integrator(DesignSpec(3, 0.4, epsilon=epsilon))
         for epsilon in (lower * (1.0 - 1e-12), upper * (1.0 + 2e-12)):
             with pytest.raises(EpsilonRangeError):
-                design_integrator(DesignSpec(3, 0.4, epsilon=epsilon))
+                DesignSpec(3, 0.4, epsilon=epsilon)
 
     def test_offset_on_complement_lower_end_is_admissible(self):
         # Admissible at this order; at the complement order it equals the
@@ -290,6 +298,59 @@ class TestEpsilonBounds:
         assert check_identity("i", spec).structural_pass
         results = identity_experiment(3, alpha, n=38, k=4, epsilon=epsilon, duration=1.0)
         assert set(results) == {"x", "y", "z"}
+
+    # Offsets relative to the nominal interval: each slack edge, the float
+    # on either side of it and the nominal ends, where ``t`` in [0, 1] is
+    # the position of a draw inside the interval or how far it lies outside.
+    OFFSETS = {
+        "lower slack edge": lambda lo, hi, t: lo * (1.0 - 1e-12),
+        "above lower slack edge": lambda lo, hi, t: math.nextafter(lo * (1.0 - 1e-12), math.inf),
+        "below lower slack edge": lambda lo, hi, t: math.nextafter(lo * (1.0 - 1e-12), 0.0),
+        "upper slack edge": lambda lo, hi, t: hi * (1.0 + 1e-12),
+        "above upper slack edge": lambda lo, hi, t: math.nextafter(hi * (1.0 + 1e-12), math.inf),
+        "below upper slack edge": lambda lo, hi, t: math.nextafter(hi * (1.0 + 1e-12), 0.0),
+        "lower": lambda lo, hi, t: lo,
+        "upper": lambda lo, hi, t: hi,
+        "inside": lambda lo, hi, t: lo + t * (hi - lo),
+        "below": lambda lo, hi, t: lo * (1.0 - 2.0 * t),
+        "above": lambda lo, hi, t: hi * (1.0 + 10.0 * t),
+        "nan": lambda lo, hi, t: math.nan,
+        "inf": lambda lo, hi, t: math.inf,
+        "-inf": lambda lo, hi, t: -math.inf,
+    }
+
+    @settings(max_examples=1000, deadline=None, database=None, derandomize=True)
+    @given(
+        kappa=st.sampled_from(OFFSET_METHODS),
+        alpha=st.one_of(st.floats(1e-300, 1e-6), st.floats(1e-6, 1.0 - 1e-6),
+                        st.floats(0.5 - 1e-9, 0.5 + 1e-9), st.floats(1.0 - 1e-6, 1.0 - 1e-16)),
+        n=st.integers(1, 60),
+        k=st.integers(1, 8),
+        low_decade=st.floats(-307.5, 307.0),
+        width=st.floats(0.1, 60.0),
+        offset=st.sampled_from(sorted(OFFSETS)),
+        t=st.floats(0.0, 1.0),
+    )
+    def test_a_spec_is_built_exactly_when_its_offset_is_admissible(
+            self, kappa, alpha, n, k, low_decade, width, offset, t):
+        band = (10.0 ** low_decade, 10.0 ** min(low_decade + width, 308.25))
+        base = DesignSpec(kappa, alpha, *band, n, k)
+        lower, upper = epsilon_bounds(base)
+        epsilon = self.OFFSETS[offset](lower, upper, t)
+        admissible = lower * (1.0 - 1e-12) < epsilon <= upper * (1.0 + 1e-12)
+        try:
+            spec = replace(base, epsilon=epsilon)
+        except EpsilonRangeError as err:
+            assert not admissible
+            assert (err.lower, err.upper) == (lower, upper)
+            return
+        assert admissible
+        # A built spec designs, or fails only because a corner or a gain
+        # leaves the float range.
+        try:
+            design_pair(spec)
+        except DomainError as err:
+            assert "float range" in str(err) or "cannot be represented" in str(err), err
 
 
 class TestSpecialOffsetDegeneration:
@@ -427,12 +488,12 @@ def reference_high_branch(spec):
         poles = [wl * ratio ** ((i - 1 + (1 - alpha) / k) / den) for i in idx]
         zeros = [wl * ratio ** ((i - 1) / den) for i in idx]
     elif spec.kappa == 3:
-        eps = _checked_epsilon(spec)
+        eps = spec.epsilon
         den = 20.0 * (1 - alpha) * (k - 1 + alpha)
         poles = [wl * 10.0 ** (eps * (2 * k * i - k + 1 - alpha) / den) for i in idx]
         zeros = [wl * 10.0 ** (eps * (2 * k * i - k - 1 + alpha) / den) for i in idx]
     else:
-        eps = _checked_epsilon(spec)
+        eps = spec.epsilon
         den = 10.0 * (1 - alpha) * (k - 1 + alpha)
         poles = [wl * 10.0 ** (eps * (k * i - k + 1 - alpha) / den) for i in idx]
         zeros = [wl * 10.0 ** (eps * (k * i - k) / den) for i in idx]
@@ -442,9 +503,11 @@ def reference_high_branch(spec):
     return FactoredModel(gain, -1, k, tuple(zip(zeros, poles)))
 
 
-def _outcome(build, spec):
+def _outcome(build, spec, epsilon):
+    """What ``build`` gives for ``spec`` with ``epsilon`` in place of its
+    offset; building that spec is part of the outcome."""
     try:
-        return build(spec)
+        return build(replace(spec, epsilon=epsilon))
     except Exception as exc:  # the exception type is part of the outcome
         return type(exc)
 
@@ -471,9 +534,9 @@ class TestBranchRule:
                         offsets = [special_epsilon(base), upper, 0.5 * (lower + upper),
                                    lower, lower * (1.0 - 1e-12), upper * (1.0 + 1e-12)]
                     for epsilon in offsets:
-                        spec = replace(base, epsilon=epsilon)
-                        got = _outcome(design_integrator, spec)
-                        want = _outcome(reference_high_branch, spec)
+                        spec = (base, epsilon)
+                        got = _outcome(design_integrator, base, epsilon)
+                        want = _outcome(reference_high_branch, base, epsilon)
                         if isinstance(want, FactoredModel):
                             assert isinstance(got, FactoredModel), spec
                             assert got.factors == want.factors, spec
@@ -551,7 +614,7 @@ class TestOmittedOffset:
     @pytest.mark.parametrize("alpha", (0.3, 0.7))
     def test_every_entry_point_uses_the_special_offset(self, kappa, alpha):
         omitted = DesignSpec(kappa, alpha, n=6, k=2)
-        eps = special_epsilon(DesignSpec(kappa, alpha, n=6, k=2, epsilon=0.0))
+        eps = special_epsilon(omitted)
         explicit = DesignSpec(kappa, alpha, n=6, k=2, epsilon=eps)
         assert omitted.epsilon == eps
         assert design_pair(omitted) == design_pair(explicit)

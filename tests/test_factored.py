@@ -5,7 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from conftest import reference_spec
@@ -130,12 +130,12 @@ class TestEvalResponse:
         assert magnitude_db == pytest.approx(22.949524161750896516, abs=1e-9)
         assert phase_deg == pytest.approx(-17.946822337997617815, abs=1e-9)
 
-    def test_rejects_nonpositive_frequency(self):
-        m = FactoredModel(1.0)
-        with pytest.raises(DomainError):
-            frequency_response(m, [0.0])
-        with pytest.raises(DomainError):
-            frequency_response(m, [-1.0])
+    @pytest.mark.parametrize("omega", (math.inf, math.nan, 0.0, -1.0))
+    def test_rejects_frequency_not_finite_and_positive(self, omega):
+        for model in (FactoredModel(1.0), design_integrator(reference_spec(1, 0.3))):
+            for evaluate in (log_response, frequency_response):
+                with pytest.raises(DomainError, match="^all frequencies must be finite and > 0$"):
+                    evaluate(model, [1.0, omega])
 
     @pytest.mark.parametrize("kappa", ALL_METHODS)
     def test_product_route_matches_log_sum_route(self, kappa):
@@ -320,6 +320,39 @@ class TestBandPlacement:
                 scaled_db, scaled_deg = log_response(getattr(scaled, kind), grid * scale)
             assert np.max(np.abs(scaled_db - magnitude_db - shift_db)) < 5e-11
             assert np.max(np.abs(scaled_deg - phase_deg)) < 1e-12
+
+    @settings(max_examples=80, deadline=None, database=None, derandomize=True)
+    @given(
+        kappa=st.integers(1, 7),
+        alpha=st.floats(0.01, 0.99),
+        n=st.integers(1, 200),
+        k=st.integers(1, 8),
+        low_decade=st.floats(-307.5, 307.0),
+        width=st.floats(0.5, 40.0),
+    )
+    def test_matches_mpmath_anywhere_in_the_float_range(self, kappa, alpha, n, k,
+                                                        low_decade, width):
+        # Bands anywhere in the normal range up to the float maximum.  The
+        # magnitude's rounding grows with the response's largest magnitude,
+        # which reaches ~6000 dB far from 1 rad/s, over a floor from the
+        # n * k factor terms, which stays when the band sits near 1 rad/s
+        # and the response near 0 dB.  Measured worst case over 2400 random
+        # draws with these strategies: 4.7e-11 dB on 6155 dB (7.4e-15 of the
+        # magnitude), 1.4e-12 dB on 54 dB, 7.1e-14 dB on 0.074 dB, and
+        # 1.5e-12 degrees.  7 of the draws were rejected: the matched gain
+        # or its reciprocal leaves the float range near the float maximum.
+        band = (10.0 ** low_decade, 10.0 ** min(low_decade + width, 308.25))
+        try:
+            pair = design_pair(DesignSpec(kappa, alpha, *band, n, k))
+        except DomainError:
+            reject()
+        grid = make_grid(*band, 7)
+        for model in pair:
+            magnitude_db, phase_deg = log_response(model, grid)
+            want_db, want_deg = mpmath_log_response(model, grid)
+            bound_db = 2e-12 + 1.5e-14 * np.max(np.abs(want_db))
+            assert np.max(np.abs(magnitude_db - want_db)) < bound_db
+            assert np.max(np.abs(phase_deg - want_deg)) < 3e-12
 
 
 class TestMultiplyAndSimplify:

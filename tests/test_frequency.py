@@ -1,5 +1,6 @@
 """Frequency grids, ideal operator responses and band error norms."""
 
+import math
 import sys
 
 import numpy as np
@@ -112,8 +113,9 @@ class TestExactResponse:
         np.testing.assert_allclose(phase_i + phase_d, 0.0, atol=1e-13)
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(DomainError):
-            exact_response(0.5, INTEGRATOR, [1.0, 0.0])
+        for omega in (math.inf, math.nan, 0.0, -1.0):
+            with pytest.raises(DomainError, match="^all frequencies must be finite and > 0$"):
+                exact_response(0.5, INTEGRATOR, [1.0, omega])
         with pytest.raises(DomainError):
             exact_response(1.2, INTEGRATOR, [1.0])
         with pytest.raises(DomainError):

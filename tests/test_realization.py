@@ -1,6 +1,7 @@
 """Partial-fraction expansion, RC synthesis and netlist export."""
 
 import json
+import math
 
 import mpmath
 import numpy as np
@@ -504,6 +505,11 @@ class TestFullChain:
         s = 1j * omegas
         expected = 2.0 + 1.0 / (0.5 * s) + 4.0 / (1.0 + s) + 1.0 / (1.0 + 3.0 * s)
         np.testing.assert_allclose(network_impedance(FULL_CHAIN, omegas), expected, rtol=1e-14)
+
+    @pytest.mark.parametrize("omega", (math.inf, math.nan, 0.0, -1.0))
+    def test_impedance_rejects_frequency_not_finite_and_positive(self, omega):
+        with pytest.raises(DomainError, match="^all frequencies must be finite and > 0$"):
+            network_impedance(RcNetwork(1.0, 2.0, ((1.0, 1.0),)), [1.0, omega])
 
 
 def parse_spice(text):

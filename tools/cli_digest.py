@@ -43,7 +43,8 @@ and ``check`` and ``simulate`` of methods 2 and 4 at order 0.5, n = 1 and
 k = 2 on the band 1e-154..1e154, whose law products' gains leave the
 float range, and ``bode``, ``check`` and tables 1 and 2 on bands up to
 the float maximum, and tables 1 and 2 given an empty order sweep, and
-``bode`` and table 2 on a grid of 1e17 points, too long to allocate; every
+``bode`` and table 2 on a grid of 1e17 points, too long to allocate, and
+four calls with two faults each, which pin the fault reported; every
 call runs at ``--precision 9`` and 17.  The ``--output``
 calls are a 10k-point ``bode``, a many-block ``simulate --experiment all``
 and one call per error exit code (2, 3, 4).
@@ -159,6 +160,14 @@ EMPTY_SWEEP_CALLS = ["table --which 1 --alphas ''", "table --which 2 --alphas ''
 HUGE_GRID_CALLS = ["bode -m 1 -a 0.3 --points 100000000000000000",
                    "table --which 2 --points 100000000000000000"]
 
+# Calls with two faults, which pin the one reported: an inadmissible offset
+# comes before the horizon of ``simulate`` and before a complement order
+# that rounds to 1.0, and a bad field of the spec before the offset.
+PRECEDENCE_CALLS = ["simulate -m 3 -a 0.3 --eps 100 --T inf",
+                    "simulate -m 3 -a 0.3 --eps 100 --h 0",
+                    "check -m 4 -a 1e-20 --eps 100",
+                    "design -m 3 -a 0.3 --eps 100 --n 0"]
+
 
 def _offsets(method: int, k: int) -> list[str]:
     if method not in OFFSET_METHODS:
@@ -254,6 +263,7 @@ def _calls() -> list[str]:
     calls += TOP_OF_RANGE_CALLS
     calls += EMPTY_SWEEP_CALLS
     calls += HUGE_GRID_CALLS
+    calls += PRECEDENCE_CALLS
     return calls
 
 
