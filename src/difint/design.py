@@ -18,11 +18,19 @@ boundary point plus a vertical dB offset ``epsilon`` that must lie in a
 half-open admissible interval; at a special offset they collapse onto
 methods 1 and 2.
 
-Methods 5..7 are classic single-band recursive designs kept for benchmark
-comparisons.  They hard-code their multiplicity (1, 2 and 1 respectively)
-and, except for method 7's differentiator, are not mutual reciprocals.
-Method 7's integrator and method 5's differentiator (zeros and poles
-swapped) sit on method 1's low-branch grid at k = 1.
+Methods 5..7 are classic single-band recursive designs of the Oustaloup
+type kept for benchmark comparisons.  They hard-code their multiplicity (1,
+2 and 1 respectively) and, except for method 7's differentiator, are not
+mutual reciprocals.  Each model reads one grid:
+
+- method 7's integrator is method 1's low branch at k = 1, at every order;
+- the differentiators of methods 5 and 6 are method 1's low-branch grids at
+  k = 1 and k = 2, with zeros and poles swapped;
+- the integrators of methods 5 and 6 keep their own exponents.  In exact
+  arithmetic they are the high-branch grids of methods 2 (k = 1) and 1
+  (k = 2), but a high branch rounds 1 - alpha first, and at some orders
+  (alpha = 0.03, 0.06 or 0.07 at n = 10 on the default band) that moves a
+  corner in its last bits.
 """
 
 from __future__ import annotations
@@ -249,7 +257,8 @@ def _low_branch_corners(spec: DesignSpec, kappa: int, k: int):
     Methods 3 and 4 read ``spec.epsilon``, which the spec checked when it
     was built.
     Method 1 at k = 1 is the single-band grid of Oustaloup et al. (IEEE
-    TCAS-I 47(1), 2000) that the baselines 5 and 7 use at any order.
+    TCAS-I 47(1), 2000) that the baselines 5 and 7 use at any order;
+    baseline 6's differentiator reads method 1 at k = 2.
     """
     alpha, n = spec.alpha, spec.n
     wl = spec.omega_l
@@ -273,22 +282,21 @@ def _low_branch_corners(spec: DesignSpec, kappa: int, k: int):
     return zeros, poles
 
 
-def _piecewise_integrator(spec: DesignSpec) -> FactoredModel:
-    """Methods 1..4.  The high branch is the low branch of
-    ``spec.complement()`` with zeros and poles swapped, so
-    I(alpha) * I(1 - alpha) cancels to 1/s by construction."""
-    k = spec.k
+def _branch_integrator(spec: DesignSpec, kappa: int, k: int, high: bool) -> FactoredModel:
+    """Method ``kappa``'s low-branch grid at multiplicity ``k``, or with
+    ``high`` the low-branch grid of ``spec.complement()`` with zeros and
+    poles swapped, times 1/s, so I(alpha) * I(1 - alpha) cancels to 1/s by
+    construction.  Either way the magnitude at the band center is
+    omega_m**(-alpha); on the high branch 1/s carries omega_m**(-1) of it."""
     try:
-        if spec.branch == "low":
-            zeros, poles = _low_branch_corners(spec, spec.kappa, k)
-            power, s_exponent = -spec.alpha, 0
+        if high:
+            poles, zeros = _low_branch_corners(spec.complement(), kappa, k)
         else:
-            poles, zeros = _low_branch_corners(spec.complement(), spec.kappa, k)
-            power, s_exponent = 1.0 - spec.alpha, -1
+            zeros, poles = _low_branch_corners(spec, kappa, k)
     except OverflowError:  # a power of ten of methods 3 and 4 past the float maximum
-        raise DomainError(f"a corner of method {spec.kappa} leaves the float range") from None
-    gain = _matched_gain(zeros, poles, k, spec.omega_m, power)
-    return FactoredModel(gain, s_exponent, k, tuple(zip(zeros, poles)))
+        raise DomainError(f"a corner of method {kappa} leaves the float range") from None
+    gain = _matched_gain(zeros, poles, k, spec.omega_m, 1.0 - spec.alpha if high else -spec.alpha)
+    return FactoredModel(gain, -1 if high else 0, k, tuple(zip(zeros, poles)))
 
 
 def _baseline5_integrator(spec: DesignSpec) -> FactoredModel:
@@ -302,12 +310,6 @@ def _baseline5_integrator(spec: DesignSpec) -> FactoredModel:
     return FactoredModel(gain, -1, 1, tuple(zip(zeros, poles)))
 
 
-def _baseline5_differentiator(spec: DesignSpec) -> FactoredModel:
-    # Method 1's low-branch grid at k = 1 with zeros and poles swapped.
-    poles, zeros = _low_branch_corners(spec, 1, 1)
-    return FactoredModel(spec.omega_h**spec.alpha, 0, 1, tuple(zip(zeros, poles)))
-
-
 def _baseline6_integrator(spec: DesignSpec) -> FactoredModel:
     alpha, n, wl = spec.alpha, spec.n, spec.omega_l
     ratio = spec.omega_h / spec.omega_l
@@ -316,31 +318,23 @@ def _baseline6_integrator(spec: DesignSpec) -> FactoredModel:
     return FactoredModel(spec.omega_h ** (1.0 - alpha), -1, 2, tuple(zip(zeros, poles)))
 
 
-def _baseline6_differentiator(spec: DesignSpec) -> FactoredModel:
-    alpha, n, wl = spec.alpha, spec.n, spec.omega_l
-    ratio = spec.omega_h / spec.omega_l
-    poles = [wl * ratio ** ((4 * i - 2 + alpha) / (4 * n)) for i in range(1, n + 1)]
-    zeros = [wl * ratio ** ((4 * i - 2 - alpha) / (4 * n)) for i in range(1, n + 1)]
-    return FactoredModel(spec.omega_h**alpha, 0, 2, tuple(zip(zeros, poles)))
+def _baseline_differentiator(spec: DesignSpec, k: int) -> FactoredModel:
+    """Methods 5 (k = 1) and 6 (k = 2): method 1's low-branch grid at
+    multiplicity ``k`` with zeros and poles swapped, gain omega_h**alpha."""
+    poles, zeros = _low_branch_corners(spec, 1, k)
+    return FactoredModel(spec.omega_h**spec.alpha, 0, k, tuple(zip(zeros, poles)))
 
 
-def _baseline7_integrator(spec: DesignSpec) -> FactoredModel:
-    # Method 1's low-branch grid at k = 1, at any order.
-    zeros, poles = _low_branch_corners(spec, 1, 1)
-    # Matched at the band center, not the method's original normalization,
-    # which misses the target by the squared factor product at 1 rad/s.
-    gain = _matched_gain(zeros, poles, 1, spec.omega_m, -spec.alpha)
-    return FactoredModel(gain, 0, 1, tuple(zip(zeros, poles)))
-
-
-# Each method's integrator designer and, for the baselines 5 and 6 only,
-# its own differentiator designer; every other differentiator is the exact
-# reciprocal of its integrator.  Methods 1..4 share the piecewise designer.
+# Each method's integrator designer.  Method 7 is method 1's low branch at
+# k = 1, at every order, matched at the band center, not the method's
+# original normalization, which misses the target by the squared factor
+# product at 1 rad/s.
 _DESIGNERS = {
-    **dict.fromkeys((1, 2, 3, 4), (_piecewise_integrator, None)),
-    5: (_baseline5_integrator, _baseline5_differentiator),
-    6: (_baseline6_integrator, _baseline6_differentiator),
-    7: (_baseline7_integrator, None),
+    **dict.fromkeys((1, 2, 3, 4), lambda spec: _branch_integrator(
+        spec, spec.kappa, spec.k, spec.branch == "high")),
+    5: _baseline5_integrator,
+    6: _baseline6_integrator,
+    7: lambda spec: _branch_integrator(spec, 1, 1, False),
 }
 
 # The method indices: 1..4 the piecewise designs, 5..7 the baselines.
@@ -354,7 +348,7 @@ def design_integrator(spec: DesignSpec) -> FactoredModel:
     and on the high branch (1/s times a chain) above; both branches pin the
     magnitude at the band center to omega_m**(-alpha).
     """
-    return _DESIGNERS[spec.kappa][0](spec)
+    return _DESIGNERS[spec.kappa](spec)
 
 
 def design_pair(spec: DesignSpec) -> DesignedPair:
@@ -366,8 +360,9 @@ def design_pair(spec: DesignSpec) -> DesignedPair:
     composition laws.
     """
     integrator = design_integrator(spec)
-    own = _DESIGNERS[spec.kappa][1]
-    return DesignedPair(integrator, reciprocal(integrator) if own is None else own(spec))
+    if spec.kappa in (5, 6):  # at the multiplicity of their integrator, 1 and 2
+        return DesignedPair(integrator, _baseline_differentiator(spec, integrator.multiplicity))
+    return DesignedPair(integrator, reciprocal(integrator))
 
 
 def law_operands(spec: DesignSpec, conditions) -> list[tuple[FactoredModel, FactoredModel]]:

@@ -36,7 +36,6 @@ __all__ = [
     "PartialFractionForm",
     "PartialFractionTerm",
     "RcNetwork",
-    "evaluate_partial_fractions",
     "export_netlist",
     "network_impedance",
     "synthesize_rc",
@@ -153,21 +152,6 @@ def to_partial_fractions(model: FactoredModel) -> PartialFractionForm:
     return PartialFractionForm(direct, float(origin), terms)
 
 
-def evaluate_partial_fractions(pf: PartialFractionForm, s_values) -> np.ndarray:
-    """Evaluate a summation form at complex points (used for round trips)."""
-    s = np.asarray(s_values, dtype=complex)
-    out = np.full(s.shape, complex(pf.direct))
-    if pf.origin_residue:
-        out = out + pf.origin_residue / s
-    for term in pf.terms:
-        base = s + term.pole
-        power = base.copy()
-        for residue in term.residues:
-            out = out + residue / power
-            power = power * base
-    return out
-
-
 @dataclass(frozen=True)
 class RcNetwork:
     """Series RC chain whose driving-point impedance realizes a simple-pole
@@ -230,14 +214,50 @@ def synthesize_rc(pf: PartialFractionForm) -> RcNetwork:
 
 def network_impedance(network: RcNetwork, omegas) -> np.ndarray:
     """Driving-point impedance of the series chain at s = j*omega, at
-    frequencies that must be finite and > 0."""
-    s = 1j * checked_omegas(omegas)
+    frequencies that must be finite and > 0.
+
+    At a frequency where omega*C, omega*R*C or the sum of the float formula
+    leaves the float range, the terms are formed in exact rational
+    arithmetic instead, each rounded once; an impedance that cannot be
+    represented raises ``DomainError``.
+    """
+    w = checked_omegas(omegas)
+    s = 1j * w
     z = np.zeros(s.shape, dtype=complex) + network.resistance
-    if network.capacitance is not None:
-        z = z + 1.0 / (s * network.capacitance)
-    for resistance, capacitance in network.sections:
-        z = z + resistance / (1.0 + s * resistance * capacitance)
+    overflowed = np.zeros(w.shape, dtype=bool)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if network.capacitance is not None:
+            overflowed |= np.isinf(w * network.capacitance)
+            z = z + 1.0 / (s * network.capacitance)
+        for resistance, capacitance in network.sections:
+            overflowed |= np.isinf(w * resistance * capacitance)
+            z = z + resistance / (1.0 + s * resistance * capacitance)
+    for i in np.flatnonzero(overflowed | ~np.isfinite(z)):
+        z.flat[i] = _exact_impedance(network, float(w.flat[i]))
     return z
+
+
+def _exact_impedance(network: RcNetwork, omega: float) -> complex:
+    """The chain's impedance at one frequency, each term formed exactly and
+    rounded once.  No real part is negative and no imaginary part positive,
+    so no sum cancels, and a term or sum that leaves the float range is an
+    impedance that does: ``DomainError``."""
+    from fractions import Fraction
+
+    w = Fraction(omega)
+    real, imag = network.resistance, 0.0
+    if network.capacitance is not None:
+        try:
+            imag = -float(1 / (w * Fraction(network.capacitance)))
+        except OverflowError:  # a section's terms are at most R, so only this one can
+            imag = -math.inf
+    for resistance, capacitance in network.sections:
+        r, x = Fraction(resistance), w * Fraction(resistance) * Fraction(capacitance)
+        real += float(r / (1 + x * x))
+        imag -= float(r * x / (1 + x * x))
+    if not (math.isfinite(real) and math.isfinite(imag)):
+        raise DomainError(f"the impedance at omega = {omega!r} leaves the float range")
+    return complex(real, imag)
 
 
 def _sci(value: float, precision: int = 9) -> str:

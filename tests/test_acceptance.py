@@ -22,7 +22,6 @@ from difint import (
     design_pair,
     epsilon_bounds,
     error_series,
-    evaluate_partial_fractions,
     export_netlist,
     frequency_response,
     identity_experiment,
@@ -36,7 +35,7 @@ from difint import (
 from difint.cli import main as cli_main
 from test_design import random_specs
 from test_identities import NUMERIC_PASS_TOL
-from test_realization import impedance_from_groups, parse_spice
+from test_realization import evaluate_partial_fractions, impedance_from_groups, parse_spice
 
 SWEEP_ALPHAS = [a / 10.0 for a in range(1, 10)]
 MATRIX_ALPHAS = [0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.8, 0.9]

@@ -29,7 +29,7 @@ from difint import (
     special_epsilon,
     sweep_table,
 )
-from difint.design import OFFSET_METHODS
+from difint.design import OFFSET_METHODS, _low_branch_corners
 
 PIECEWISE = (1, 2, 3, 4)
 
@@ -588,23 +588,63 @@ def reference_baselines(spec):
 
 
 class TestBaselineGrids:
-    # The branch rule's orders and their complements, so both sides of 0.5.
+    # The branch rule's orders and their complements, so both sides of 0.5,
+    # and at n = 10 on the default band three orders where the written-out
+    # integrator grids of methods 5 and 6 part in their last bits from the
+    # high-branch grids of methods 2 and 1, which round 1 - alpha first.
     ORDERS = TestBranchRule.ORDERS + [1.0 - a for a in TestBranchRule.ORDERS]
+    PARTING = (0.03, 0.06, 0.07)
+    # The method whose high-branch grid, at the given k, each baseline
+    # integrator equals in exact arithmetic.
+    HIGH_BRANCH_OF = {5: (2, 1), 6: (1, 2)}
+
+    def cases(self, kappa, k):
+        for n in (1, 2, 5, 10, 60):
+            for band in TestBranchRule.BANDS:
+                for alpha in self.ORDERS:
+                    yield DesignSpec(kappa, alpha, *band, n, k)
+        for alpha in self.PARTING:
+            yield DesignSpec(kappa, alpha, 1e-3, 1e3, 10, k)
 
     @pytest.mark.parametrize("kappa", (5, 6, 7))
     @pytest.mark.parametrize("k", (1, 2))
     def test_pairs_are_bitwise_reference(self, kappa, k):
-        for n in (1, 2, 5, 10, 60):
-            for band in TestBranchRule.BANDS:
-                for alpha in self.ORDERS:
-                    spec = DesignSpec(kappa, alpha, *band, n, k)
-                    pair = design_pair(spec)
-                    for got, want in zip((pair.integrator, pair.differentiator),
-                                         reference_baselines(spec)):
-                        assert got.factors == want.factors, spec
-                        assert got.gain == want.gain, spec
-                        assert got.s_exponent == want.s_exponent, spec
-                        assert got.multiplicity == want.multiplicity, spec
+        parted = 0
+        for spec in self.cases(kappa, k):
+            pair = design_pair(spec)
+            want_pair = reference_baselines(spec)
+            for got, want in zip((pair.integrator, pair.differentiator), want_pair):
+                assert got.factors == want.factors, spec
+                assert got.gain == want.gain, spec
+                assert got.s_exponent == want.s_exponent, spec
+                assert got.multiplicity == want.multiplicity, spec
+            if kappa in self.HIGH_BRANCH_OF:
+                poles, zeros = _low_branch_corners(spec.complement(), *self.HIGH_BRANCH_OF[kappa])
+                parted += want_pair[0].factors != tuple(zip(zeros, poles))
+        # Else the reference could not tell the written-out exponents from
+        # the shared high-branch grid.
+        assert kappa == 7 or parted > 0
+
+
+class TestMethod7IsMethod1:
+    # Method 7 is method 1's low branch at k = 1, at every order of the
+    # branch rule's bands and n.
+    ORDERS = [1.0 - a for a in TestBranchRule.ORDERS] + [0.5]
+
+    @pytest.mark.parametrize("n", (1, 2, 5, 10, 60))
+    def test_equals_method_1_at_k_1_up_to_half(self, n):
+        for band in TestBranchRule.BANDS:
+            for alpha in self.ORDERS:
+                assert (design_pair(DesignSpec(7, alpha, *band, n))
+                        == design_pair(DesignSpec(1, alpha, *band, n, k=1))), (alpha, band)
+
+    @pytest.mark.parametrize("n", (1, 2, 5, 10, 60))
+    def test_stays_on_the_low_branch_above_half(self, n):
+        for band in TestBranchRule.BANDS:
+            for alpha in TestBranchRule.ORDERS:
+                pair = design_pair(DesignSpec(7, alpha, *band, n))
+                assert pair.integrator.s_exponent == 0, (alpha, band)
+                assert pair.differentiator.s_exponent == 0, (alpha, band)
 
 
 class TestOmittedOffset:

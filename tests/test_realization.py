@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -21,7 +22,6 @@ from difint import (
     RcNetwork,
     design_integrator,
     design_pair,
-    evaluate_partial_fractions,
     export_netlist,
     frequency_response,
     make_grid,
@@ -32,6 +32,22 @@ from difint import (
 from difint import realization
 
 NAN = float("nan")
+
+
+def evaluate_partial_fractions(pf, s_values):
+    """Evaluate a summation form at complex points, term by term: the round
+    trip of an expansion back to the model it came from."""
+    s = np.asarray(s_values, dtype=complex)
+    out = np.full(s.shape, complex(pf.direct))
+    if pf.origin_residue:
+        out = out + pf.origin_residue / s
+    for term in pf.terms:
+        base = s + term.pole
+        power = base.copy()
+        for residue in term.residues:
+            out = out + residue / power
+            power = power * base
+    return out
 
 
 def solve_residues_by_sampling(model):
@@ -510,6 +526,75 @@ class TestFullChain:
     def test_impedance_rejects_frequency_not_finite_and_positive(self, omega):
         with pytest.raises(DomainError, match="^all frequencies must be finite and > 0$"):
             network_impedance(RcNetwork(1.0, 2.0, ((1.0, 1.0),)), [1.0, omega])
+
+
+# A value or frequency anywhere in the float range, log-uniform: from the
+# smallest subnormal up to 10**308.25 (~1.78e308).
+ANY_MAGNITUDE = st.floats(-323.3, 308.25).map(lambda e: 10.0**e)
+
+# Worst error of network_impedance against mpmath measured over 43000 random
+# chains (0-4 sections, values and frequencies log-uniform over the float
+# range, 3 frequencies each) and 50000 chosen to put omega*R, omega*R*C and
+# omega*C next to the ends of the range: 5.1e-16 of |Z| (2.3 units in the
+# last place), and one smallest subnormal where |Z| itself is subnormal.
+IMPEDANCE_REL_TOL = 1e-15
+IMPEDANCE_ABS_TOL = 2 * 5e-324
+
+
+def mp_impedance(network, omega):
+    """The chain's impedance at 300 bits: no float range, no overflow."""
+    with mpmath.workprec(300):
+        s = 1j * mpmath.mpf(omega)
+        z = mpmath.mpc(network.resistance)
+        if network.capacitance is not None:
+            z += 1 / (s * network.capacitance)
+        for resistance, capacitance in network.sections:
+            z += resistance / (1 + s * mpmath.mpf(resistance) * capacitance)
+        return z
+
+
+class TestImpedanceRange:
+    def test_capacitor_far_above_the_poles(self):
+        # omega*C = 2e308 leaves the float range; the capacitor's -5e-309j
+        # and the section's -1e-308j do not.
+        z = network_impedance(RcNetwork(1.0, 2.0, ((1.0, 1.0),)), [1e308])
+        assert z.real[0] == 1.0 and z.imag[0] == pytest.approx(-1.5e-308, rel=1e-15)
+
+    def test_impedance_past_the_float_maximum_is_domain_error(self):
+        # |Z| = 1/(omega*C) = 1e600
+        with pytest.raises(DomainError, match="^the impedance at omega = 1e-300 leaves the "
+                                              "float range$"):
+            network_impedance(RcNetwork(0.0, 1e-300, ()), [1.0, 1e-300])
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(
+        resistance=st.one_of(st.just(0.0), ANY_MAGNITUDE),
+        capacitance=st.one_of(st.none(), ANY_MAGNITUDE),
+        sections=st.lists(st.tuples(ANY_MAGNITUDE, ANY_MAGNITUDE), max_size=4),
+        omegas=st.lists(ANY_MAGNITUDE, min_size=1, max_size=4),
+    )
+    def test_finite_and_close_to_mpmath_or_domain_error(self, resistance, capacitance,
+                                                        sections, omegas):
+        network = RcNetwork(resistance, capacitance, tuple(sections))
+        alone = []
+        for omega in omegas:
+            want = mp_impedance(network, omega)
+            try:
+                got = complex(network_impedance(network, [omega])[0])
+            except DomainError:
+                assert max(abs(want.real), abs(want.imag)) > sys.float_info.max * (1 - 1e-15)
+                alone.append(DomainError)
+                continue
+            assert math.isfinite(got.real) and math.isfinite(got.imag)
+            bound = IMPEDANCE_REL_TOL * abs(want) + IMPEDANCE_ABS_TOL
+            assert abs(got - want) <= bound, (network, omega, got, want)
+            alone.append(got)
+        # One call over all the frequencies gives what each gives alone.
+        if DomainError in alone:
+            with pytest.raises(DomainError):
+                network_impedance(network, omegas)
+        else:
+            assert network_impedance(network, omegas).tolist() == alone
 
 
 def parse_spice(text):
